@@ -3,8 +3,9 @@
 Every benchmark shares one :class:`ExperimentContext` at *benchmark
 scale* (longer captures, full training budget), so the two detectors
 train once for the whole run.  Rendered tables are printed and archived
-under ``benchmarks/output/`` so a benchmark run leaves the regenerated
-paper tables on disk.
+under the lane's output directory (``benchmarks/output/`` when
+recording, see ``_bench_lane``) so a benchmark run leaves the
+regenerated paper tables on disk.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ def context() -> ExperimentContext:
 def archive():
     """Callable writing a rendered table to the lane's output/<name>.txt.
 
-    Smoke runs archive under ``output/smoke/`` (see ``_bench_lane``),
-    so they can never overwrite the committed trajectory.
+    Only recording runs write ``output/`` itself; smoke and unrecorded
+    runs archive under ``output/smoke/`` and ``output/scratch/`` (see
+    ``_bench_lane``), so they can never overwrite the committed
+    trajectory.
     """
     OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
 

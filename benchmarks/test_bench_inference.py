@@ -178,10 +178,11 @@ def test_bench_campaign_sweep_parallel(bench_context, bench_ip):
         "serial_wall_seconds": round(serial_s, 3),
         "parallel_wall_seconds": round(parallel_s, 3),
         "parallel_speedup": round(serial_s / parallel_s, 2),
-        # backend="process": fresh interpreters per worker (pool
-        # initializer ships the pickled IPs once) — the wall includes
-        # process spawn + per-process engine compiles, which is why it
-        # only wins once per-scenario work dwarfs that fixed cost.
+        # backend="process": forked workers, not fresh interpreters —
+        # they inherit the caller's IPs and engine cache, so warm_engines
+        # hits that cache instead of recompiling.  The wall still pays
+        # pool start-up and task/result pickling, which is why it only
+        # wins once per-scenario work dwarfs that fixed cost.
         "process_wall_seconds": round(process_s, 3),
         "process_speedup": round(serial_s / process_s, 2),
     }

@@ -16,19 +16,23 @@
 #                                             train encode, chunked streaming,
 #                                             saturated-flood arbitration
 #   benchmarks/output/BENCH_fleet.json      — fleet-scale campaign service:
-#                                             vehicles/sec over a sharded
-#                                             heterogeneous population
+#                                             single-core vs default-options
+#                                             vehicles/sec, same population
 #
 # Usage:
-#   scripts/bench.sh            full run: tier-1 tests + micro-benchmarks
+#   scripts/bench.sh            full run: tier-1 tests + micro-benchmarks,
+#                               recorded into benchmarks/output/
+#                               (REPRO_BENCH_RECORD=1)
 #   scripts/bench.sh --smoke    CI lane: one iteration over tiny inputs,
 #                               archived under benchmarks/output/smoke/ and
 #                               checked against the committed trajectory with
 #                               scripts/check_bench_regression.py
 #
+# Any other benchmark run (e.g. a plain tier-1 pytest) archives under the
+# gitignored benchmarks/output/scratch/ and leaves the trajectory alone.
 # The paper-table benchmarks (test_bench_table*.py etc.) train at full
-# scale and are not part of this quick loop; run them directly when
-# regenerating the tables.
+# scale and are not part of this quick loop; run them directly with
+# REPRO_BENCH_RECORD=1 when regenerating the tables.
 set -euo pipefail
 
 # Resolve the repo root from this script's own location (not the CWD,
@@ -68,7 +72,7 @@ else
     python -m pytest -x -q tests
 
     echo "== micro-benchmarks =="
-    python -m pytest -q -s "${MICRO_BENCHES[@]}" benchmarks/test_bench_micro.py
+    REPRO_BENCH_RECORD=1 python -m pytest -q -s "${MICRO_BENCHES[@]}" benchmarks/test_bench_micro.py
 
     echo "perf trajectory written to benchmarks/output/BENCH_{encoders,bus,faults,datapath,inference,gateway,campaigns,fleet}.json"
 fi

@@ -15,9 +15,11 @@ dotted path and splits them into two classes:
 * **informational** — ``speedup`` ratios and ``wall``-clock rates
   (e.g. ``BENCH_inference.json``'s ``graph_wall_fps`` /
   ``compiled_wall_fps``, ``BENCH_bus.json``'s ``event_wall_fps`` /
-  ``columnar_wall_fps``).  Wall-clock based and noisy (they swing tens
-  of percent run-to-run on one machine, more across smoke-scale
-  inputs); they are printed for the log but never fail the check.
+  ``columnar_wall_fps``, ``BENCH_fleet.json``'s
+  ``*_wall_vehicles_per_sec`` and ``auto_speedup``).  Wall-clock based
+  and noisy (they swing tens of percent run-to-run on one machine, more
+  across smoke-scale inputs); they are printed for the log but never
+  fail the check.
   ``BENCH_bus.json`` gates on its deterministic ``offered_fps``
   traffic rates instead — a property of the seeded scenario, identical
   across machines.
@@ -47,11 +49,8 @@ import sys
 from pathlib import Path
 
 #: Substrings marking a numeric leaf as a gating rate metric: ``fps``
-#: rates are deterministic pipeline properties; ``vehicles_per_sec`` is
-#: the fleet lane's throughput, gated per the fleet service's contract
-#: (its file also gates on the deterministic ``offered_fps``, so the
-#: per-file median tolerates wall-clock sway in the vehicles rate).
-GATING_KEY_MARKERS = ("fps", "vehicles_per_sec")
+#: rates are deterministic pipeline properties.
+GATING_KEY_MARKERS = ("fps",)
 
 #: Substrings marking a leaf as wall-clock-derived: compared and printed,
 #: but never failing the check.  Checked before the gating markers, so

@@ -27,6 +27,9 @@ lost run:
   the pool initializer, exactly as before.
 * :func:`warm_engines` is the standard warmup hook: compile every
   shipped detector IP once per process, before the first task runs.
+* Process workers cap their BLAS helper threads at their share of the
+  cores (:func:`_install_process_worker`) instead of each keeping one
+  per core.
 
 Worker callables and warmup hooks MUST be module-top-level functions
 (the ``pickle-safety`` lint rule's contract): the process backend
@@ -38,6 +41,9 @@ wrapper so every failure path above is exercised end to end.
 
 from __future__ import annotations
 
+import ctypes
+import importlib
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -106,7 +112,7 @@ def warm_engines(state: dict[str, Any]) -> None:
 def _install_worker_state(token: str, state: dict[str, Any]) -> None:
     """Register ``state`` under ``token`` and run its warmup hook.
 
-    The process-pool initializer (called once per worker process) and
+    The process-pool initializer (:func:`_install_process_worker`) and
     the in-process registration path share this function, so warmup
     semantics are identical on every backend.
     """
@@ -114,6 +120,61 @@ def _install_worker_state(token: str, state: dict[str, Any]) -> None:
     warmup = state.get("warmup")
     if warmup is not None:
         warmup(state)
+
+
+def _openblas_entry(name: str) -> Any:
+    """numpy's linked OpenBLAS ``*openblas_<name>*`` entry point, or None.
+
+    numpy's compiled core links the BLAS it was built against, so the
+    symbol resolves through that extension: renamed
+    ``scipy_openblas_*64_`` in the wheels, plain ``openblas_*`` in
+    builds against a system OpenBLAS.
+    """
+    try:
+        core = importlib.import_module("numpy._core._multiarray_umath")
+        library = ctypes.CDLL(core.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            entry = getattr(library, f"{prefix}{name}{suffix}", None)
+            if entry is not None:
+                return entry
+    return None
+
+
+def _blas_threads() -> int | None:
+    """This process's BLAS helper-thread count; None without OpenBLAS."""
+    getter = _openblas_entry("get_num_threads")
+    if getter is None:
+        return None
+    getter.argtypes = ()
+    getter.restype = ctypes.c_int
+    return int(getter())
+
+
+def _cap_blas_threads(threads: int) -> None:
+    """Cap this process's BLAS helper threads; a no-op without OpenBLAS."""
+    setter = _openblas_entry("set_num_threads")
+    if setter is not None:
+        setter.argtypes = (ctypes.c_int,)
+        setter.restype = None
+        setter(threads)
+
+
+def _install_process_worker(token: str, state: dict[str, Any], workers: int) -> None:
+    """Process-pool initializer: take a share of the cores, then install.
+
+    A forked worker keeps OpenBLAS's default of one helper thread per
+    core, so ``workers`` processes would spin ``workers x cores`` BLAS
+    threads on ``cores`` cores.  Capping each at ``cores // workers``
+    cannot move a result: the compiled engine's matmul operands are
+    exact integers, so any thread count or reduction order gives the
+    same accumulators.  Only pool workers run this; the calling
+    process's BLAS setting is never touched.
+    """
+    _cap_blas_threads(max(1, (os.cpu_count() or 1) // workers))
+    _install_worker_state(token, state)
 
 
 @dataclass(frozen=True)
@@ -404,7 +465,8 @@ def run_sharded(
     the pool initializer — pickled once per worker — for the process
     backend).  A ``state["warmup"]`` entry, if present, is called with
     the state after installation; :func:`warm_engines` is the standard
-    hook.
+    hook.  Process workers first cap their BLAS helper threads at
+    ``cpu_count // max_workers``.
 
     Fault tolerance: each shard attempt may take at most ``timeout_s``
     (pool backends only — a serial run cannot preempt itself) and is
@@ -451,8 +513,8 @@ def run_sharded(
         def make_process_pool() -> Executor:
             return ProcessPoolExecutor(
                 max_workers=max_workers,
-                initializer=_install_worker_state,
-                initargs=(token, shipped),
+                initializer=_install_process_worker,
+                initargs=(token, shipped, max_workers),
             )
 
         return _run_pooled(

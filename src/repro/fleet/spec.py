@@ -55,7 +55,10 @@ class ExecOptions:
 
     ``backend="auto"`` (default) resolves to ``"process"`` when the
     host reports more than one CPU and ``"thread"`` otherwise; results
-    record the backend that actually ran.  ``max_workers=None`` sizes
+    record the backend that actually ran.  Process workers cap their
+    BLAS helper threads at ``cpu_count // workers``: each forked worker
+    would otherwise keep one OpenBLAS thread per core, and the pool
+    would oversubscribe the host.  ``max_workers=None`` sizes
     the pool to ``min(8, cpu_count, tasks)``.  ``engine`` picks the bus
     simulation path per channel window (``"columnar"`` kernel by
     default, ``"event"`` for the reference loop); ``fifo_capacity`` and

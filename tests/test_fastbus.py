@@ -424,15 +424,13 @@ class TestProcessBackend:
             experiment_context,
             scenarios=names,
             duration=0.8,
-            max_workers=1,
-            engine="columnar",
+            options=ExecOptions(max_workers=1, engine="columnar"),
         )
         event = run_campaign_sweep(
             experiment_context,
             scenarios=names,
             duration=0.8,
-            max_workers=1,
-            engine="event",
+            options=ExecOptions(max_workers=1, engine="event"),
         )
         assert [(r.scenario, r.mode) for r in columnar.runs] == [
             (r.scenario, r.mode) for r in event.runs
@@ -448,6 +446,7 @@ class TestProcessBackend:
                     continue
                 np.testing.assert_array_equal(a.report.predictions, b.report.predictions)
 
+    @pytest.mark.filterwarnings("ignore:run_campaign_sweep's loose:DeprecationWarning")
     def test_unknown_backend_rejected(self, experiment_context):
         """The deprecation shim still validates what it forwards."""
         with pytest.raises(Exception, match="unknown backend"):

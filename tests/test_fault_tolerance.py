@@ -16,12 +16,15 @@ The claims pinned here:
   and the timeout clock starts when an attempt *runs*, not when it
   queues behind other shards;
 * a dead process-pool worker rebuilds the pool and the run completes;
+* process-pool workers cap their BLAS helper threads at their share
+  of the cores, and the calling process's setting is left alone;
 * ``run_fleet(..., checkpoint=path)`` persists completed shards and a
   resumed run (after any interrupt pattern — property-tested) merges
   to a bit-identical :class:`FleetAggregate`.
 """
 
 import json
+import os
 import threading
 import time
 from itertools import count
@@ -45,6 +48,7 @@ from repro.fleet import (
     run_fleet,
     run_sharded,
 )
+from repro.fleet.pool import _blas_threads
 
 # ---------------------------------------------------------------------------
 # module-top-level workers (the process backend pickles by reference)
@@ -64,6 +68,10 @@ def _read_tag(task):
     from repro.fleet.pool import worker_state
 
     return (task, worker_state()["tag"])
+
+
+def _report_blas_threads(task):
+    return _blas_threads()
 
 
 class TestOrderStability:
@@ -257,6 +265,15 @@ class TestProcessPoolRebuild:
         assert out.results == (None, None, None)
         assert out.health.failed_shards == (0, 1, 2)
         assert out.health.pool_rebuilds >= 1
+
+    def test_workers_cap_blas_threads_at_their_share_of_the_cores(self):
+        before = _blas_threads()
+        if before is None:
+            pytest.skip("numpy exposes no OpenBLAS thread control here")
+        out = run_sharded([0, 1], _report_blas_threads, {}, "process", 2)
+        share = max(1, (os.cpu_count() or 1) // 2)
+        assert out.results == (share, share)
+        assert _blas_threads() == before  # the calling process is untouched
 
 
 class TestResilienceOptions:

@@ -154,6 +154,23 @@ class TestABCoverage:
         )
         assert run_lint([src], tests=[test], root=tmp_path).clean
 
+    def test_literals_inside_an_options_object_count_as_coverage(self, tmp_path):
+        src = tmp_path / "sweep.py"
+        src.write_text(
+            "def sweep(options=None, engine=None):\n"
+            "    return (options, engine)\n",
+            encoding="utf-8",
+        )
+        test = tmp_path / "test_sweep.py"
+        test.write_text(
+            "from sweep import Options, sweep\n"
+            "def test_engines_agree():\n"
+            "    columnar = sweep(options=Options(engine='columnar'))\n"
+            "    assert columnar == sweep(options=Options(engine='event'))\n",
+            encoding="utf-8",
+        )
+        assert run_lint([src], tests=[test], root=tmp_path).clean
+
     def test_default_counts_only_for_the_default_side(self, tmp_path):
         src = tmp_path / "gateway.py"
         src.write_text(

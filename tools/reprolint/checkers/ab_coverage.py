@@ -11,6 +11,9 @@ tree: for every *public* callable exposing an A/B parameter
 test calls, where an observation is
 
 * an explicit literal keyword (``engine="event"``),
+* a literal keyword of a constructor passed as another keyword — the
+  switch reached through an options object
+  (``options=ExecOptions(engine="event")``),
 * an omitted keyword (counts as the source-side default),
 * a literal forwarded one level through an enclosing test helper
   (``def report_for(engine): ... gateway.monitor(engine=engine)``
@@ -41,6 +44,19 @@ def _literal(node: ast.expr) -> object:
     if isinstance(node, ast.Constant):
         return node.value
     return _MISSING
+
+
+def _options_literals(call: ast.Call, param: str) -> set[object]:
+    """Literals bound to ``param`` inside constructors passed as keywords."""
+    found: set[object] = set()
+    for keyword in call.keywords:
+        if not isinstance(keyword.value, ast.Call):
+            continue
+        for inner in keyword.value.keywords:
+            value = _literal(inner.value) if inner.arg == param else _MISSING
+            if value is not _MISSING:
+                found.add(value)
+    return found
 
 
 def _callee_name(node: ast.Call) -> str | None:
@@ -135,7 +151,10 @@ class ABEquivalenceCoverage(Checker):
                         (kw for kw in call.keywords if kw.arg == definition.param), None
                     )
                     if keyword is None:
-                        if not has_star_kwargs and definition.default is not _MISSING:
+                        nested = _options_literals(call, definition.param)
+                        if nested:
+                            observed[(callee, definition.param)].update(nested)
+                        elif not has_star_kwargs and definition.default is not _MISSING:
                             observed[(callee, definition.param)].add(definition.default)
                         continue
                     value = _literal(keyword.value)
