@@ -18,11 +18,10 @@ event loop even on loaded CI runners; the committed JSON carries the
 measured figure (the ISSUE's >=10x acceptance reads that file).
 """
 
-import json
 import time
 
 import numpy as np
-from _bench_lane import OUTPUT_DIR, SMOKE
+from _bench_lane import SMOKE, write_bench
 
 from repro.can.attacks import DoSAttacker
 from repro.datasets.carhacking import build_vehicle_bus
@@ -92,10 +91,7 @@ def test_bench_bus_engines():
         "dos_flood": flood,
         "clean_traffic": clean,
     }
-    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
-    (OUTPUT_DIR / "BENCH_bus.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
+    write_bench("bus", payload)
     print(
         f"\nbus engines ({DURATION:g}s window): "
         f"flood {flood['frames']} frames, event {flood['event_wall_fps']:,.0f} fps "

@@ -18,11 +18,10 @@ sweep shrinks to one iteration over tiny inputs and writes under
 ``benchmarks/output/smoke/`` so the committed trajectory is untouched.
 """
 
-import json
 import time
 
 import pytest
-from _bench_lane import OUTPUT_DIR, SMOKE
+from _bench_lane import OUTPUT_DIR, SMOKE, write_bench
 
 from repro.can.campaign import SCENARIOS
 from repro.experiments.campaigns import (
@@ -112,10 +111,7 @@ def test_bench_campaign_sweep(sweep_context):
             for run in result.runs
         },
     }
-    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
-    (OUTPUT_DIR / "BENCH_campaigns.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
+    write_bench("campaigns", payload)
     (OUTPUT_DIR / "EC-campaigns.txt").write_text(table.render() + "\n", encoding="utf-8")
     print()
     print(table.render())

@@ -20,12 +20,11 @@ the seeded scenarios and gate the regression check; ``*_wall_fps`` and
 ``speedup`` figures are wall-clock based and informational.
 """
 
-import json
 import time
 
 import numpy as np
 import pytest
-from _bench_lane import OUTPUT_DIR, SMOKE
+from _bench_lane import SMOKE, write_bench
 
 from repro.can.attacks import DoSAttacker
 from repro.can.bus import BusSimulator
@@ -155,10 +154,7 @@ def test_bench_datapath(datapath_ip):
         "capture_to_stream": stream,
         "flood_arbitration": flood,
     }
-    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
-    (OUTPUT_DIR / "BENCH_datapath.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
+    write_bench("datapath", payload)
     print(
         f"\ndatapath ({DURATION:g}s window): "
         f"encode {encode['bit_encode_wall_fps']:,.0f} fps bit / "

@@ -11,12 +11,11 @@ so this file runs in seconds and needs none of the heavyweight
 benchmark fixtures.
 """
 
-import json
 import time
 
 import numpy as np
 import pytest
-from _bench_lane import OUTPUT_DIR, SMOKE
+from _bench_lane import SMOKE, write_bench
 
 from repro.can.log import CANLogRecord, CaptureArray
 from repro.datasets.features import BitFeatureEncoder, ByteFeatureEncoder, WindowFeatureEncoder
@@ -132,15 +131,12 @@ def test_bench_encoders_vectorised_speedup(records_100k):
 
     rows.append(_compare(window, capture, window_scalar, MIN_SPEEDUP_OTHERS))
 
-    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
     payload = {
         "frames": len(records),
         "capture_array_build_seconds": round(build_s, 6),
         "encoders": rows,
     }
-    (OUTPUT_DIR / "BENCH_encoders.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
+    write_bench("encoders", payload)
     for row in rows:
         print(
             f"{row['encoder']}: {row['frames']} frames, "

@@ -21,12 +21,11 @@ informational; the ``clean_overhead_*`` leaves match the checker's
 cross-machine comparison.
 """
 
-import json
 import statistics
 import time
 
 import numpy as np
-from _bench_lane import OUTPUT_DIR, SMOKE, relative_spread
+from _bench_lane import SMOKE, relative_spread, write_bench
 
 from repro.can.attacks import DoSAttacker
 from repro.can.faults import WireFaultModel
@@ -138,10 +137,7 @@ def test_bench_fault_layer():
             "faulted_wall_fps": round(rows / faulted_s, 1),
         }
 
-    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
-    (OUTPUT_DIR / "BENCH_faults.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
+    write_bench("faults", payload)
     worst = payload["ber_sweep"][f"ber_{BERS[-1]:g}"]
     print(
         f"\nfault layer ({DURATION:g}s window): clean "

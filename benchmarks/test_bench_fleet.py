@@ -24,11 +24,10 @@ duration-proportional, so both lanes use the same per-vehicle scenario
 length — the smoke lane only shrinks the *population*.
 """
 
-import json
 import statistics
 import time
 
-from _bench_lane import OUTPUT_DIR, SMOKE, relative_spread
+from _bench_lane import SMOKE, relative_spread, write_bench
 
 from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.fleet import ExecOptions, FleetSpec, fleet_detectors, run_fleet
@@ -164,10 +163,7 @@ def test_bench_fleet():
             for name, piece in auto.aggregate.by_deployment.items()
         },
     }
-    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
-    (OUTPUT_DIR / "BENCH_fleet.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
+    write_bench("fleet", payload)
     print(
         f"\nfleet {FLEET_SIZE} vehicles x {DURATION}s, {RUNS} runs each: "
         f"thread x1 {serial_vps:.1f} vehicles/s, ExecOptions() "

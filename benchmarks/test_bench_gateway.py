@@ -13,12 +13,11 @@ so the benchmark runs in tens of seconds and needs none of the
 heavyweight benchmark fixtures.
 """
 
-import json
 import time
 
 import numpy as np
 import pytest
-from _bench_lane import OUTPUT_DIR, SMOKE
+from _bench_lane import SMOKE, write_bench
 
 from repro.finn.ipgen import compile_model
 from repro.models.qmlp import QMLPConfig
@@ -95,10 +94,7 @@ def test_bench_gateway_schedules_and_arbitration(gateway_ip):
             "shared_ip": {c.name: c.dropped for c in shared.channels},
         },
     }
-    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
-    (OUTPUT_DIR / "BENCH_gateway.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
+    write_bench("gateway", payload)
     print(
         f"\ngateway {CHANNELS}x{DURATION:g}s: sequential {sequential_s:.3f}s, "
         f"interleaved {interleaved_s:.3f}s "

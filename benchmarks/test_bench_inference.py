@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 import pytest
-from _bench_lane import OUTPUT_DIR, SMOKE
+from _bench_lane import OUTPUT_DIR, SMOKE, write_bench
 
 from repro.datasets.features import BitFeatureEncoder
 from repro.experiments.campaigns import default_sweep_workers, run_campaign_sweep
@@ -123,10 +123,7 @@ def test_bench_compiled_engine_speedup(bench_ip):
         "ecu_sustained_fps": round(ecu.sustained_fps(), 1),
         "engine_cache": {"hits": cache.hits, "misses": cache.misses, "size": cache.size},
     }
-    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
-    (OUTPUT_DIR / "BENCH_inference.json").write_text(
-        json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-    )
+    write_bench("inference", payload)
     print(
         f"\ninference {NUM_FRAMES} frames: graph {graph_s:.3f}s "
         f"({payload['batch']['graph_wall_fps']:,.0f} fps) -> compiled {compiled_s:.3f}s "
@@ -186,11 +183,10 @@ def test_bench_campaign_sweep_parallel(bench_context, bench_ip):
         "process_wall_seconds": round(process_s, 3),
         "process_speedup": round(serial_s / process_s, 2),
     }
-    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
     bench_path = OUTPUT_DIR / "BENCH_inference.json"
     payload = json.loads(bench_path.read_text(encoding="utf-8")) if bench_path.exists() else {}
     payload["campaign_sweep"] = sweep
-    bench_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_bench("inference", payload)
     print(
         f"\ncampaign sweep x{len(SWEEP_SCENARIOS)}: serial {serial_s:.2f}s -> "
         f"thread {parallel_s:.2f}s ({sweep['parallel_speedup']:.2f}x) / "

@@ -30,6 +30,13 @@ dotted path and splits them into two classes:
   still gates on the median of its deterministic fps leaves
   (``core_throughput_fps``, ``ecu_sustained_fps``).
 
+Every BENCH file carries an ``env`` fingerprint (cores, Python, numpy,
+platform; written by ``benchmarks/_bench_lane.write_bench``).  Both
+sides' fingerprints are printed per file, and informational leaves are
+tagged ``cross-host`` when they differ: a wall-clock ratio between two
+machines measures the machines, not the commits.  Gating leaves are
+deterministic, so they gate either way.
+
 Any file whose gating median falls below the threshold makes the
 script exit non-zero.  The check is wired as a *non-blocking* CI step:
 it flags drift loudly without turning noise into red builds.
@@ -90,6 +97,16 @@ def classify(path: str) -> str | None:
     return None
 
 
+def describe_env(env: dict | None) -> str:
+    """One line for a BENCH file's ``env`` fingerprint."""
+    if not env:
+        return "no fingerprint"
+    return (
+        f"nproc={env.get('nproc')} python={env.get('python')} "
+        f"numpy={env.get('numpy')} {env.get('platform')}"
+    )
+
+
 def compare_file(baseline_path: Path, run_path: Path, threshold: float) -> bool:
     """Print one file's comparison; return True when it regressed.
 
@@ -97,8 +114,16 @@ def compare_file(baseline_path: Path, run_path: Path, threshold: float) -> bool:
     zeros stay in, so a metric that collapsed to 0 reads as a total
     regression rather than silently dropping out of the comparison.
     """
-    baseline = numeric_leaves(json.loads(baseline_path.read_text()))
-    run = numeric_leaves(json.loads(run_path.read_text()))
+    baseline_doc = json.loads(baseline_path.read_text())
+    run_doc = json.loads(run_path.read_text())
+    baseline_env = baseline_doc.pop("env", None)
+    run_env = run_doc.pop("env", None)
+    # Without a committed fingerprint the hosts cannot be shown to match.
+    cross_host = baseline_env is None or baseline_env != run_env
+    print(f"  {baseline_path.name}: committed on {describe_env(baseline_env)}")
+    print(f"  {baseline_path.name}: run on {describe_env(run_env)}")
+    baseline = numeric_leaves(baseline_doc)
+    run = numeric_leaves(run_doc)
     gating_ratios = []
     compared = 0
     for path in sorted(set(baseline) & set(run)):
@@ -110,7 +135,9 @@ def compare_file(baseline_path: Path, run_path: Path, threshold: float) -> bool:
         if kind == "gating":
             gating_ratios.append(ratio)
         marker = "  !" if kind == "gating" and ratio < 1.0 - threshold else ""
-        note = " (informational)" if kind == "info" else ""
+        note = ""
+        if kind == "info":
+            note = " (informational, cross-host)" if cross_host else " (informational)"
         print(
             f"    {path}: committed {baseline[path]:,.1f} -> run {run[path]:,.1f} "
             f"({100.0 * ratio:.0f}%){note}{marker}"

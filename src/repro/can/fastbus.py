@@ -14,9 +14,11 @@ This module is the *compute* engine for the same physics:
   only implement the scalar iterator are materialised by
   :func:`schedule_from_frames` (the exotic fallback).
 * :func:`standard_wire_bits` — exact CAN 2.0A wire lengths (CRC-15 +
-  bit stuffing + trailer) for whole schedules at once, collapsing
-  duplicate ``(id, payload)`` rows first, so a DoS flood costs one CRC
-  instead of tens of thousands.
+  bit stuffing + trailer) for whole schedules at once.  Duplicate
+  ``(id, dlc, payload)`` rows collapse first, so a DoS flood costs one
+  CRC instead of tens of thousands; the unique rows step a byte at a
+  time through a 256-entry CRC-15 table and a 9-state stuffing
+  automaton (~150 numpy calls per DLC width, whatever the row count).
 * :func:`simulate_arbitration` — arbitration replay as a columnar
   sweep.  Uncontended stretches (each frame completes before the next
   release) are resolved in vectorised runs; only genuinely contended
@@ -200,6 +202,13 @@ class ScheduleArray:
             )
 
 
+def _check_dlcs(dlcs: np.ndarray) -> None:
+    """Reject DLCs outside 0-8 with a :class:`CANError` naming the value."""
+    if dlcs.size and (dlcs.min() < 0 or dlcs.max() > _PAYLOAD_SLOTS):
+        bad = dlcs[(dlcs < 0) | (dlcs > _PAYLOAD_SLOTS)]
+        raise CANError(f"DLC must be in [0, {_PAYLOAD_SLOTS}], got {int(bad.flat[0])}")
+
+
 def schedule_columns(
     release_times: np.ndarray,
     can_ids: int | np.ndarray,
@@ -214,7 +223,8 @@ def schedule_columns(
     ``payloads`` is ``(N, dlc)`` uint8 (uniform length, padded here) or
     already ``(N, 8)`` with explicit per-frame ``dlcs``.  ``can_ids``
     and ``dlcs`` broadcast from scalars; ``label``/``source`` apply to
-    every row (one emitter = one label and one node name).
+    every row (one emitter = one label and one node name).  DLCs
+    outside 0-8 raise :class:`CANError`.
     """
     release_times = np.asarray(release_times, dtype=np.float64)
     n = release_times.shape[0]
@@ -228,14 +238,14 @@ def schedule_columns(
         payloads = padded
     if dlcs is None:
         dlcs = width
+    dlc_column = np.asarray(dlcs, dtype=np.int64)
+    _check_dlcs(dlc_column)
     return ScheduleArray(
         release_times=release_times,
         can_ids=np.broadcast_to(np.asarray(can_ids, dtype=np.int64), (n,)).copy()
         if np.ndim(can_ids) == 0
         else np.asarray(can_ids, dtype=np.int64),
-        dlcs=np.broadcast_to(np.asarray(dlcs, dtype=np.int64), (n,)).copy()
-        if np.ndim(dlcs) == 0
-        else np.asarray(dlcs, dtype=np.int64),
+        dlcs=np.broadcast_to(dlc_column, (n,)).copy() if dlc_column.ndim == 0 else dlc_column,
         payloads=payloads,
         labels=np.full(n, int(label), dtype=np.int64),
         sources=np.full(n, source),  # reprolint: disable=dtype-discipline -- unicode width inferred from the source name
@@ -336,8 +346,80 @@ def build_schedule(sources: "Sequence[TrafficSource]", until: float) -> Schedule
 # ---------------------------------------------------------------------------
 
 
+#: Stuffing-automaton states: 0 before the first bit, else
+#: ``4 * last_bit + run`` for a run of 1-4 equal bits.  A run never
+#: reaches 5: the stuff bit sent there starts a run of its own.
+_STUFF_STATES = 9
+
+
+def _crc15_byte_table() -> np.ndarray:
+    """``table[b]``: the CRC-15 of byte ``b``'s 8 bits from a zero register.
+
+    Eight bit steps of :func:`repro.can.frame.crc15` collapse into one
+    byte step: ``crc = ((crc << 8) & 0x7FFF) ^ table[(crc >> 7) ^ byte]``.
+    """
+    table = np.zeros(256, dtype=np.int64)
+    for byte in range(256):
+        crc = byte << 7
+        for _ in range(8):
+            crc = ((crc << 1) & 0x7FFF) ^ (_CRC15_POLY if crc & 0x4000 else 0)
+        table[byte] = crc
+    return table
+
+
+def _stuff_step(state: int, value: int, width: int) -> tuple[int, int]:
+    """``(next_state, stuff_bits)`` after sending ``width`` MSB-first bits.
+
+    The rule of :func:`repro.utils.bitops.stuff_bits`: after five equal
+    bits a complementary stuff bit goes out and counts toward the next
+    run.
+    """
+    if state == 0:
+        run_value, run_length = -1, 0
+    else:
+        run_value, run_length = (state - 1) // 4, (state - 1) % 4 + 1
+    stuffed = 0
+    for shift in range(width - 1, -1, -1):
+        bit = (value >> shift) & 1
+        run_length = run_length + 1 if bit == run_value else 1
+        run_value = bit
+        if run_length == 5:
+            stuffed += 1
+            run_value, run_length = 1 - bit, 1
+    return 4 * run_value + run_length, stuffed
+
+
+def _stuff_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Next-state and stuff-count tables per ``state * 256 + byte``, and
+    the stuff counts of a final 2-bit tail per ``state * 4 + bits``."""
+    next_state = np.zeros(_STUFF_STATES * 256, dtype=np.int64)
+    stuff_count = np.zeros(_STUFF_STATES * 256, dtype=np.int64)
+    tail_count = np.zeros(_STUFF_STATES * 4, dtype=np.int64)
+    for state in range(_STUFF_STATES):
+        for byte in range(256):
+            next_state[state * 256 + byte], stuff_count[state * 256 + byte] = (
+                _stuff_step(state, byte, 8)
+            )
+        for bits in range(4):
+            tail_count[state * 4 + bits] = _stuff_step(state, bits, 2)[1]
+    return next_state, stuff_count, tail_count
+
+
+_CRC15_TABLE = _crc15_byte_table()
+_STUFF_NEXT, _STUFF_COUNT, _STUFF_TAIL = _stuff_tables()
+
+
 def _wire_bits_for_rows(rows: np.ndarray) -> np.ndarray:
-    """Exact wire bits for unique packed rows ``[id_hi, id_lo, dlc, 8 bytes]``."""
+    """Exact wire bits for unique packed rows ``[id_hi, id_lo, dlc, 8 bytes]``.
+
+    Steps byte columns through the tables above, one DLC width at a
+    time.  Left-padding the 19 header bits (SOF, id, RTR/IDE/r0, DLC)
+    with 5 zero bits, which a zero-initialised CRC ignores, makes header
+    plus payload ``3 + dlc`` whole bytes for the CRC.  Without the pad
+    and followed by the CRC, the same bits are the stuffed region (SOF
+    .. CRC, ``34 + 8 * dlc`` bits): ``4 + dlc`` whole bytes for the
+    stuffing automaton, then a 2-bit tail.
+    """
     out = np.zeros(rows.shape[0], dtype=np.int64)
     dlcs = rows[:, 2].astype(np.int64)
     # reprolint: disable=hot-path-purity -- loops over the <=9 distinct DLC widths, not frames
@@ -346,46 +428,30 @@ def _wire_bits_for_rows(rows: np.ndarray) -> np.ndarray:
         sub = rows[group]
         m = sub.shape[0]
         width = int(dlc)
-        body_len = _HEADER_BITS + 8 * width
-        bits = np.zeros((m, body_len + _CRC_BITS), dtype=np.uint8)
-        ids = (sub[:, 0].astype(np.int64) << 8) | sub[:, 1].astype(np.int64)
-        bits[:, 1:12] = (
-            (ids[:, None] >> np.arange(10, -1, -1, dtype=np.int64)) & 1
-        ).astype(np.uint8)
-        # RTR/IDE/r0 are dominant zeros for standard data frames.
-        bits[:, 15:19] = (
-            (width >> np.arange(3, -1, -1, dtype=np.int64)) & 1
-        ).astype(np.uint8)
-        if width:
-            bits[:, _HEADER_BITS:body_len] = np.unpackbits(
-                sub[:, 3 : 3 + width], axis=1
-            )
-        # CRC-15 over the body, one numpy pass per bit position —
-        # identical recurrence to :func:`repro.can.frame.crc15`.
+        ids = (sub[:, 0].astype(np.int64) << 8) | sub[:, 1]
+        # Padded header, payload, CRC (15 bits + 1 pad bit), zero byte.
+        message = np.zeros((m, width + 6), dtype=np.uint8)
+        message[:, 0] = ids >> 9  # 5 pad bits, SOF, id[10:9]
+        message[:, 1] = (ids >> 1) & 0xFF  # id[8:1]
+        message[:, 2] = ((ids & 1) << 7) | width  # id[0], RTR/IDE/r0 = 0, DLC
+        message[:, 3 : 3 + width] = sub[:, 3 : 3 + width]
         crc = np.zeros(m, dtype=np.int64)
-        # reprolint: disable=hot-path-purity -- per-bit-column CRC recurrence, O(wire bits) not O(frames)
-        for column in range(body_len):
-            feedback = ((crc >> 14) & 1) ^ bits[:, column]
-            crc = ((crc << 1) & 0x7FFF) ^ (feedback * _CRC15_POLY)
-        bits[:, body_len:] = (
-            (crc[:, None] >> np.arange(14, -1, -1, dtype=np.int64)) & 1
-        ).astype(np.uint8)
-        # Bit stuffing over SOF..CRC: run-state per row, one pass per
-        # column — identical semantics to :func:`stuff_bits` (a stuff
-        # bit resets the run and counts toward the next one).
-        run_value = np.full(m, -1, dtype=np.int16)
-        run_length = np.zeros(m, dtype=np.int64)
+        # reprolint: disable=hot-path-purity -- per-byte-column CRC table steps, O(frame bytes) not O(frames)
+        for column in range(3 + width):
+            crc = ((crc << 8) & 0x7FFF) ^ _CRC15_TABLE[(crc >> 7) ^ message[:, column]]
+        message[:, 3 + width] = crc >> 7
+        message[:, 4 + width] = (crc << 1) & 0xFF
+        # Drop the 5 pad bits: stream[:, k] holds stuffed-region bits 8k..8k+7.
+        stream = ((message[:, :-1] & 0x07) << 5) | (message[:, 1:] >> 3)
+        state = np.zeros(m, dtype=np.int64)
         stuffed = np.zeros(m, dtype=np.int64)
-        # reprolint: disable=hot-path-purity -- per-bit-column stuffing scan, O(wire bits) not O(frames)
-        for column in range(body_len + _CRC_BITS):
-            bit = bits[:, column].astype(np.int16)
-            run_length = np.where(bit == run_value, run_length + 1, 1)
-            run_value = bit
-            hit = run_length == 5
-            stuffed += hit
-            run_value = np.where(hit, 1 - bit, run_value)
-            run_length = np.where(hit, 1, run_length)
-        out[group] = body_len + _CRC_BITS + stuffed + _TRAILER_BITS
+        # reprolint: disable=hot-path-purity -- per-byte-column stuffing automaton, O(frame bytes) not O(frames)
+        for column in range(4 + width):
+            index = state * 256 + stream[:, column]
+            stuffed += _STUFF_COUNT[index]
+            state = _STUFF_NEXT[index]
+        stuffed += _STUFF_TAIL[state * 4 + (stream[:, 4 + width] >> 6)]
+        out[group] = _HEADER_BITS + 8 * width + _CRC_BITS + stuffed + _TRAILER_BITS
     return out
 
 
@@ -397,7 +463,8 @@ def standard_wire_bits(
     Bit-exact against ``CANFrame(id, data).bit_length()`` for every
     standard (11-bit, non-RTR) data frame.  Duplicate ``(id, dlc,
     payload)`` rows are collapsed first — a DoS flood of identical
-    frames costs one CRC/stuffing pass, not one per frame.
+    frames costs one CRC/stuffing pass, not one per frame.  Identifiers
+    beyond 11 bits and DLCs outside 0-8 raise :class:`CANError`.
     """
     can_ids = np.asarray(can_ids, dtype=np.int64)
     dlcs = np.asarray(dlcs, dtype=np.int64)
@@ -407,6 +474,7 @@ def standard_wire_bits(
         return np.zeros(0, dtype=np.int64)
     if np.any((can_ids < 0) | (can_ids > 0x7FF)):
         raise CANError("standard_wire_bits models 11-bit identifiers only")
+    _check_dlcs(dlcs)
     width = 3 + _PAYLOAD_SLOTS
     rows = np.zeros((n, width), dtype=np.uint8)
     rows[:, 0] = can_ids >> 8

@@ -54,12 +54,17 @@ from itertools import count
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.fleet.health import RunHealth, ShardedRun, ShardError, ShardFailure
+from repro.utils.logutil import get_logger
 from repro.utils.rng import new_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.fleet.chaos import ChaosPlan
 
 __all__ = ["run_sharded", "warm_engines", "worker_state"]
+
+#: One WARNING per retry, timeout, pool rebuild and exhausted shard; a
+#: clean run logs nothing.
+_LOG = get_logger("fleet.pool")
 
 #: Exponential-backoff schedule for retries: attempt ``n`` waits a
 #: seed-derived uniform draw from ``[window/2, window]`` where
@@ -263,10 +268,26 @@ class _Bookkeeper:
         """
         if timed_out:
             self.timeouts += 1
+        outcome = "timed out" if timed_out else "failed"
         if submission.attempt < self.max_retries:
             self.retries += 1
             delay = _backoff_delay(self.retry_seed, submission.index, submission.attempt)
+            _LOG.warning(
+                "shard %d attempt %d %s (%s); retrying in %.3fs",
+                submission.index,
+                submission.attempt,
+                outcome,
+                error,
+                delay,
+            )
             return delay, replace(submission, attempt=submission.attempt + 1)
+        _LOG.warning(
+            "shard %d attempt %d %s (%s); retry budget exhausted",
+            submission.index,
+            submission.attempt,
+            outcome,
+            error,
+        )
         failure = ShardFailure(
             shard=submission.index, attempts=submission.attempt + 1, error=error
         )
@@ -360,6 +381,11 @@ def _run_pooled(
         nonlocal pool
         book.pool_rebuilds += 1
         outstanding = crashed + list(pending.values())
+        _LOG.warning(
+            "a worker process died; rebuilding the pool (rebuild %d) for shards %s",
+            book.pool_rebuilds,
+            ", ".join(f"{s.index} (attempt {s.attempt})" for s in outstanding),
+        )
         pending.clear()
         deadlines.clear()
         zombies.clear()  # the dead pool's workers are gone, slots with them
@@ -480,7 +506,10 @@ def run_sharded(
     the process backend a dead worker (``BrokenProcessPool``) rebuilds
     the pool and resubmits every outstanding shard.  ``on_result`` is
     invoked in the caller's process as ``(shard_index, result)`` the
-    moment each shard completes — the checkpoint hook.
+    moment each shard completes — the checkpoint hook.  Every retry,
+    timeout, pool rebuild and exhausted shard is also logged at WARNING
+    on the ``repro.fleet.pool`` logger with its shard index and attempt;
+    a clean run logs nothing.
 
     Results are index-aligned with ``tasks`` whatever order shards
     finish in.  ``backend`` must already be resolved

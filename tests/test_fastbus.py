@@ -28,14 +28,16 @@ from repro.can.attacks import (
 from repro.can.bus import BusSimulator, bus_load
 from repro.can.campaign import SCENARIOS
 from repro.can.fastbus import (
+    _CRC15_TABLE,
     ScheduleArray,
     build_schedule,
     release_grid,
+    schedule_columns,
     schedule_from_frames,
     simulate_arbitration,
     standard_wire_bits,
 )
-from repro.can.frame import CANFrame
+from repro.can.frame import CANFrame, crc15
 from repro.can.log import CaptureArray, records_from_bus
 from repro.can.node import PeriodicSender, ScheduledFrame, sensor_payload
 from repro.datasets.carhacking import build_vehicle_bus
@@ -93,15 +95,33 @@ def _assert_records_match(records, result):
 class TestWireBits:
     def test_matches_frame_bit_length_across_random_frames(self):
         rng = np.random.default_rng(7)
-        ids = rng.integers(0, 0x800, size=200)
-        dlcs = rng.integers(0, 9, size=200)
-        payloads = rng.integers(0, 256, size=(200, 8)).astype(np.uint8)
+        # Uniform random payloads rarely put a stuff bit on the
+        # data->CRC boundary or after the last CRC bit; constant-byte
+        # payloads behind run-heavy ids do (31 and 10 of these frames).
+        adversarial = np.array(
+            [
+                (can_id, dlc, byte)
+                for dlc in range(9)
+                for byte in (0x00, 0xFF, 0x0F, 0xF0, 0x80, 0x7F)
+                for can_id in (0x000, 0x7FF, 0x400, 0x3FF, 0x7C0, 0x03F)
+            ],
+            dtype=np.int64,
+        )
+        ids = np.concatenate([rng.integers(0, 0x800, size=200), adversarial[:, 0]])
+        dlcs = np.concatenate([rng.integers(0, 9, size=200), adversarial[:, 1]])
+        payloads = np.concatenate(
+            [rng.integers(0, 256, size=(200, 8)), np.repeat(adversarial[:, 2:], 8, axis=1)]
+        ).astype(np.uint8)
         cols = np.arange(8)
         payloads[cols >= dlcs[:, None]] = 0
         got = standard_wire_bits(ids, dlcs, payloads)
-        for k in range(200):
+        for k in range(len(ids)):
             frame = CANFrame(int(ids[k]), payloads[k, : int(dlcs[k])].tobytes())
             assert got[k] == frame.bit_length(), (ids[k], dlcs[k])
+        # Every byte-table entry is eight bit-serial CRC-15 steps.
+        for byte in range(256):
+            bits = np.unpackbits(np.array([byte], dtype=np.uint8))
+            assert _CRC15_TABLE[byte] == crc15(bits), byte
 
     def test_duplicate_rows_collapse_to_one_computation(self):
         ids = np.full(10_000, 0x000, dtype=np.int64)
@@ -115,6 +135,14 @@ class TestWireBits:
             standard_wire_bits(
                 np.array([0x800]), np.array([0]), np.zeros((1, 8), dtype=np.uint8)
             )
+
+    @pytest.mark.parametrize("dlc", [-1, 9, 15])
+    def test_out_of_range_dlcs_rejected(self, dlc):
+        payloads = np.zeros((1, 8), dtype=np.uint8)
+        with pytest.raises(CANError, match=f"got {dlc}$"):
+            standard_wire_bits(np.array([0x100]), np.array([dlc]), payloads)
+        with pytest.raises(CANError, match=f"got {dlc}$"):
+            schedule_columns(np.zeros(1), 0x100, payloads, label=0, source="ecu", dlcs=dlc)
 
 
 class TestReleaseGrid:

@@ -24,6 +24,7 @@ The claims pinned here:
 """
 
 import json
+import logging
 import os
 import threading
 import time
@@ -144,8 +145,10 @@ class TestRetries:
         assert self.PLAN.faulted_shards(5) == (1, 2, 4)
 
     @pytest.mark.parametrize("workers", [1, 2])  # serial and pooled paths
-    def test_retry_then_succeed_matches_fault_free(self, workers):
+    def test_retry_then_succeed_matches_fault_free(self, workers, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.fleet.pool")
         clean = run_sharded(list(range(5)), _double, {}, "thread", workers)
+        assert not caplog.records  # a clean run logs nothing
         chaotic = run_sharded(
             list(range(5)),
             _double,
@@ -158,6 +161,12 @@ class TestRetries:
         )
         assert chaotic.results == clean.results == (0, 2, 4, 6, 8)
         assert chaotic.health.ok and chaotic.health.retries == 3
+        # One WARNING per retry, naming the shard and its failed attempt.
+        assert sorted(r.getMessage().split(" (")[0] for r in caplog.records) == [
+            "shard 1 attempt 0 failed",
+            "shard 2 attempt 0 failed",
+            "shard 4 attempt 0 failed",
+        ]
 
     def test_exhaustion_degrades_into_health_record(self):
         exhaust = ChaosPlan(seed=7, rate=0.5, attempts_affected=99)
@@ -231,7 +240,8 @@ class TestTimeouts:
 
 
 class TestProcessPoolRebuild:
-    def test_crashed_worker_rebuilds_the_pool_and_completes(self):
+    def test_crashed_worker_rebuilds_the_pool_and_completes(self, caplog):
+        caplog.set_level(logging.WARNING, logger="repro.fleet.pool")
         plan = ChaosPlan(seed=7, rate=0.5, attempts_affected=1, kinds=("crash",))
         out = run_sharded(
             list(range(5)),
@@ -245,6 +255,10 @@ class TestProcessPoolRebuild:
         )
         assert out.results == (0, 2, 4, 6, 8)
         assert out.health.ok and out.health.pool_rebuilds >= 1
+        # Each rebuild and each retry it charged is logged.
+        messages = [record.getMessage() for record in caplog.records]
+        assert sum("rebuilding the pool" in m for m in messages) == out.health.pool_rebuilds
+        assert sum("retrying in" in m for m in messages) == out.health.retries
 
     def test_deterministic_crasher_cannot_rebuild_forever(self):
         # Every attempt of every shard crashes: the rebuild path must

@@ -9,7 +9,8 @@ Roles map modules to rule families:
   math must not change meaning between Linux int64 and Windows int32).
 * ``columnar`` — hot-path modules that must stay vectorised; the
   per-module whitelist names the sanctioned scalar helpers (A/B
-  materialisers, CSV I/O, the contended-run replay loops).
+  materialisers, CSV I/O, the contended-run replay loops, lookup-table
+  builders run once at import).
 * ``sim`` — simulation modules where wall-clock reads would leak host
   time into virtual-time results (benchmarks own wall-clock).
 * ``typed-core`` — the strict-mypy module list (mirrored in
@@ -57,9 +58,17 @@ class LintConfig:
         default_factory=lambda: _freeze(
             {
                 # Sanctioned scalar paths: the event-engine materialisers
-                # used for A/B comparisons and the scalar frames() shim.
+                # used for A/B comparisons, the scalar frames() shim, and
+                # the wire-length table builders (run once at import).
                 "src/repro/can/fastbus.py": frozenset(
-                    {"scheduled_frames", "schedule_from_frames", "to_bus_records"}
+                    {
+                        "scheduled_frames",
+                        "schedule_from_frames",
+                        "to_bus_records",
+                        "_crc15_byte_table",
+                        "_stuff_step",
+                        "_stuff_tables",
+                    }
                 ),
                 # Row-interchange boundary: record round-trips and CSV I/O
                 # are the module's purpose, not a hot-path regression.
