@@ -5,30 +5,30 @@ with no fault model, with a zero-rate model (the fault machinery
 engaged but drawing nothing), and across a BER sweep — archiving the
 frame rates to ``benchmarks/output/BENCH_faults.json``.  The structural
 claim gated *in-bench*: routing every capture through the fault-aware
-entry points must not tax the clean path, and both produce
-bit-identical captures.  The gate is an in-run A/B: no-model and
-zero-rate captures alternate in ``CLEAN_PAIRS`` pairs, and the median
-of the per-pair time ratios may exceed 1 by at most the no-model lane's
-own spread (interquartile range over median), floored at
-``MIN_CLEAN_TOLERANCE_PCT``.
+entry points must not tax the clean path.  It holds by construction —
+``resolve_bus_faults`` folds an inert model (zero rate, no targeted
+faults) to ``None``, so the zero-rate lane runs the clean path itself —
+and the bench asserts exactly that, plus bit-identical captures.  The
+two lanes still alternate in ``CLEAN_PAIRS`` pairs and the median
+per-pair time ratio is recorded as ``clean_overhead_pct``; with one
+code path under both lanes it measures host noise, so it gates nothing.
 
 Metric classes (see ``scripts/check_bench_regression.py``): the
 ``offered_fps`` leaves are deterministic traffic rates (a property of
 the seeded scenario and its BER, identical across machines) and gate
 the regression check; ``*_wall_fps`` rates are wall-clock based and
-informational; the ``clean_overhead_*`` leaves match the checker's
-``overhead`` skip marker — their hard floor is the assert below, not a
-cross-machine comparison.
+informational; ``clean_overhead_pct`` matches the checker's
+``overhead`` skip marker.
 """
 
 import statistics
 import time
 
 import numpy as np
-from _bench_lane import SMOKE, relative_spread, write_bench
+from _bench_lane import SMOKE, write_bench
 
 from repro.can.attacks import DoSAttacker
-from repro.can.faults import WireFaultModel
+from repro.can.faults import WireFaultModel, resolve_bus_faults
 from repro.datasets.carhacking import build_vehicle_bus
 
 #: Simulated seconds per lane.
@@ -36,10 +36,6 @@ DURATION = 1.0 if SMOKE else 4.0
 
 #: Interleaved no-model / zero-rate-model capture pairs.
 CLEAN_PAIRS = 9 if SMOKE else 15
-
-#: Floor of the clean-path tolerance (percent); the smoke lane's tiny
-#: captures on shared CI runners get slack for scheduler noise.
-MIN_CLEAN_TOLERANCE_PCT = 25.0 if SMOKE else 5.0
 
 #: Wire bit-error rates swept by the faulted lanes.
 BERS = (1e-5, 1e-4, 1e-3)
@@ -65,9 +61,8 @@ def _best_of(fn, repeats):
     return best, result
 
 
-def _clean_path_pairs(pairs):
+def _clean_path_pairs(pairs, zero_model):
     """Per-lane capture times over alternating pairs, plus each lane's capture."""
-    zero_model = WireFaultModel(seed=_SEED)
     lanes = {
         "clean": lambda: _loaded_bus().capture(DURATION),
         "zero": lambda: _loaded_bus().capture(DURATION, faults=zero_model),
@@ -85,7 +80,11 @@ def _clean_path_pairs(pairs):
 
 
 def test_bench_fault_layer():
-    times, captures = _clean_path_pairs(CLEAN_PAIRS)
+    zero_model = WireFaultModel(seed=_SEED)
+    # The clean-path claim itself: an inert model never reaches the
+    # bus kernel, so both lanes below run identical code.
+    assert resolve_bus_faults(_loaded_bus().sources, zero_model) is None
+    times, captures = _clean_path_pairs(CLEAN_PAIRS, zero_model)
     clean, zero = captures["clean"], captures["zero"]
     # The zero-rate model must not perturb the simulation by one bit.
     np.testing.assert_array_equal(
@@ -98,9 +97,6 @@ def test_bench_fault_layer():
         zero_s / clean_s for clean_s, zero_s in zip(times["clean"], times["zero"])
     )
     overhead_pct = round(100.0 * (ratio - 1.0), 2)
-    tolerance_pct = round(
-        max(MIN_CLEAN_TOLERANCE_PCT, 100.0 * relative_spread(times["clean"])), 2
-    )
     frames = len(clean.capture)
     payload = {
         "sim_duration_s": DURATION,
@@ -113,7 +109,6 @@ def test_bench_fault_layer():
         "zero_rate_model": {
             "columnar_wall_fps": round(frames / statistics.median(times["zero"]), 1),
             "clean_overhead_pct": overhead_pct,
-            "clean_overhead_tolerance_pct": tolerance_pct,
             "bit_exact": True,
         },
         "ber_sweep": {},
@@ -142,8 +137,7 @@ def test_bench_fault_layer():
     print(
         f"\nfault layer ({DURATION:g}s window): clean "
         f"{payload['clean']['columnar_wall_fps']:,.0f} fps, zero-rate model "
-        f"{overhead_pct:+.1f}% wall (tolerance {tolerance_pct:.1f}%, "
-        f"{CLEAN_PAIRS} pairs); BER {BERS[-1]:g} -> {worst['corrupted']} "
-        f"corrupted, {worst['faulted_wall_fps']:,.0f} fps"
+        f"{overhead_pct:+.1f}% wall ({CLEAN_PAIRS} pairs, same code path); "
+        f"BER {BERS[-1]:g} -> {worst['corrupted']} corrupted, "
+        f"{worst['faulted_wall_fps']:,.0f} fps"
     )
-    assert overhead_pct < tolerance_pct, payload

@@ -19,13 +19,17 @@ bit-exact against ``DataflowGraph.execute`` but built from flat kernels:
   an integer below the mantissa limit, so BLAS is exact — and ~15x
   faster than numpy's integer matmul), ``float64`` DGEMM below
   ``2**53``, and a true ``int64`` matmul beyond that.
-* **Log-time thresholds.**  Each MultiThreshold layer resolves
-  activations with per-channel :func:`np.searchsorted` over the
-  ascending threshold rows — O(log steps) per value instead of the
-  dense ``>=``-broadcast.  Below ``STEPPED_KERNEL_MAX_STEPS`` steps a
+* **Shift-and-clamp thresholds.**  Power-of-two quantiser scales give
+  every deployed detector's MultiThreshold layers per-channel
+  thresholds ``T0 + k*D`` with ``D`` a power of two, so the staircase
+  is ``clamp(floor((acc - (T0 - D)) / D), 0, steps)``: five in-place
+  passes over the accumulators, whatever the step count, instead of
+  the dense ``>=``-broadcast.  Other layers count steps with a
   stepped-compare kernel (one vectorised ``>=`` pass per step,
-  accumulated into a uint8 buffer) is cache-friendlier and wins; the
-  crossover was measured, and both kernels are bit-exact.
+  accumulated into a uint8 buffer) up to ``STEPPED_KERNEL_MAX_STEPS``
+  steps, and with per-channel :func:`np.searchsorted` — O(log steps)
+  per value — above; that crossover was measured.  All three kernels
+  are bit-exact.
 * **Preallocated chunk buffers.**  Batches stream through fixed
   per-layer scratch buffers (thread-local, so one engine can serve
   several gateway channels or campaign-sweep workers concurrently)
@@ -75,17 +79,21 @@ __all__ = [
     "engine_cache_info",
 ]
 
-#: Threshold-step count at or below which the stepped-compare kernel is
-#: used instead of per-channel searchsorted.  Measured crossover: the
-#: stepped kernel's T sequential passes beat binary search up to a few
-#: dozen steps (W4A4's 15 steps sit well inside), while 6-bit+
-#: activations (63+ steps) want the O(log T) path.
+#: Threshold-step count at or below which a layer the shift kernel
+#: cannot take uses the stepped-compare kernel instead of per-channel
+#: searchsorted.  Measured crossover: the stepped kernel's T sequential
+#: passes beat binary search up to a few dozen steps (4-bit activations'
+#: 15 steps sit well inside), while 6-bit+ activations (63+ steps) want
+#: the O(log T) path.
 STEPPED_KERNEL_MAX_STEPS = 32
 
 #: Largest integer magnitude float32 SGEMM reproduces exactly.
 _F32_EXACT = 2**24
 #: Largest integer magnitude float64 DGEMM reproduces exactly.
 _F64_EXACT = 2**53
+#: Per compute lane, the integer magnitude the shift kernel's
+#: intermediates must stay below (int64: no overflow).
+_SHIFT_EXACT = {"float32": _F32_EXACT, "float64": _F64_EXACT, "int64": 2**63}
 
 _COMPUTE_DTYPES = {
     "float32": np.float32,
@@ -102,10 +110,13 @@ class _LayerPlan:
     weight_i8: np.ndarray  #: canonical (out, in) int8 weights (int16 if >8 bits)
     operand: np.ndarray  #: (in, out) contiguous matmul operand, compute dtype
     thresholds: np.ndarray | None  #: (out, steps) ascending, compute dtype
-    kernel: str  #: "stepped" | "searchsorted" | "" (final layer)
+    kernel: str  #: "shift" | "stepped" | "searchsorted" | "" (final layer)
     compute_dtype: np.dtype
     count_dtype: np.dtype  #: uint8/uint16 activation-count accumulator
     abs_bound: int  #: worst-case |accumulator| (drives dtype choice)
+    #: "shift" kernel only: per-channel offsets ``T0 - D`` and factors
+    #: ``1/D`` (``D`` itself on the int64 lane), compute dtype.
+    shift: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def in_features(self) -> int:
@@ -124,13 +135,15 @@ class _Scratch:
         self.quant = np.empty((rows, layers[0].in_features), dtype=np.float64)
         self.inputs = [np.empty((rows, layer.in_features), dtype=layer.compute_dtype) for layer in layers]
         self.accs = [np.empty((rows, layer.out_features), dtype=layer.compute_dtype) for layer in layers]
+        # The shift kernel rewrites its accumulators in place, so only
+        # the step-counting kernels need flag/count buffers.
         self.bools = [
-            np.empty((rows, layer.out_features), dtype=bool) if layer.thresholds is not None else None
+            np.empty((rows, layer.out_features), dtype=bool) if layer.kernel == "stepped" else None
             for layer in layers
         ]
         self.counts = [
             np.empty((rows, layer.out_features), dtype=layer.count_dtype)
-            if layer.thresholds is not None
+            if layer.kernel in ("stepped", "searchsorted")
             else None
             for layer in layers
         ]
@@ -371,6 +384,9 @@ class CompiledEngine:
             if layer.thresholds is None:
                 self._finish(acc, labels_out, logits_out)
                 return
+            if layer.kernel == "shift":
+                values = _shift_staircase(acc, layer)
+                continue
             counts = scratch.counts[index][:rows]
             if layer.kernel == "stepped":
                 flags = scratch.bools[index][:rows]
@@ -406,6 +422,63 @@ class CompiledEngine:
         np.argmax(logits, axis=1, out=labels_out)
 
 
+def _shift_staircase(acc: np.ndarray, layer: _LayerPlan) -> np.ndarray:
+    """Apply a ``"shift"`` MultiThreshold layer to ``acc`` in place.
+
+    Returns ``acc`` holding ``clamp(floor((acc - (T0 - D)) / D), 0,
+    steps)``: the number of thresholds ``T0 + k*D`` at or below each
+    accumulator.  :func:`_shift_plan` admitted the layer only if every
+    intermediate is an integer below the lane's exact limit, and ``1/D``
+    is a power of two, so no step rounds.  ``fmax`` maps NaN to 0 steps
+    (``NaN >= t`` is False in the graph, as in the stepped kernel) and
+    -0.0 to +0.0.  ``np.floor_divide`` gives the same counts on float
+    lanes but measured ~15x slower (2.0 vs 0.13 µs per 64-channel
+    float32 row), so it only serves the int64 lane.
+    """
+    assert layer.shift is not None and layer.thresholds is not None  # kernel == "shift"
+    offset, factor = layer.shift
+    steps = layer.thresholds.shape[1]
+    np.subtract(acc, offset, out=acc)
+    if acc.dtype.kind == "f":
+        np.multiply(acc, factor, out=acc)
+        np.floor(acc, out=acc)
+        np.fmax(acc, 0, out=acc)
+        np.fmin(acc, steps, out=acc)
+    else:
+        np.floor_divide(acc, factor, out=acc)
+        np.clip(acc, 0, steps, out=acc)
+    return acc
+
+
+def _shift_plan(
+    thresholds: np.ndarray, abs_bound: int, dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The shift kernel's per-channel ``(T0 - D, 1/D)``, or None if it cannot apply.
+
+    ``thresholds`` are one layer's clipped int64 thresholds.  The
+    kernel applies when every channel's row is ``T0 + k*D`` with ``D`` a
+    power of two (a single threshold has ``D = 1``) and ``abs_bound +
+    max|T0 - D|`` is below the ``dtype`` lane's exact-integer limit.
+    On the int64 lane the factor is ``D`` itself (floor-divided).
+    """
+    channels, steps = thresholds.shape
+    if steps == 1:
+        spacing = np.ones(channels, dtype=np.int64)
+    else:
+        gaps = np.diff(thresholds, axis=1)
+        spacing = gaps[:, 0]
+        if np.any(gaps != spacing[:, None]):
+            return None
+    if np.any(spacing < 1) or np.any(spacing & (spacing - 1)):
+        return None
+    # Python ints: near the int64 lane's bound, T0 - D can overflow int64.
+    offsets = [first - gap for first, gap in zip(thresholds[:, 0].tolist(), spacing.tolist())]
+    if abs_bound + max(map(abs, offsets), default=0) >= _SHIFT_EXACT[dtype.name]:
+        return None
+    factor = spacing if dtype.kind != "f" else 1.0 / spacing
+    return np.asarray(offsets, dtype=dtype), factor.astype(dtype)
+
+
 def compile_engine(
     graph: DataflowGraph,
     input_quant: "ActQuantExport | None" = None,
@@ -427,9 +500,14 @@ def compile_engine(
         Rows per internal chunk.  2048 keeps every per-layer buffer in
         cache (measured ~20% faster than 8192 on the canonical net).
     threshold_kernel:
-        ``"auto"`` (default: stepped below
-        :data:`STEPPED_KERNEL_MAX_STEPS` steps, searchsorted above),
-        or force ``"stepped"`` / ``"searchsorted"``.
+        ``"auto"`` (default) picks per MultiThreshold layer: ``shift``
+        when every channel's clipped thresholds are ``T0 + k*D`` with
+        ``D`` a power of two (``D = 1`` for a single threshold) and
+        ``|acc| + max|T0 - D|`` stays below the compute lane's exact
+        limit (2**24 float32, 2**53 float64); otherwise ``stepped`` up
+        to :data:`STEPPED_KERNEL_MAX_STEPS` steps and ``searchsorted``
+        above.  ``"stepped"`` / ``"searchsorted"`` force that reference
+        kernel on every layer (A/B).
     compute_dtype:
         Override the per-layer operand dtype (``"float32"``,
         ``"float64"`` or ``"int64"``).  Rejected when the requested
@@ -481,15 +559,11 @@ def compile_engine(
             thresholds_int = np.clip(follower.thresholds, -abs_bound - 1, abs_bound + 1)
             steps = int(follower.steps)
             steps_bound = abs_bound + 1
-            kernel = threshold_kernel
-            if kernel == "auto":
-                kernel = "stepped" if steps <= STEPPED_KERNEL_MAX_STEPS else "searchsorted"
             count_dtype = np.dtype(np.uint8 if steps <= 255 else np.uint16)
             index += 2
         elif isinstance(follower, ScaleBiasNode):
             thresholds_int = None
             steps_bound = 0
-            kernel = ""
             count_dtype = np.dtype(np.uint8)
             final_scale = follower.scale.astype(np.float64)
             final_bias = follower.bias.astype(np.float64)
@@ -518,6 +592,17 @@ def compile_engine(
         else:
             dtype = _exact_dtype_for(abs_bound, steps_bound)
 
+        kernel = "" if thresholds_int is None else threshold_kernel
+        shift: tuple[np.ndarray, np.ndarray] | None = None
+        if thresholds_int is not None and kernel == "auto":
+            shift = _shift_plan(thresholds_int, abs_bound, dtype)
+            if shift is not None:
+                kernel = "shift"
+            elif thresholds_int.shape[1] <= STEPPED_KERNEL_MAX_STEPS:
+                kernel = "stepped"
+            else:
+                kernel = "searchsorted"
+
         weight_store = np.int8 if int(np.abs(weight).max(initial=0)) <= 127 else np.int16
         layers.append(
             _LayerPlan(
@@ -529,6 +614,7 @@ def compile_engine(
                 compute_dtype=dtype,
                 count_dtype=count_dtype,
                 abs_bound=abs_bound,
+                shift=shift,
             )
         )
         current_features = layers[-1].out_features

@@ -17,6 +17,7 @@ from repro.errors import CompileError, VerificationError
 from repro.finn.build import build_frontend_graph, quantize_input
 from repro.finn.compiled import (
     STEPPED_KERNEL_MAX_STEPS,
+    _shift_staircase,
     compile_engine,
     engine_cache_info,
     engine_for,
@@ -93,44 +94,85 @@ class TestBitExactnessSweep:
             x_int = quantize_input(export, random_features(rng, export, batch))
             expected = graph.execute(x_int).reshape(-1).astype(np.int64)
             np.testing.assert_array_equal(engine.run_quantized(x_int), expected)
-            np.testing.assert_array_equal(
-                logits_engine.logits_quantized(x_int), logits_graph.execute(x_int)
+            # Byte for byte, so a -0.0 cannot hide behind value equality.
+            assert (
+                logits_engine.logits_quantized(x_int).tobytes()
+                == logits_graph.execute(x_int).tobytes()
             )
 
-    @pytest.mark.parametrize("kernel", ["stepped", "searchsorted"])
+    @pytest.mark.parametrize("kernel", ["auto", "stepped", "searchsorted"])
     def test_both_threshold_kernels_exact(self, kernel):
         rng = np.random.default_rng(7)
         export = synthetic_export(rng, weight_bits=4, act_bits=4, scale_mode="po2")
         graph = streamline(build_frontend_graph(export))
         engine = compile_engine(graph, input_quant=export.input_quant, threshold_kernel=kernel)
-        assert set(engine.threshold_kernels) == {kernel}
+        if kernel == "auto":
+            assert "shift" in engine.threshold_kernels
+        else:
+            assert set(engine.threshold_kernels) == {kernel}
         x_int = quantize_input(export, random_features(rng, export, 64))
         np.testing.assert_array_equal(
             engine.run_quantized(x_int), graph.execute(x_int).reshape(-1)
         )
 
     def test_kernel_auto_crossover(self):
+        # Float scales do not space thresholds by powers of two, so no
+        # layer takes the shift kernel and the step count decides.
         rng = np.random.default_rng(8)
-        narrow = synthetic_export(rng, weight_bits=2, act_bits=4, scale_mode="po2")
-        wide = synthetic_export(rng, weight_bits=2, act_bits=8, scale_mode="po2")
+        narrow = synthetic_export(rng, weight_bits=2, act_bits=4, scale_mode="float")
+        wide = synthetic_export(rng, weight_bits=2, act_bits=8, scale_mode="float")
         narrow_engine = compile_engine(streamline(build_frontend_graph(narrow)))
         wide_engine = compile_engine(streamline(build_frontend_graph(wide)))
         assert 2**4 - 1 <= STEPPED_KERNEL_MAX_STEPS < 2**8 - 1
         assert set(narrow_engine.threshold_kernels) == {"stepped"}
         assert set(wide_engine.threshold_kernels) == {"searchsorted"}
 
+        # Power-of-two scales: a layer whose clipped thresholds are
+        # T0 + k*D per channel, D a power of two, takes the shift kernel;
+        # thresholds clipped at the accumulator bound break the
+        # progression and keep the step-count crossover.
+        rng = np.random.default_rng(28)
+        seen = set()
+        for act_bits in (4, 8):
+            export = synthetic_export(rng, weight_bits=4, act_bits=act_bits, scale_mode="po2")
+            engine = compile_engine(streamline(build_frontend_graph(export)))
+            for layer in engine._layers[:-1]:
+                gaps = np.diff(layer.thresholds, axis=1)
+                spacing = gaps[:, 0]
+                progression = np.all(gaps == spacing[:, None]) and np.isin(
+                    spacing, 2.0 ** np.arange(32)
+                ).all()
+                steps = layer.thresholds.shape[1]
+                fallback = "stepped" if steps <= STEPPED_KERNEL_MAX_STEPS else "searchsorted"
+                assert layer.kernel == ("shift" if progression else fallback), layer.name
+                seen.add(layer.kernel)
+        assert seen == {"shift", "stepped", "searchsorted"}
+
     @pytest.mark.parametrize("dtype", ["float64", "int64"])
     def test_wider_compute_dtypes_exact(self, dtype):
-        """Force the wider exact paths a small net never needs naturally."""
+        """Force the wider exact paths a small net never needs naturally,
+        through the step-counting kernels (float scales) and the shift
+        kernel (power-of-two scales)."""
         rng = np.random.default_rng(9)
-        export = synthetic_export(rng, weight_bits=4, act_bits=4, scale_mode="float")
-        graph = streamline(build_frontend_graph(export))
-        engine = compile_engine(graph, input_quant=export.input_quant, compute_dtype=dtype)
-        assert set(engine.compute_dtypes) == {dtype}
-        x_int = quantize_input(export, random_features(rng, export, 50))
-        np.testing.assert_array_equal(
-            engine.run_quantized(x_int), graph.execute(x_int).reshape(-1)
-        )
+        for scale_mode in ("float", "po2"):
+            export = synthetic_export(rng, weight_bits=4, act_bits=4, scale_mode=scale_mode)
+            graph = streamline(build_frontend_graph(export))
+            engine = compile_engine(graph, input_quant=export.input_quant, compute_dtype=dtype)
+            assert set(engine.compute_dtypes) == {dtype}
+            assert ("shift" in engine.threshold_kernels) == (scale_mode == "po2")
+            x_int = quantize_input(export, random_features(rng, export, 50))
+            np.testing.assert_array_equal(
+                engine.run_quantized(x_int), graph.execute(x_int).reshape(-1)
+            )
+            # A 3-class argmax can mask a wrong hidden activation; logits cannot.
+            logits_graph = streamline(build_frontend_graph(export, with_argmax=False))
+            logits_engine = compile_engine(
+                logits_graph, input_quant=export.input_quant, compute_dtype=dtype
+            )
+            assert (
+                logits_engine.logits_quantized(x_int).tobytes()
+                == logits_graph.execute(x_int).tobytes()
+            )
 
     def test_chunked_stream_path_matches_whole_batch(self):
         rng = np.random.default_rng(10)
@@ -144,20 +186,32 @@ class TestBitExactnessSweep:
             whole.predict(features), graph.execute(quantize_input(export, features)).reshape(-1)
         )
 
-    @pytest.mark.parametrize("kernel", ["stepped", "searchsorted"])
+    @pytest.mark.parametrize("kernel", ["auto", "stepped", "searchsorted"])
     def test_nan_inputs_match_graph(self, kernel):
         """Garbage in, *identical* garbage out: NaN rows follow the
         graph's IEEE semantics (``NaN >= t`` is False -> 0 steps) on
-        both threshold kernels."""
+        every threshold kernel."""
         rng = np.random.default_rng(16)
         export = synthetic_export(rng, weight_bits=4, act_bits=4, scale_mode="po2")
         graph = streamline(build_frontend_graph(export))
         engine = compile_engine(graph, input_quant=export.input_quant, threshold_kernel=kernel)
+        if kernel == "auto":
+            assert "shift" in engine.threshold_kernels
         x_int = quantize_input(export, random_features(rng, export, 8))
         x_int[2, :] = np.nan
         x_int[5, 0] = np.nan
         np.testing.assert_array_equal(
             engine.run_quantized(x_int), graph.execute(x_int).reshape(-1)
+        )
+        # Labels alone can hide NaN leaking past the first layer (argmax
+        # of an all-NaN row is 0), so the logits must match too.
+        logits_graph = streamline(build_frontend_graph(export, with_argmax=False))
+        logits_engine = compile_engine(
+            logits_graph, input_quant=export.input_quant, threshold_kernel=kernel
+        )
+        assert (
+            logits_engine.logits_quantized(x_int).tobytes()
+            == logits_graph.execute(x_int).tobytes()
         )
 
     def test_int64_path_rejects_nan(self):
@@ -263,6 +317,12 @@ class TestCompileValidation:
             _self_check(engine, graph, samples=32, name="corrupted")
 
 
+@pytest.fixture(scope="module", params=["dos", "fuzzy"])
+def deployed_ip(request, experiment_context):
+    """A detector at the deployed W4A4 topology (79->64->64->32->2)."""
+    return experiment_context.ip(request.param)
+
+
 class TestDeployedModel:
     """The acceptance gate: the shipped W4A4 detector, end to end."""
 
@@ -301,3 +361,23 @@ class TestDeployedModel:
     def test_summary_describes_pipeline(self, dos_ip):
         text = engine_for(dos_ip).summary()
         assert "CompiledEngine" in text and "chunk=" in text
+
+    def test_deployed_thresholds_compile_to_shift(self, deployed_ip):
+        engine = engine_for(deployed_ip)
+        assert engine.threshold_kernels == ["shift", "shift", "shift"]
+        assert engine.summary().count("[shift]") == 3
+
+    def test_shift_layers_match_stepped_definition(self, deployed_ip):
+        """Every reachable integer accumulator, and NaN, through each
+        shift layer counts exactly the graph's thresholds at or below it."""
+        engine = engine_for(deployed_ip)
+        nodes = deployed_ip.graph.nodes_of_type(MultiThresholdNode)
+        layers = [layer for layer in engine._layers if layer.thresholds is not None]
+        for node, layer in zip(nodes, layers, strict=True):
+            assert layer.kernel == "shift"
+            column = np.append(np.arange(-layer.abs_bound, layer.abs_bound + 1), np.nan)
+            acc = np.repeat(column[:, None], layer.out_features, axis=1).astype(layer.compute_dtype)
+            expected = np.zeros(acc.shape, dtype=np.uint8)
+            for step in range(node.steps):
+                expected += acc >= node.thresholds[:, step]
+            np.testing.assert_array_equal(_shift_staircase(acc, layer), expected)
