@@ -6,9 +6,8 @@ wall time, aggregate sustained rates, drop rates and phase-detection
 counts to ``benchmarks/output/BENCH_campaigns.json`` — the scenario
 framework's perf trajectory from this PR onward.  The rendered sweep
 table is archived as ``EC-campaigns.txt``.  Every scenario deploys its
-*matching* trained detector (``detector="auto"``; the JSON records the
-per-scenario choice), and bus windows run on the columnar arbitration
-kernel; ``wall_seconds`` times the sweep itself — the detectors are
+*matching* trained detector (the JSON records the per-scenario
+choice), and bus windows run on the columnar arbitration kernel; ``wall_seconds`` times the sweep itself — the detectors are
 trained before the clock starts.
 
 A small detector is trained in-file (as in the gateway benchmark), so
@@ -23,12 +22,8 @@ import time
 import pytest
 from _bench_lane import OUTPUT_DIR, SMOKE, write_bench
 
-from repro.can.campaign import SCENARIOS
-from repro.experiments.campaigns import (
-    render_campaign_sweep,
-    run_campaign_sweep,
-    scenario_detector,
-)
+from repro.can.campaign import SCENARIOS, scenario_detector
+from repro.experiments.campaigns import render_campaign_sweep, run_campaign_sweep
 from repro.experiments.context import ExperimentContext, ExperimentSettings
 
 #: Campaign length every scenario is rescaled to.
@@ -87,16 +82,15 @@ def test_bench_campaign_sweep(sweep_context):
         # fan-out on multi-core hosts): record what actually ran.
         "backend": result.backend,
         "engine": result.engine,
-        # "auto" = every scenario carries the detector matching its
-        # mechanics; the per-scenario map records which one that was.
-        "detector": result.detector,
+        # Every scenario carries the detector matching its mechanics;
+        # the per-scenario map records which one that was.
         "detectors": result.detectors(),
         # Resilience configuration and what the run survived ("health"
         # counters carry no gating markers, so they never join the
         # cross-run comparison).
-        "timeout_s": result.options.timeout_s if result.options else None,
-        "max_retries": result.options.max_retries if result.options else None,
-        "strict": result.options.strict if result.options else None,
+        "timeout_s": result.options.timeout_s,
+        "max_retries": result.options.max_retries,
+        "strict": result.options.strict,
         "health": result.health.as_record(),
         "sustained_fps": {
             f"{run.scenario}/{run.mode}": round(run.report.aggregate_sustained_fps, 1)

@@ -1,12 +1,11 @@
 """Micro-benchmark: the multi-channel gateway scheduler and arbitration.
 
-Times one monitoring run of a 3-channel gateway (one DoS-flooded
-segment) under both channel-advance orders — sequential vs interleaved
-virtual-time — and both accelerator deployments — one IP per channel vs
-one shared IP behind a round-robin arbiter.  Archives wall-times,
-aggregate sustained rates and per-channel effective drains to
-``benchmarks/output/BENCH_gateway.json`` so the scheduler's perf
-trajectory is tracked from this PR onward.
+Times one interleaved monitoring run of a 3-channel gateway (one
+DoS-flooded segment) under both accelerator deployments — one IP per
+channel vs one shared IP behind a round-robin arbiter.  Archives
+wall-times, aggregate sustained rates, per-channel effective drains and
+drops to ``benchmarks/output/BENCH_gateway.json`` so the scheduler's
+perf trajectory is tracked.
 
 A small detector is trained in-file (a few epochs on a short capture),
 so the benchmark runs in tens of seconds and needs none of the
@@ -15,7 +14,6 @@ heavyweight benchmark fixtures.
 
 import time
 
-import numpy as np
 import pytest
 from _bench_lane import SMOKE, write_bench
 
@@ -58,47 +56,39 @@ def _timed_monitor(ip, **kwargs):
 
 
 def test_bench_gateway_schedules_and_arbitration(gateway_ip):
-    sequential_s, sequential = _timed_monitor(gateway_ip, schedule="sequential")
-    interleaved_s, interleaved = _timed_monitor(gateway_ip, schedule="interleaved")
-    _, shared = _timed_monitor(gateway_ip, arbiter=SharedAcceleratorArbiter())
+    _timed_monitor(gateway_ip)  # warm-up: engine compile and driver trace
+    per_ip_s, per_ip = _timed_monitor(gateway_ip)
+    shared_s, shared = _timed_monitor(gateway_ip, arbiter=SharedAcceleratorArbiter())
 
-    # The interleaving is a scheduling change, not a result change.
-    for channel in interleaved.channels:
-        np.testing.assert_array_equal(
-            channel.report.predictions,
-            sequential.channel(channel.name).report.predictions,
-        )
     # Sharing one IP over 3 channels cuts every drain rate and the aggregate.
-    assert shared.aggregate_sustained_fps < interleaved.aggregate_sustained_fps
+    assert shared.aggregate_sustained_fps < per_ip.aggregate_sustained_fps
     for channel in shared.channels:
         assert channel.grant is not None and channel.grant.slot_factor == CHANNELS
 
     payload = {
         "channels": CHANNELS,
         "duration_s": DURATION,
-        "offered_frames": interleaved.total_frames,
+        "offered_frames": per_ip.total_frames,
         "wall_time": {
-            "sequential_seconds": round(sequential_s, 6),
-            "interleaved_seconds": round(interleaved_s, 6),
-            "interleaved_overhead": round(interleaved_s / sequential_s, 3),
+            "per_channel_ip_seconds": round(per_ip_s, 6),
+            "shared_ip_seconds": round(shared_s, 6),
         },
         "sustained_fps": {
-            "per_channel_ip_aggregate": round(interleaved.aggregate_sustained_fps, 1),
+            "per_channel_ip_aggregate": round(per_ip.aggregate_sustained_fps, 1),
             "shared_ip_aggregate": round(shared.aggregate_sustained_fps, 1),
             "shared_ip_per_channel": {
                 c.name: round(c.effective_drain_fps, 1) for c in shared.channels
             },
         },
         "drops": {
-            "per_channel_ip": {c.name: c.dropped for c in interleaved.channels},
+            "per_channel_ip": {c.name: c.dropped for c in per_ip.channels},
             "shared_ip": {c.name: c.dropped for c in shared.channels},
         },
     }
     write_bench("gateway", payload)
     print(
-        f"\ngateway {CHANNELS}x{DURATION:g}s: sequential {sequential_s:.3f}s, "
-        f"interleaved {interleaved_s:.3f}s "
-        f"({payload['wall_time']['interleaved_overhead']:.2f}x); "
-        f"sustained per-IP {interleaved.aggregate_sustained_fps:,.0f} msg/s "
+        f"\ngateway {CHANNELS}x{DURATION:g}s: per-IP {per_ip_s:.3f}s, "
+        f"shared-IP {shared_s:.3f}s; "
+        f"sustained per-IP {per_ip.aggregate_sustained_fps:,.0f} msg/s "
         f"vs shared-IP {shared.aggregate_sustained_fps:,.0f} msg/s"
     )

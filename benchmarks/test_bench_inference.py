@@ -27,7 +27,7 @@ import pytest
 from _bench_lane import OUTPUT_DIR, SMOKE, write_bench
 
 from repro.datasets.features import BitFeatureEncoder
-from repro.experiments.campaigns import default_sweep_workers, run_campaign_sweep
+from repro.experiments.campaigns import run_campaign_sweep
 from repro.fleet import ExecOptions
 from repro.experiments.context import ExperimentContext, ExperimentSettings
 from repro.finn.compiled import engine_cache_info, engine_for
@@ -133,7 +133,7 @@ def test_bench_compiled_engine_speedup(bench_ip):
 
 
 def test_bench_campaign_sweep_parallel(bench_context, bench_ip):
-    workers = default_sweep_workers(len(SWEEP_SCENARIOS))
+    workers = ExecOptions().workers_for(len(SWEEP_SCENARIOS))
     start = time.perf_counter()
     serial = run_campaign_sweep(
         bench_context,

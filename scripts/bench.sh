@@ -3,8 +3,8 @@
 #
 # Leaves the perf trajectory on disk:
 #   benchmarks/output/BENCH_encoders.json   — scalar vs. vectorised encoding
-#   benchmarks/output/BENCH_gateway.json    — sequential vs. interleaved gateway
-#                                             scheduling, per-IP vs. shared-IP rates
+#   benchmarks/output/BENCH_gateway.json    — interleaved gateway monitor walls,
+#                                             per-IP vs. shared-IP rates and drops
 #   benchmarks/output/BENCH_campaigns.json  — attack-campaign sweep rates/drops
 #   benchmarks/output/BENCH_inference.json  — float graph vs. compiled engine fps,
 #                                             serial vs. thread/process sweep walls

@@ -30,6 +30,11 @@ dotted path and splits them into two classes:
   still gates on the median of its deterministic fps leaves
   (``core_throughput_fps``, ``ecu_sustained_fps``).
 
+Only leaves present on both sides can be compared, so each file's log
+also lists the numeric leaves found only in the committed file and only
+in the run (gating ones tagged): a renamed or dropped metric shows up
+instead of silently leaving the comparison.
+
 Every BENCH file carries an ``env`` fingerprint (cores, Python, numpy,
 platform; written by ``benchmarks/_bench_lane.write_bench``).  Both
 sides' fingerprints are printed per file, and informational leaves are
@@ -124,6 +129,16 @@ def compare_file(baseline_path: Path, run_path: Path, threshold: float) -> bool:
     print(f"  {baseline_path.name}: run on {describe_env(run_env)}")
     baseline = numeric_leaves(baseline_doc)
     run = numeric_leaves(run_doc)
+    for side, paths in (
+        ("committed file", set(baseline) - set(run)),
+        ("run", set(run) - set(baseline)),
+    ):
+        if paths:
+            listed = ", ".join(
+                path + (" (gating)" if classify(path) == "gating" else "")
+                for path in sorted(paths)
+            )
+            print(f"    only in the {side}: {listed}")
     gating_ratios = []
     compared = 0
     for path in sorted(set(baseline) & set(run)):

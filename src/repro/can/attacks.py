@@ -70,7 +70,14 @@ DEFAULT_SUSPENSION_DELAY = 0.020
 
 def _validate_windows(windows: Sequence[Window]) -> list[Window]:
     """Check and sort active windows (shared by injectors and wrappers)."""
-    for start, end in windows:
+    for window in windows:
+        try:
+            start, end = window
+        except (TypeError, ValueError):
+            raise CANError(
+                f"attack windows must be a sequence of (start, end) pairs, "
+                f"got {windows!r}"
+            ) from None
         if end <= start:
             raise CANError(f"attack window ({start}, {end}) is empty")
     return sorted(windows)
@@ -332,31 +339,19 @@ class ReplayAttacker(_WindowedSource):
     window/clipping semantics are those of every other windowed injector
     (multiple windows, horizon clipping), so campaigns can schedule a
     replay phase exactly like a flood phase.
-
-    ``windows`` accepts either one ``(start, end)`` pair or a sequence
-    of them; the legacy keyword ``window`` remains an alias for a single
-    pair.
     """
 
     def __init__(
         self,
         capture: Sequence[CANFrame],
         offsets: Sequence[float],
-        windows: Sequence[Window] | Window | None = None,
+        windows: Sequence[Window],
         name: str = "replay-attacker",
         seed: int = 0,
-        *,
-        window: Window | None = None,
     ):
         if len(capture) != len(offsets):
             raise CANError("capture and offsets must have matching lengths")
-        if windows is None:
-            windows = window
-        if windows is None:
-            raise CANError("replay attacker needs at least one active window")
-        if len(windows) == 2 and not isinstance(windows[0], (tuple, list)):
-            windows = [tuple(windows)]  # a bare (start, end) pair
-        super().__init__(list(windows), name, seed)
+        super().__init__(windows, name, seed)
         self.capture = list(capture)
         self.offsets = list(offsets)
         # Columnar view of the replayed capture, built once: replays of
@@ -379,11 +374,6 @@ class ReplayAttacker(_WindowedSource):
             ],
             dtype=np.int64,
         )
-
-    @property
-    def window(self) -> Window:
-        """The first active window (legacy single-window accessor)."""
-        return self.windows[0]
 
     def _window_schedule(self, start: float, end: float, until: float) -> "ScheduleArray":
         from repro.can.fastbus import ScheduleArray

@@ -197,11 +197,6 @@ class CaptureArray:
             labels=np.concatenate([p.labels for p in parts]),
         )
 
-    @classmethod
-    def concat(cls, parts: Sequence["CaptureArray"]) -> "CaptureArray":
-        """Alias of :meth:`concatenate`."""
-        return cls.concatenate(parts)
-
     def iter_windows(
         self, window_s: float, origin: float | None = None
     ) -> Iterator["CaptureArray"]:

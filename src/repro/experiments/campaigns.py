@@ -14,16 +14,14 @@ deployment:
 * per-frame detection quality (F1 over serviced frames) and p99
   end-to-end latency including queueing.
 
-**Detector choice.**  By default (``detector="auto"``) every channel of
-a scenario's gateway carries the trained QMLP matching the scenario's
-attack mechanics (:func:`~repro.can.campaign.scenario_detector`): DoS-
-family floods get the DoS detector, fuzzing gets the Fuzzy detector,
-RPM/gear spoofing and masquerade get the corresponding spoofing
-detector.  Mechanics without a trained counterpart (replay, suspension
-— their evidence is staleness or absence, not per-frame signatures)
-fall back to the DoS detector, so their rows read as the honest
-coverage gap they are.  Pass a concrete ``detector`` name to reproduce
-the old single-detector coverage map.
+**Detector choice.**  Every channel of a scenario's gateway carries the
+trained QMLP matching the scenario's attack mechanics
+(:func:`~repro.can.campaign.scenario_detector`): DoS-family floods get
+the DoS detector, fuzzing gets the Fuzzy detector, RPM/gear spoofing
+and masquerade get the corresponding spoofing detector.  Mechanics
+without a trained counterpart (replay, suspension — their evidence is
+staleness or absence, not per-frame signatures) fall back to the DoS
+detector, so their rows read as the honest coverage gap they are.
 
 **Execution.**  Scenarios are independent, so the sweep fans them out
 over the shared shard machinery (:mod:`repro.fleet.pool`) configured by
@@ -32,18 +30,13 @@ runner takes.  ``backend="auto"`` (default) picks process fan-out on
 multi-core hosts (picklable IPs shipped once via the pool initializer)
 and threads elsewhere; every seed derives from the scenario's registry
 index, so results are order-stable and identical to the serial loop.
-The resolved backend and engine are recorded on the result.  The old
-loose keyword arguments (``fifo_capacity=``, ``backend=``, ...) still
-work through a deprecation shim that forwards them into an
-:class:`~repro.fleet.spec.ExecOptions` and warns once.
+The resolved options are recorded on the result.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,19 +61,12 @@ from repro.utils.tables import Table
 __all__ = [
     "ScenarioRun",
     "CampaignSweepResult",
-    "default_sweep_workers",
     "run_campaign_sweep",
     "render_campaign_sweep",
-    "scenario_detector",
 ]
 
 #: Gateway deployments each scenario is swept through.
 SWEEP_MODES = ("per-ip", "shared-ip")
-
-#: Concrete scenario fan-out backends (kept for compatibility; the
-#: canonical list, including ``"auto"``, is
-#: :data:`repro.fleet.spec.EXEC_BACKENDS`).
-SWEEP_BACKENDS = ("thread", "process")
 
 
 @dataclass(frozen=True)
@@ -152,21 +138,28 @@ class ScenarioRun:
 class CampaignSweepResult:
     """Every registered scenario through every gateway deployment.
 
-    ``backend`` and ``engine`` record what the sweep actually ran with
-    (the backend is the resolved one — never ``"auto"``), so serialised
+    ``options`` is the *resolved* run-spec (resilience knobs included;
+    the backend is the concrete one — never ``"auto"``), so serialised
     artifacts say how they were produced.
     """
 
     runs: list[ScenarioRun]
     duration: float
-    detector: str  #: detector policy ("auto" = matched per scenario)
-    backend: str = "thread"  #: resolved pool backend the sweep ran on
-    engine: str = "columnar"  #: bus-simulation engine the sweep used
-    options: ExecOptions | None = None  #: resolved run-spec (resilience knobs included)
+    options: ExecOptions
     health: RunHealth = field(default_factory=RunHealth)
     _index: dict[tuple[str, str], ScenarioRun] = field(
         default_factory=dict, repr=False, compare=False
     )
+
+    @property
+    def backend(self) -> str:
+        """The concrete pool backend the sweep ran on."""
+        return self.options.backend
+
+    @property
+    def engine(self) -> str:
+        """The bus-simulation engine the sweep used."""
+        return self.options.engine
 
     def scenario_names(self) -> list[str]:
         names: list[str] = []
@@ -225,16 +218,6 @@ class _CachedBus:
 
 
 @dataclass(frozen=True)
-class _SweepConfig:
-    """Scenario-independent sweep parameters (picklable, sent once)."""
-
-    seed: int
-    fifo_capacity: int
-    chunk_size: int
-    engine: str
-
-
-@dataclass(frozen=True)
 class _SweepTask:
     """One scenario's work order (picklable)."""
 
@@ -245,19 +228,21 @@ class _SweepTask:
     detector: str
 
 
-def _sweep_one_scenario(ip, task: _SweepTask, config: _SweepConfig) -> list[ScenarioRun]:
+def _sweep_one_scenario(
+    ip, task: _SweepTask, options: ExecOptions, seed: int
+) -> list[ScenarioRun]:
     """Run one scenario through both gateway deployments.
 
     Shared by the serial loop and both pool backends, so every backend
     produces identical, order-stable results: seeds derive from the
-    scenario's index, never from execution order.
+    sweep ``seed`` and the scenario's index, never from execution order.
     """
     campaign = task.campaign
     truth = campaign.truth_windows()
     buses = {
         channel: _CachedBus(bus)
         for channel, bus in compile_campaign(
-            campaign, vehicle_seed=config.seed + task.index
+            campaign, vehicle_seed=seed + task.index
         ).items()
     }
     scenario_runs: list[ScenarioRun] = []
@@ -265,16 +250,16 @@ def _sweep_one_scenario(ip, task: _SweepTask, config: _SweepConfig) -> list[Scen
         gateway = gateway_from_buses(
             ip,
             buses,
-            ecu_seed=config.seed + task.index,
-            fifo_capacity=config.fifo_capacity,
+            ecu_seed=seed + task.index,
+            fifo_capacity=options.fifo_capacity,
             name=f"sweep-{task.name}-{mode}",
         )
         report = gateway.monitor(
             duration=campaign.duration,
-            chunk_size=config.chunk_size,
+            chunk_size=options.chunk_size,
             truth=truth,
             arbiter=SharedAcceleratorArbiter() if mode == "shared-ip" else None,
-            engine=config.engine,
+            engine=options.engine,
         )
         scenario_runs.append(
             ScenarioRun(
@@ -290,49 +275,11 @@ def _sweep_one_scenario(ip, task: _SweepTask, config: _SweepConfig) -> list[Scen
 
 
 def _sweep_worker(task: _SweepTask) -> list[ScenarioRun]:
-    """Pool entry point: pulls the shipped IPs/config from worker state."""
+    """Pool entry point: pulls the shipped IPs/options/seed from worker state."""
     state = worker_state()
-    return _sweep_one_scenario(state["ips"][task.detector], task, state["config"])
-
-
-def default_sweep_workers(num_scenarios: int) -> int:
-    """The default worker count for :func:`run_campaign_sweep`."""
-    return max(1, min(8, os.cpu_count() or 1, num_scenarios))
-
-
-#: One-shot flag for the loose-kwargs deprecation warning.
-_LOOSE_KWARGS_WARNED = False
-
-
-def _coerce_options(
-    options: ExecOptions | None,
-    loose: dict[str, Any],
-) -> ExecOptions:
-    """Fold the pre-:class:`ExecOptions` keyword arguments into one.
-
-    The old signature's knobs keep working — they forward into an
-    :class:`ExecOptions` and warn once per process — but mixing them
-    with an explicit ``options`` is ambiguous and rejected.
-    """
-    global _LOOSE_KWARGS_WARNED
-    supplied = {key: value for key, value in loose.items() if value is not None}
-    if not supplied:
-        return options if options is not None else ExecOptions()
-    if options is not None:
-        raise ConfigError(
-            f"pass execution knobs via options=ExecOptions(...) or the legacy "
-            f"keywords, not both (got options and {sorted(supplied)})"
-        )
-    if not _LOOSE_KWARGS_WARNED:
-        warnings.warn(
-            "run_campaign_sweep's loose execution keywords "
-            "(fifo_capacity/chunk_size/max_workers/backend/engine) are "
-            "deprecated; pass options=ExecOptions(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        _LOOSE_KWARGS_WARNED = True
-    return ExecOptions(**supplied)
+    return _sweep_one_scenario(
+        state["ips"][task.detector], task, state["options"], state["seed"]
+    )
 
 
 def run_campaign_sweep(
@@ -340,24 +287,16 @@ def run_campaign_sweep(
     scenarios: Sequence[str] | None = None,
     registry: ScenarioRegistry = SCENARIOS,
     duration: float | None = None,
-    detector: str = "auto",
     options: ExecOptions | None = None,
-    *,
-    fifo_capacity: int | None = None,
-    chunk_size: int | None = None,
-    max_workers: int | None = None,
-    backend: str | None = None,
-    engine: str | None = None,
 ) -> CampaignSweepResult:
     """Drive every registered scenario through both gateway deployments.
 
     ``scenarios`` restricts the sweep (default: the full registry; an
     empty list returns a well-formed empty result without training
     detectors or spinning up a pool); ``duration`` rescales every
-    campaign (default: each scenario's own).  ``detector`` is ``"auto"``
-    (each scenario gets its matching trained QMLP — see
-    :func:`~repro.can.campaign.scenario_detector`) or a concrete attack
-    name deployed on every channel of every scenario.
+    campaign (default: each scenario's own).  Each scenario gets its
+    matching trained QMLP — see
+    :func:`~repro.can.campaign.scenario_detector`.
 
     Execution is configured by ``options``
     (:class:`~repro.fleet.spec.ExecOptions` — the same run-spec
@@ -365,39 +304,16 @@ def run_campaign_sweep(
     independent, each builds its own buses, gateways and ECUs from
     scenario-indexed seeds, so the sweep fans them out over the resolved
     backend and stays deterministic — identical across backends and
-    worker counts, ordered by the requested scenario list.  The trailing
-    keyword arguments are the deprecated loose form of the same knobs;
-    they forward into an ``ExecOptions`` and warn once.
+    worker counts, ordered by the requested scenario list.
     """
-    exec_options = _coerce_options(
-        options,
-        {
-            "fifo_capacity": fifo_capacity,
-            "chunk_size": chunk_size,
-            "max_workers": max_workers,
-            "backend": backend,
-            "engine": engine,
-        },
-    )
-    resolved = exec_options.resolved()
+    resolved = (options if options is not None else ExecOptions()).resolved()
     names = list(scenarios) if scenarios is not None else registry.names()
     if not names:
         return CampaignSweepResult(
-            runs=[],
-            duration=0.0,
-            detector=detector,
-            backend=resolved.backend,
-            engine=resolved.engine,
-            options=resolved,
-            health=RunHealth.clean(0),
+            runs=[], duration=0.0, options=resolved, health=RunHealth.clean(0)
         )
     descriptions = registry.describe()
-    config = _SweepConfig(
-        seed=derive_seed(context.settings.seed, "campaign-sweep"),
-        fifo_capacity=resolved.fifo_capacity,
-        chunk_size=resolved.chunk_size,
-        engine=resolved.engine,
-    )
+    seed = derive_seed(context.settings.seed, "campaign-sweep")
 
     tasks: list[_SweepTask] = []
     for index, name in enumerate(names):
@@ -408,7 +324,7 @@ def run_campaign_sweep(
                 name=name,
                 description=descriptions.get(name, ""),
                 campaign=campaign,
-                detector=scenario_detector(campaign) if detector == "auto" else detector,
+                detector=scenario_detector(campaign),
             )
         )
     # Train/compile each needed detector once, before the fleet forks.
@@ -420,13 +336,13 @@ def run_campaign_sweep(
     outcome = run_sharded(
         tasks,
         _sweep_worker,
-        {"ips": ips, "config": config, "warmup": warm_engines},
+        {"ips": ips, "options": resolved, "seed": seed, "warmup": warm_engines},
         resolved.backend,
         workers,
         timeout_s=resolved.timeout_s,
         max_retries=resolved.max_retries,
         strict=resolved.strict,
-        retry_seed=derive_seed(config.seed, "sweep-retry"),
+        retry_seed=derive_seed(seed, "sweep-retry"),
     )
 
     runs = [
@@ -437,23 +353,12 @@ def run_campaign_sweep(
     ]
     total_duration = sum(task.campaign.duration for task in tasks)
     return CampaignSweepResult(
-        runs=runs,
-        duration=total_duration,
-        detector=detector,
-        backend=resolved.backend,
-        engine=resolved.engine,
-        options=resolved,
-        health=outcome.health,
+        runs=runs, duration=total_duration, options=resolved, health=outcome.health
     )
 
 
 def render_campaign_sweep(result: CampaignSweepResult) -> Table:
     """The detection/latency/drop table over every scenario and mode."""
-    policy = (
-        "scenario-matched detectors"
-        if result.detector == "auto"
-        else f"{result.detector}-trained detector on every channel"
-    )
     table = Table(
         [
             "Scenario",
@@ -468,8 +373,8 @@ def render_campaign_sweep(result: CampaignSweepResult) -> Table:
             "p99 lat.",
         ],
         title=(
-            f"E11 — attack-campaign sweep ({policy}; "
-            f"per-channel IPs vs one shared IP)"
+            "E11 — attack-campaign sweep (scenario-matched detectors; "
+            "per-channel IPs vs one shared IP)"
         ),
     )
     for scenario in result.scenario_names():

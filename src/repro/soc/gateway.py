@@ -11,17 +11,15 @@ and pushed through the ECU's streaming engine, and the gateway
 aggregates throughput, drops and alerts across channels.
 
 **Scheduling model.**  :meth:`IDSGateway.monitor` holds one resumable
-:class:`~repro.soc.ecu.ECUStreamSession` per channel and, by default,
-*interleaves* them in virtual-time order: at every turn the session
-with the earliest pending frame arrival advances one chunk (ties break
-on attach order).  Channel state is fully per-session, so the
-interleaving is prediction-identical to draining each channel
-sequentially — what it buys is the correct *concurrency semantics*: a
-flooded segment spends its own FIFO budget and drops its own frames,
-while quieter segments keep their verdicts and their zero drop counts,
-exactly as N independent receive paths behave in hardware.  Pass
-``schedule="sequential"`` to reproduce the one-channel-at-a-time loop
-(useful for A/B benchmarks).
+:class:`~repro.soc.ecu.ECUStreamSession` per channel and *interleaves*
+them in virtual-time order: at every turn the session with the earliest
+pending frame arrival advances one chunk (ties break on attach order).
+Channel state is fully per-session, so every channel's report equals
+what its ECU would produce draining that segment alone — what the
+interleaving buys is the correct *concurrency semantics*: a flooded
+segment spends its own FIFO budget and drops its own frames, while
+quieter segments keep their verdicts and their zero drop counts,
+exactly as N independent receive paths behave in hardware.
 
 **Arbitration model.**  With per-channel accelerator IPs every channel
 drains at its own sustained rate.  Pass a
@@ -60,14 +58,10 @@ __all__ = [
     "GatewayReport",
     "IDSGateway",
     "PhaseOutcome",
-    "SCHEDULES",
     "build_campaign_gateway",
     "build_segment_gateway",
     "gateway_from_buses",
 ]
-
-#: Supported channel-advance orders for :meth:`IDSGateway.monitor`.
-SCHEDULES = ("interleaved", "sequential")
 
 #: Supported bus-simulation engines for :meth:`IDSGateway.monitor`.
 #: ``"columnar"`` runs each channel's window through the vectorised
@@ -184,7 +178,6 @@ class GatewayReport:
     name: str
     duration: float
     channels: list[ChannelResult] = field(default_factory=list)
-    schedule: str = "interleaved"  #: channel-advance order used
     arbitration_policy: str | None = None  #: shared-IP policy, if any
     engine: str = "columnar"  #: bus-simulation engine the run used
 
@@ -264,9 +257,11 @@ class GatewayReport:
         raise SoCError(f"no channel {name!r} in gateway report")
 
     def summary(self) -> str:
-        mode = self.schedule
-        if self.arbitration_policy is not None:
-            mode += f", shared IP ({self.arbitration_policy})"
+        mode = (
+            "per-channel IPs"
+            if self.arbitration_policy is None
+            else f"shared IP ({self.arbitration_policy})"
+        )
         lines = [
             f"Gateway {self.name!r}: {len(self.channels)} channels, "
             f"{self.duration:g} s of traffic [{mode}]",
@@ -431,7 +426,6 @@ class IDSGateway:
         chunk_size: int = 4096,
         drain_fps: float | None = None,
         with_metrics: bool = True,
-        schedule: str = "interleaved",
         arbiter: SharedAcceleratorArbiter | None = None,
         truth: Mapping[str, Sequence[tuple]] | None = None,
         engine: str = "columnar",
@@ -442,14 +436,10 @@ class IDSGateway:
         Each channel's frames stream through its ECU with real FIFO
         backpressure (see :meth:`IDSEnabledECU.process_stream`);
         ``drain_fps`` overrides the per-ECU sustained rate, e.g. to
-        model a slower shared post-processing stage.
-
-        ``schedule`` picks the channel-advance order: ``"interleaved"``
-        (default) steps sessions in virtual-time order of their next
-        pending arrival; ``"sequential"`` drains one channel at a time
-        in attach order.  Both produce identical per-channel reports —
-        sessions are independent — so the sequential path remains
-        available for A/B benchmarking of the scheduler itself.
+        model a slower shared post-processing stage.  Sessions advance
+        in virtual-time order of their next pending arrival; they are
+        independent, so each channel's report equals a lone
+        ``process_stream`` of its traffic.
 
         ``arbiter`` models every active channel time-multiplexing one
         shared accelerator IP: each channel's session drains at its
@@ -469,8 +459,7 @@ class IDSGateway:
         (default) runs each channel's window through the vectorised
         arbitration-replay kernel — bit-exact against the event engine,
         without per-frame record objects — while ``"event"`` keeps the
-        reference :meth:`~repro.can.bus.BusSimulator.run` loop (buses
-        lacking a ``capture`` method fall back to it automatically).
+        reference :meth:`~repro.can.bus.BusSimulator.run` loop.
 
         ``faults`` enables the wire-level fault layer on every segment:
         each channel simulates under ``faults.for_channel(name)`` (an
@@ -487,8 +476,6 @@ class IDSGateway:
             raise SoCError("gateway has no channels attached")
         if duration <= 0:
             raise SoCError(f"duration must be positive, got {duration}")
-        if schedule not in SCHEDULES:
-            raise SoCError(f"unknown schedule {schedule!r}; choose from {SCHEDULES}")
         if engine not in ENGINES:
             raise SoCError(f"unknown engine {engine!r}; choose from {ENGINES}")
         if truth is not None:
@@ -509,15 +496,8 @@ class IDSGateway:
         for name, (bus, ecu) in self._channels.items():
             channel_faults = faults.for_channel(name) if faults is not None else None
             want_sources = truth is not None and bool(truth.get(name))
-            columnar = getattr(bus, "capture", None) if engine == "columnar" else None
-            if columnar is not None:
-                # The keyword is only passed when a model is in force so
-                # plain caching wrappers (campaign sweeps) stay valid.
-                window = (
-                    columnar(duration, faults=channel_faults)
-                    if channel_faults is not None
-                    else columnar(duration)
-                )
+            if engine == "columnar":
+                window = bus.capture(duration, faults=channel_faults)
                 corrupted_mask = window.corrupted
                 wire[name] = (
                     corrupted_mask,
@@ -530,11 +510,7 @@ class IDSGateway:
                     window.sources if want_sources else None,
                 )
                 continue
-            bus_records = (
-                bus.run(duration, faults=channel_faults)
-                if channel_faults is not None
-                else bus.run(duration)
-            )
+            bus_records = bus.run(duration, faults=channel_faults)
             sources = None
             if want_sources:
                 sources = np.array([record.source for record in bus_records], dtype=str)
@@ -589,20 +565,14 @@ class IDSGateway:
                 corrupted=wire[name][0],
             )
 
-        # Phase 4: advance sessions to completion in the chosen order.
+        # Phase 4: advance sessions to completion in virtual-time order.
         order = {name: position for position, name in enumerate(self._channels)}
-        if schedule == "sequential":
-            for name in active:
-                session = sessions[name]
-                while not session.done:
-                    session.step()
-        else:
-            pending = [name for name in active if not sessions[name].done]
-            while pending:
-                name = min(pending, key=lambda n: (sessions[n].next_arrival, order[n]))
-                sessions[name].step()
-                if sessions[name].done:
-                    pending.remove(name)
+        pending = [name for name in active if not sessions[name].done]
+        while pending:
+            name = min(pending, key=lambda n: (sessions[n].next_arrival, order[n]))
+            sessions[name].step()
+            if sessions[name].done:
+                pending.remove(name)
 
         # Phase 5: aggregate, attributing verdicts to truth windows.
         results: list[ChannelResult] = []
@@ -650,7 +620,6 @@ class IDSGateway:
             name=self.name,
             duration=duration,
             channels=results,
-            schedule=schedule,
             arbitration_policy=arbiter.policy if arbiter is not None else None,
             engine=engine,
         )
@@ -709,15 +678,15 @@ def gateway_from_buses(
     buses: Mapping[str, BusSimulator],
     ecu_seed: int = 0,
     fifo_capacity: int = 64,
-    encoder=None,
     name: str = "campaign-gateway",
 ) -> IDSGateway:
     """A gateway pairing each named bus with a fresh IDS-ECU carrying ``ip``.
 
     ``buses`` maps channel names to traffic sources (anything with the
-    :class:`~repro.can.bus.BusSimulator` run interface — the campaign
-    sweep passes caching wrappers so both gateway deployments replay
-    one simulated window).
+    :class:`~repro.can.bus.BusSimulator` ``run``/``capture`` interface —
+    the campaign sweep passes caching wrappers so both gateway
+    deployments replay one simulated window).  Every ECU sits behind
+    the deployed :class:`~repro.datasets.features.BitFeatureEncoder`.
     """
     from repro.datasets.features import BitFeatureEncoder
 
@@ -728,7 +697,7 @@ def gateway_from_buses(
             bus,
             IDSEnabledECU(
                 ip,
-                encoder if encoder is not None else BitFeatureEncoder(),
+                BitFeatureEncoder(),
                 name=f"{channel}-ids",
                 seed=ecu_seed + index,
                 fifo_capacity=fifo_capacity,
@@ -743,7 +712,6 @@ def build_campaign_gateway(
     vehicle_seed: int = 0,
     ecu_seed: int = 0,
     fifo_capacity: int = 64,
-    encoder=None,
     name: str | None = None,
     profile: str = "full",
 ) -> IDSGateway:
@@ -765,6 +733,5 @@ def build_campaign_gateway(
         compile_campaign(campaign, vehicle_seed=vehicle_seed, profile=profile),
         ecu_seed=ecu_seed,
         fifo_capacity=fifo_capacity,
-        encoder=encoder,
         name=name or f"campaign-{campaign.name}",
     )

@@ -181,8 +181,6 @@ class TestReplayWindowing:
     def test_window_validation_matches_injectors(self):
         with pytest.raises(CANError):
             ReplayAttacker([CANFrame(0x1)], offsets=[0.0], windows=[(1.0, 1.0)])
-        with pytest.raises(CANError):
-            ReplayAttacker([CANFrame(0x1)], offsets=[0.0])
 
 
 class TestCampaignModel:

@@ -86,24 +86,27 @@ class TestSpoofReplay:
 
     def test_replay_preserves_pacing(self):
         capture = [CANFrame(0x100, bytes(2)), CANFrame(0x200, bytes(2))]
-        attacker = ReplayAttacker(capture, offsets=[0.0, 0.005], window=(1.0, 2.0))
+        attacker = ReplayAttacker(capture, offsets=[0.0, 0.005], windows=[(1.0, 2.0)])
         frames = list(attacker.frames(10.0))
         assert [s.release_time for s in frames] == [1.0, 1.005]
 
     def test_replay_respects_window_end(self):
         capture = [CANFrame(0x100)] * 3
-        attacker = ReplayAttacker(capture, offsets=[0.0, 0.5, 5.0], window=(0.0, 1.0))
+        attacker = ReplayAttacker(capture, offsets=[0.0, 0.5, 5.0], windows=[(0.0, 1.0)])
         assert len(list(attacker.frames(10.0))) == 2
 
     def test_replay_length_mismatch(self):
         with pytest.raises(CANError):
-            ReplayAttacker([CANFrame(0x1)], offsets=[0.0, 1.0], window=(0.0, 1.0))
+            ReplayAttacker([CANFrame(0x1)], offsets=[0.0, 1.0], windows=[(0.0, 1.0)])
 
-    def test_replay_accepts_bare_pair_and_windows_alias(self):
-        capture = [CANFrame(0x100, bytes(2))]
-        legacy = ReplayAttacker(capture, offsets=[0.0], window=(1.0, 2.0))
-        bare = ReplayAttacker(capture, offsets=[0.0], windows=(1.0, 2.0))
-        listed = ReplayAttacker(capture, offsets=[0.0], windows=[(1.0, 2.0)])
-        for attacker in (legacy, bare, listed):
-            assert attacker.window == (1.0, 2.0)
-            assert [s.release_time for s in attacker.frames(10.0)] == [1.0]
+    @pytest.mark.parametrize(
+        "windows",
+        [(1.0, 2.0), [(1.0, 2.0, 3.0)], [1.0]],
+        ids=["bare-pair", "triple", "scalar"],
+    )
+    def test_malformed_windows_rejected(self, windows):
+        """Anything but a sequence of (start, end) pairs is a CANError."""
+        with pytest.raises(CANError, match=r"\(start, end\) pairs"):
+            ReplayAttacker([CANFrame(0x100)], offsets=[0.0], windows=windows)
+        with pytest.raises(CANError, match=r"\(start, end\) pairs"):
+            SpoofingAttacker(windows=windows, target_id=0x316)

@@ -93,16 +93,12 @@ class TestConcat:
     def test_concat_matches_list_concat(self, base):
         capture, records = base
         parts = [capture[:100], capture[100:250], capture[250:]]
-        joined = CaptureArray.concat(parts)
+        joined = CaptureArray.concatenate(parts)
         assert joined.to_records() == records
-        # Alias and long-form name agree.
-        long_form = CaptureArray.concatenate(parts)
-        np.testing.assert_array_equal(joined.timestamps, long_form.timestamps)
-        np.testing.assert_array_equal(joined.payloads, long_form.payloads)
 
     def test_concat_empty_rejected(self):
         with pytest.raises(DatasetError):
-            CaptureArray.concat([])
+            CaptureArray.concatenate([])
 
 
 class TestIterWindows:
@@ -125,7 +121,7 @@ class TestIterWindows:
         capture, _ = base
         windows = list(capture.iter_windows(0.05))
         assert sum(len(w) for w in windows) == len(capture)
-        rejoined = CaptureArray.concat(windows)
+        rejoined = CaptureArray.concatenate(windows)
         np.testing.assert_array_equal(rejoined.timestamps, capture.timestamps)
         np.testing.assert_array_equal(rejoined.can_ids, capture.can_ids)
         np.testing.assert_array_equal(rejoined.labels, capture.labels)

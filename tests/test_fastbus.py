@@ -26,7 +26,7 @@ from repro.can.attacks import (
     SuspensionAttacker,
 )
 from repro.can.bus import BusSimulator, bus_load
-from repro.can.campaign import SCENARIOS
+from repro.can.campaign import SCENARIOS, scenario_detector
 from repro.can.fastbus import (
     _CRC15_TABLE,
     ScheduleArray,
@@ -43,11 +43,9 @@ from repro.can.node import PeriodicSender, ScheduledFrame, sensor_payload
 from repro.datasets.carhacking import build_vehicle_bus
 from repro.errors import CANError
 from repro.experiments.campaigns import (
-    _SweepConfig,
     _SweepTask,
     _sweep_one_scenario,
     run_campaign_sweep,
-    scenario_detector,
 )
 from repro.fleet import ExecOptions
 from repro.soc.gateway import build_campaign_gateway
@@ -403,14 +401,16 @@ class TestProcessBackend:
             campaign=campaign,
             detector="dos",
         )
-        config = _SweepConfig(seed=123, fifo_capacity=64, chunk_size=4096, engine="columnar")
+        options = ExecOptions(backend="process").resolved()
         ips = {"dos": dos_ip}
-        thawed_ips, thawed_task, thawed_config = pickle.loads(
-            pickle.dumps((ips, task, config))
+        thawed_ips, thawed_task, thawed_options = pickle.loads(
+            pickle.dumps((ips, task, options))
         )
-        assert thawed_task == task and thawed_config == config
-        direct = _sweep_one_scenario(dos_ip, task, config)
-        via_pickle = _sweep_one_scenario(thawed_ips["dos"], thawed_task, thawed_config)
+        assert thawed_task == task and thawed_options == options
+        direct = _sweep_one_scenario(dos_ip, task, options, seed=123)
+        via_pickle = _sweep_one_scenario(
+            thawed_ips["dos"], thawed_task, thawed_options, seed=123
+        )
         for left, right in zip(direct, via_pickle):
             assert left.report.total_frames == right.report.total_frames
             assert left.report.total_dropped == right.report.total_dropped
@@ -474,14 +474,6 @@ class TestProcessBackend:
                     continue
                 np.testing.assert_array_equal(a.report.predictions, b.report.predictions)
 
-    @pytest.mark.filterwarnings("ignore:run_campaign_sweep's loose:DeprecationWarning")
-    def test_unknown_backend_rejected(self, experiment_context):
-        """The deprecation shim still validates what it forwards."""
-        with pytest.raises(Exception, match="unknown backend"):
-            run_campaign_sweep(
-                experiment_context, scenarios=["baseline-dos"], backend="fiber"
-            )
-
 
 class TestDetectorMatching:
     def test_scenarios_map_to_matching_detectors(self):
@@ -500,5 +492,4 @@ class TestDetectorMatching:
             duration=0.8,
             options=ExecOptions(max_workers=1),
         )
-        assert result.detector == "auto"
         assert result.detectors() == {"baseline-fuzzy": "fuzzy"}

@@ -9,20 +9,17 @@ The load-bearing claims, each pinned here:
   shard size and backend;
 * everything the process pool ships (shard tasks, aggregates) survives
   pickling intact;
-* the unified :class:`ExecOptions` run-spec validates, resolves
-  ``"auto"``, and back-compats the sweep's loose keywords via a
-  warn-once shim;
+* the unified :class:`ExecOptions` run-spec validates and resolves
+  ``"auto"``;
 * empty specs (fleet and sweep) return well-formed empty results
   without training detectors or spinning up a pool.
 """
 
 import pickle
-import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.experiments.campaigns as campaigns_module
 from repro.errors import ConfigError
 from repro.experiments.campaigns import run_campaign_sweep
 from repro.fleet import (
@@ -284,46 +281,3 @@ class TestSweepUnifiedOptions:
         run = result.run("baseline-dos", "per-ip")
         assert run.report.total_frames > 0
         assert result.run("baseline-dos", "shared-ip") is not run
-
-    def test_loose_kwargs_forward_and_warn_once(self, experiment_context):
-        campaigns_module._LOOSE_KWARGS_WARNED = False
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                first = run_campaign_sweep(
-                    experiment_context,
-                    scenarios=["baseline-dos"],
-                    duration=0.8,
-                    max_workers=1,
-                    backend="thread",
-                )
-                second = run_campaign_sweep(
-                    experiment_context,
-                    scenarios=["baseline-dos"],
-                    duration=0.8,
-                    max_workers=1,
-                    backend="thread",
-                )
-            deprecations = [
-                w for w in caught if issubclass(w.category, DeprecationWarning)
-                and "ExecOptions" in str(w.message)
-            ]
-            assert len(deprecations) == 1  # warns once, not per call
-        finally:
-            campaigns_module._LOOSE_KWARGS_WARNED = False
-        assert first.backend == "thread"
-        # The shim forwards into the same execution path: identical runs.
-        assert [
-            (r.scenario, r.mode, r.report.total_frames) for r in first.runs
-        ] == [(r.scenario, r.mode, r.report.total_frames) for r in second.runs]
-
-    def test_options_and_loose_kwargs_are_mutually_exclusive(
-        self, experiment_context
-    ):
-        with pytest.raises(ConfigError, match="not both"):
-            run_campaign_sweep(
-                experiment_context,
-                scenarios=["baseline-dos"],
-                options=ExecOptions(),
-                max_workers=1,
-            )

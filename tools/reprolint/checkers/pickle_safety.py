@@ -1,9 +1,9 @@
 """Pickle safety: process pools only receive module-level callables.
 
-``run_campaign_sweep(backend="process")`` ships work to a
-``ProcessPoolExecutor``; every callable crossing that boundary is
-pickled by reference, so lambdas, closures and locally-defined
-functions fail at runtime — but only on the process backend, which the
+``run_campaign_sweep(options=ExecOptions(backend="process"))`` ships
+work to a ``ProcessPoolExecutor``; every callable crossing that
+boundary is pickled by reference, so lambdas, closures and
+locally-defined functions fail at runtime — but only on the process backend, which the
 quick test lane does not always exercise.  This rule checks statically
 that anything passed to a process pool's ``submit``/``map`` (or its
 ``initializer=``) is a plain module-top-level def/class.  Thread pools
