@@ -8,50 +8,37 @@ used in quantisation-aware training.
 Public surface
 --------------
 * :class:`~repro.autograd.tensor.Tensor` — the differentiable array.
-* :mod:`~repro.autograd.functional` — losses and activations.
+* :mod:`~repro.autograd.functional` — softmax family and cross-entropy.
 * :class:`~repro.autograd.module.Module` / layers — ``nn``-style modules.
-* :mod:`~repro.autograd.optim` — SGD/Adam and LR schedules.
+* :mod:`~repro.autograd.optim` — Adam and gradient clipping.
 """
 
 from repro.autograd import functional, init, optim
 from repro.autograd.layers import (
-    AvgPool2d,
-    BatchNorm1d,
     Conv2d,
     Dropout,
     Flatten,
-    LeakyReLU,
     Linear,
     MaxPool2d,
     ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
 from repro.autograd.module import Module, Parameter
-from repro.autograd.tensor import Tensor, concatenate, no_grad, stack, tensor
+from repro.autograd.tensor import Tensor, no_grad
 
 __all__ = [
-    "AvgPool2d",
-    "BatchNorm1d",
     "Conv2d",
     "Dropout",
     "Flatten",
-    "LeakyReLU",
     "Linear",
     "MaxPool2d",
     "Module",
     "Parameter",
     "ReLU",
     "Sequential",
-    "Sigmoid",
-    "Tanh",
     "Tensor",
-    "concatenate",
     "functional",
     "init",
     "no_grad",
     "optim",
-    "stack",
-    "tensor",
 ]

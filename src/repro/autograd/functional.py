@@ -1,9 +1,8 @@
-"""Losses and stateless neural-network functions.
+"""Softmax family and the cross-entropy loss.
 
 Everything here is composed from :class:`~repro.autograd.tensor.Tensor`
-primitives so gradients are derived automatically; the numerically
-delicate pieces (log-sum-exp, BCE-with-logits) use the standard stable
-formulations.
+primitives so gradients are derived automatically; log-sum-exp uses the
+standard max-shifted formulation for numerical stability.
 """
 
 from __future__ import annotations
@@ -13,17 +12,7 @@ import numpy as np
 from repro.autograd.tensor import Tensor
 from repro.errors import ShapeError
 
-__all__ = [
-    "softmax",
-    "log_softmax",
-    "logsumexp",
-    "cross_entropy",
-    "binary_cross_entropy_with_logits",
-    "mse_loss",
-    "l1_loss",
-    "accuracy",
-    "one_hot",
-]
+__all__ = ["softmax", "log_softmax", "logsumexp", "cross_entropy"]
 
 
 def logsumexp(logits: Tensor, axis: int = -1) -> Tensor:
@@ -72,43 +61,3 @@ def cross_entropy(
     weights = np.asarray(class_weights, dtype=np.float64)[labels.astype(np.int64)]
     total = float(weights.sum())
     return -(picked * Tensor(weights)).sum() * (1.0 / total)
-
-
-def binary_cross_entropy_with_logits(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Stable elementwise BCE on raw logits, averaged over the batch.
-
-    Uses ``max(x, 0) - x*y + log(1 + exp(-|x|))``, the standard
-    overflow-free identity.
-    """
-    targets_t = Tensor(np.asarray(targets, dtype=np.float64))
-    softplus_term = ((-logits.abs()).exp() + 1.0).log()
-    loss = logits.relu() - logits * targets_t + softplus_term
-    return loss.mean()
-
-
-def mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
-    """Mean squared error."""
-    target_t = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target_t
-    return (diff * diff).mean()
-
-
-def l1_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
-    """Mean absolute error."""
-    target_t = target if isinstance(target, Tensor) else Tensor(target)
-    return (prediction - target_t).abs().mean()
-
-
-def accuracy(logits: Tensor | np.ndarray, labels: np.ndarray) -> float:
-    """Top-1 classification accuracy of (N, C) logits against (N,) labels."""
-    scores = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
-    predictions = scores.argmax(axis=-1)
-    return float((predictions == np.asarray(labels)).mean())
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """One-hot encode integer labels to an (N, C) float array."""
-    labels = np.asarray(labels, dtype=np.int64)
-    out = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out

@@ -1,6 +1,6 @@
-"""Weight initialisers.
+"""Weight initialisation.
 
-All initialisers take an explicit :class:`numpy.random.Generator`; the
+The initialiser takes an explicit :class:`numpy.random.Generator`; the
 library never touches global numpy RNG state.
 """
 
@@ -12,50 +12,15 @@ import numpy as np
 
 from repro.errors import ConfigError
 
-__all__ = [
-    "xavier_uniform",
-    "kaiming_uniform",
-    "kaiming_normal",
-    "uniform",
-    "zeros",
-]
-
-
-def _fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
-    if len(shape) < 2:
-        raise ConfigError(f"fan in/out undefined for shape {shape}")
-    receptive = int(np.prod(shape[2:])) if len(shape) > 2 else 1
-    fan_in = shape[1] * receptive
-    fan_out = shape[0] * receptive
-    return fan_in, fan_out
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier uniform: U(-a, a) with ``a = gain * sqrt(6/(fan_in+fan_out))``."""
-    fan_in, fan_out = _fan_in_out(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape)
+__all__ = ["kaiming_uniform"]
 
 
 def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator, a: float = math.sqrt(5)) -> np.ndarray:
     """He/Kaiming uniform (PyTorch Linear default with ``a=sqrt(5)``)."""
-    fan_in, _ = _fan_in_out(shape)
+    if len(shape) < 2:
+        raise ConfigError(f"fan-in undefined for shape {shape}")
+    receptive = int(np.prod(shape[2:])) if len(shape) > 2 else 1
+    fan_in = shape[1] * receptive
     gain = math.sqrt(2.0 / (1.0 + a * a))
     bound = gain * math.sqrt(3.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape)
-
-
-def kaiming_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """He/Kaiming normal for ReLU networks: N(0, sqrt(2/fan_in))."""
-    fan_in, _ = _fan_in_out(shape)
-    return rng.normal(0.0, math.sqrt(2.0 / fan_in), size=shape)
-
-
-def uniform(shape: tuple[int, ...], rng: np.random.Generator, low: float, high: float) -> np.ndarray:
-    """Plain uniform initialiser."""
-    return rng.uniform(low, high, size=shape)
-
-
-def zeros(shape: tuple[int, ...]) -> np.ndarray:
-    """All-zero initialiser (biases)."""
-    return np.zeros(shape, dtype=np.float64)

@@ -2,9 +2,9 @@
 
 The layers mirror their PyTorch namesakes closely enough that the model
 definitions in :mod:`repro.models` and :mod:`repro.baselines` read like
-the papers they reproduce.  Convolution and pooling carry hand-written
-backward passes (im2col / index scatter) for speed; everything else is
-composed from differentiable primitives.
+the papers they reproduce.  Convolution and max pooling carry
+hand-written backward passes (im2col / index scatter) for speed;
+everything else is composed from differentiable primitives.
 """
 
 from __future__ import annotations
@@ -21,16 +21,11 @@ from repro.utils.rng import new_rng
 __all__ = [
     "Linear",
     "ReLU",
-    "LeakyReLU",
-    "Sigmoid",
-    "Tanh",
     "Dropout",
     "Flatten",
     "Sequential",
-    "BatchNorm1d",
     "Conv2d",
     "MaxPool2d",
-    "AvgPool2d",
 ]
 
 
@@ -85,31 +80,6 @@ class ReLU(Module):
         return x.relu()
 
 
-class LeakyReLU(Module):
-    """Leaky rectifier with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01):
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.leaky_relu(self.negative_slope)
-
-
-class Sigmoid(Module):
-    """Elementwise logistic function."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-
-class Tanh(Module):
-    """Elementwise hyperbolic tangent."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-
 class Dropout(Module):
     """Inverted dropout; identity in eval mode."""
 
@@ -155,58 +125,6 @@ class Sequential(Module):
 
     def __len__(self) -> int:
         return len(self.layers)
-
-
-class BatchNorm1d(Module):
-    """Batch normalisation over feature dimension of (N, C) inputs.
-
-    Keeps running mean/var buffers for eval mode; these are persisted
-    through :meth:`extra_state` so saved models normalise identically.
-    """
-
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
-        super().__init__()
-        self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
-        self.gamma = Parameter(np.ones(num_features))
-        self.beta = Parameter(np.zeros(num_features))
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
-
-    def extra_state(self) -> dict[str, np.ndarray]:
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
-
-    def load_extra_state(self, state: dict[str, np.ndarray]) -> None:
-        if "running_mean" in state:
-            self.running_mean = np.asarray(state["running_mean"], dtype=np.float64)
-        if "running_var" in state:
-            self.running_var = np.asarray(state["running_var"], dtype=np.float64)
-
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 2 or x.shape[1] != self.num_features:
-            raise ShapeError(
-                f"BatchNorm1d expected (N, {self.num_features}), got {x.shape}"
-            )
-        if self.training:
-            mean = x.mean(axis=0)
-            centred = x - mean
-            var = (centred * centred).mean(axis=0)
-            self.running_mean = (
-                (1 - self.momentum) * self.running_mean + self.momentum * mean.data
-            )
-            batch = x.shape[0]
-            unbiased = var.data * batch / max(batch - 1, 1)
-            self.running_var = (
-                (1 - self.momentum) * self.running_var + self.momentum * unbiased
-            )
-            inv_std = (var + self.eps) ** -0.5
-            normalised = centred * inv_std
-        else:
-            normalised = (x - Tensor(self.running_mean)) * Tensor(
-                1.0 / np.sqrt(self.running_var + self.eps)
-            )
-        return normalised * self.gamma + self.beta
 
 
 def _im2col(
@@ -355,27 +273,3 @@ class MaxPool2d(Module):
             x._accumulate(expanded.reshape(n, c, h, w))
 
         return Tensor._make(out, (x,), backward, "maxpool2d")
-
-
-class AvgPool2d(Module):
-    """Non-overlapping average pooling (kernel == stride)."""
-
-    def __init__(self, kernel_size: int):
-        super().__init__()
-        self.kernel_size = kernel_size
-
-    def forward(self, x: Tensor) -> Tensor:
-        k = self.kernel_size
-        n, c, h, w = x.shape
-        if h % k or w % k:
-            raise ShapeError(f"AvgPool2d kernel {k} does not divide spatial dims {h}x{w}")
-        blocks = x.data.reshape(n, c, h // k, k, w // k, k)
-        out = blocks.mean(axis=(3, 5))
-
-        def backward(grad: np.ndarray) -> None:
-            expanded = np.broadcast_to(
-                grad[:, :, :, None, :, None] / (k * k), (n, c, h // k, k, w // k, k)
-            )
-            x._accumulate(expanded.reshape(n, c, h, w))
-
-        return Tensor._make(out, (x,), backward, "avgpool2d")

@@ -84,7 +84,7 @@ class Module:
 
     # -- training state ----------------------------------------------------
     def train(self, mode: bool = True) -> "Module":
-        """Set training mode recursively (affects Dropout/BatchNorm/quant observers)."""
+        """Set training mode recursively (affects Dropout and quant observers)."""
         for module in self.modules():
             module.training = mode
         return self
@@ -100,7 +100,7 @@ class Module:
 
     # -- persistence -----------------------------------------------------
     def extra_state(self) -> dict[str, np.ndarray]:
-        """Non-parameter state to persist (e.g. BatchNorm running stats).
+        """Non-parameter state to persist (e.g. quantiser observer ranges).
 
         Subclasses with buffers override this together with
         :meth:`load_extra_state`.

@@ -1,8 +1,7 @@
-"""Optimisers and learning-rate schedules.
+"""Optimiser and gradient clipping.
 
-SGD (with momentum/Nesterov/weight decay) and Adam cover everything the
-paper's training recipes need; schedulers follow the PyTorch convention
-of mutating ``optimizer.lr`` on ``step()``.
+Adam covers every training recipe in the reproduction; the recurrent and
+temporal-convolution baselines add global-norm gradient clipping.
 """
 
 from __future__ import annotations
@@ -15,15 +14,7 @@ import numpy as np
 from repro.autograd.module import Parameter
 from repro.errors import ConfigError
 
-__all__ = [
-    "Optimizer",
-    "SGD",
-    "Adam",
-    "StepLR",
-    "CosineAnnealingLR",
-    "ExponentialLR",
-    "clip_grad_norm",
-]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
 
 class Optimizer:
@@ -46,44 +37,8 @@ class Optimizer:
         raise NotImplementedError
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with momentum and weight decay."""
-
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 0.01,
-        momentum: float = 0.0,
-        weight_decay: float = 0.0,
-        nesterov: bool = False,
-    ):
-        super().__init__(parameters, lr)
-        if nesterov and momentum == 0.0:
-            raise ConfigError("nesterov momentum requires momentum > 0")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.nesterov = nesterov
-        self._velocity: list[np.ndarray | None] = [None] * len(self.parameters)
-
-    def step(self) -> None:
-        for index, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            if self.momentum:
-                if self._velocity[index] is None:
-                    self._velocity[index] = np.zeros_like(param.data)
-                velocity = self._velocity[index]
-                velocity *= self.momentum
-                velocity += grad
-                grad = grad + self.momentum * velocity if self.nesterov else velocity
-            param.data = param.data - self.lr * grad
-
-
 class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with optional decoupled weight decay."""
+    """Adam (Kingma & Ba, 2015)."""
 
     def __init__(
         self,
@@ -91,14 +46,12 @@ class Adam(Optimizer):
         lr: float = 1e-3,
         betas: tuple[float, float] = (0.9, 0.999),
         eps: float = 1e-8,
-        weight_decay: float = 0.0,
     ):
         super().__init__(parameters, lr)
         if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
             raise ConfigError(f"betas must be in [0, 1), got {betas}")
         self.betas = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self._step_count = 0
         self._m: list[np.ndarray | None] = [None] * len(self.parameters)
         self._v: list[np.ndarray | None] = [None] * len(self.parameters)
@@ -112,8 +65,6 @@ class Adam(Optimizer):
             if param.grad is None:
                 continue
             grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
             if self._m[index] is None:
                 self._m[index] = np.zeros_like(param.data)
                 self._v[index] = np.zeros_like(param.data)
@@ -142,55 +93,3 @@ def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:
         for grad in grads:
             grad *= scale
     return total
-
-
-class _Scheduler:
-    def __init__(self, optimizer: Optimizer):
-        self.optimizer = optimizer
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        self.epoch += 1
-        self.optimizer.lr = self._lr_at(self.epoch)
-
-    def _lr_at(self, epoch: int) -> float:
-        raise NotImplementedError
-
-
-class StepLR(_Scheduler):
-    """Multiply the LR by ``gamma`` every ``step_size`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, step_size: int, gamma: float = 0.1):
-        super().__init__(optimizer)
-        self.step_size = step_size
-        self.gamma = gamma
-
-    def _lr_at(self, epoch: int) -> float:
-        return self.base_lr * (self.gamma ** (epoch // self.step_size))
-
-
-class ExponentialLR(_Scheduler):
-    """Multiply the LR by ``gamma`` every epoch."""
-
-    def __init__(self, optimizer: Optimizer, gamma: float = 0.95):
-        super().__init__(optimizer)
-        self.gamma = gamma
-
-    def _lr_at(self, epoch: int) -> float:
-        return self.base_lr * (self.gamma**epoch)
-
-
-class CosineAnnealingLR(_Scheduler):
-    """Cosine decay from the base LR to ``eta_min`` over ``t_max`` epochs."""
-
-    def __init__(self, optimizer: Optimizer, t_max: int, eta_min: float = 0.0):
-        super().__init__(optimizer)
-        self.t_max = t_max
-        self.eta_min = eta_min
-
-    def _lr_at(self, epoch: int) -> float:
-        t = min(epoch, self.t_max)
-        return self.eta_min + (self.base_lr - self.eta_min) * 0.5 * (
-            1 + math.cos(math.pi * t / self.t_max)
-        )

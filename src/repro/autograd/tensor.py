@@ -14,22 +14,21 @@ forward operations, and :func:`_unbroadcast` folds gradient contributions
 back to each parent's shape.
 
 Straight-through estimators (STE), the backbone of quantisation-aware
-training, are provided as first-class ops: :meth:`Tensor.round_ste` and
-:meth:`Tensor.clamp_ste` behave like ``round``/identity in the forward
-pass and pass gradients through (optionally gated to the clamp range) in
-the backward pass.
+training, are provided as first-class ops: :meth:`Tensor.floor_ste` and
+:meth:`Tensor.clamp_ste` behave like ``floor``/``clip`` in the forward
+pass and pass gradients through unchanged in the backward pass.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.errors import GradError, ShapeError
 
-__all__ = ["Tensor", "tensor", "concatenate", "stack", "no_grad", "is_grad_enabled"]
+__all__ = ["Tensor", "no_grad"]
 
 _GRAD_ENABLED = True
 
@@ -44,11 +43,6 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = previous
-
-
-def is_grad_enabled() -> bool:
-    """Whether operations currently record the autograd graph."""
-    return _GRAD_ENABLED
 
 
 def _as_array(data: Any) -> np.ndarray:
@@ -121,14 +115,6 @@ class Tensor:
     def item(self) -> float:
         """Return the value of a single-element tensor as a Python float."""
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else _raise_item()
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (shared, not copied)."""
-        return self.data
-
-    def detach(self) -> "Tensor":
-        """Return a view of the data cut off from the graph."""
-        return Tensor(self.data, requires_grad=False, op="detach")
 
     # ------------------------------------------------------------------
     # Graph plumbing
@@ -388,9 +374,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward, "log")
 
-    def sqrt(self) -> "Tensor":
-        return self**0.5
-
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
 
@@ -416,23 +399,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward, "relu")
 
-    def leaky_relu(self, negative_slope: float = 0.01) -> "Tensor":
-        mask = self.data > 0
-        out_data = np.where(mask, self.data, negative_slope * self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * np.where(mask, 1.0, negative_slope))
-
-        return Tensor._make(out_data, (self,), backward, "leaky_relu")
-
-    def abs(self) -> "Tensor":
-        out_data = np.abs(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * np.sign(self.data))
-
-        return Tensor._make(out_data, (self,), backward, "abs")
-
     def clamp(self, low: float | None = None, high: float | None = None) -> "Tensor":
         """Clip values; gradient is zero outside the clamp range."""
         out_data = np.clip(self.data, low, high)
@@ -450,21 +416,6 @@ class Tensor:
     # ------------------------------------------------------------------
     # Straight-through estimators (quantisation-aware training)
     # ------------------------------------------------------------------
-    def round_ste(self) -> "Tensor":
-        """Round to nearest integer; identity gradient (STE).
-
-        This is the core trick of quantisation-aware training (Bengio et
-        al. 2013; used throughout Brevitas): the forward pass sees the
-        quantised value while the backward pass pretends rounding is the
-        identity, letting gradients reach the full-precision weights.
-        """
-        out_data = np.round(self.data)
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad)
-
-        return Tensor._make(out_data, (self,), backward, "round_ste")
-
     def floor_ste(self) -> "Tensor":
         """Floor with identity gradient."""
         out_data = np.floor(self.data)
@@ -504,39 +455,3 @@ class Tensor:
 
 def _raise_item() -> float:
     raise ShapeError("item() requires a single-element tensor")
-
-
-def tensor(data: Any, requires_grad: bool = False) -> Tensor:
-    """Convenience constructor mirroring ``torch.tensor``."""
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient support."""
-    tensors = list(tensors)
-    arrays = [t.data for t in tensors]
-    out_data = np.concatenate(arrays, axis=axis)
-    sizes = [a.shape[axis] for a in arrays]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(grad: np.ndarray) -> None:
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            index: list[Any] = [slice(None)] * grad.ndim
-            index[axis] = slice(start, stop)
-            t._accumulate(grad[tuple(index)])
-
-    return Tensor._make(out_data, tensors, backward, "concatenate")
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new ``axis`` with gradient support."""
-    tensors = list(tensors)
-    out_data = np.stack([t.data for t in tensors], axis=axis)
-
-    def backward(grad: np.ndarray) -> None:
-        for i, t in enumerate(tensors):
-            index: list[Any] = [slice(None)] * grad.ndim
-            index[axis] = i
-            t._accumulate(grad[tuple(index)])
-
-    return Tensor._make(out_data, tensors, backward, "stack")

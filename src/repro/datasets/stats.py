@@ -14,7 +14,7 @@ import numpy as np
 from repro.can.log import CANLogRecord
 from repro.errors import DatasetError
 
-__all__ = ["capture_summary", "id_inventory", "message_rate"]
+__all__ = ["capture_summary", "id_inventory"]
 
 
 def capture_summary(records: Sequence[CANLogRecord]) -> dict:
@@ -61,20 +61,3 @@ def id_inventory(records: Sequence[CANLogRecord]) -> dict[int, dict]:
             "mean_period": float(periods.mean()) if periods.size else float("nan"),
         }
     return inventory
-
-
-def message_rate(records: Sequence[CANLogRecord], window: float = 0.1) -> tuple[np.ndarray, np.ndarray]:
-    """Frames/s over time, binned at ``window`` seconds.
-
-    Returns ``(bin_start_times, rates)`` — the time series that makes a
-    DoS burst visible as a rate spike.
-    """
-    if not records:
-        raise DatasetError("cannot compute rates of an empty capture")
-    if window <= 0:
-        raise DatasetError(f"window must be positive, got {window}")
-    times = np.array([record.timestamp for record in records])
-    start, end = times[0], times[-1]
-    edges = np.arange(start, end + window, window)
-    counts, _ = np.histogram(times, bins=edges)
-    return edges[:-1], counts / window

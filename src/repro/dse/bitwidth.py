@@ -16,16 +16,18 @@ from repro.errors import ConfigError
 from repro.finn.ipgen import compile_model
 from repro.finn.resources import ResourceEstimate
 from repro.models.qmlp import QMLPConfig
-from repro.models.zoo import DSE_BIT_WIDTHS
 from repro.soc.device import ZCU104
 from repro.training.pipeline import train_ids_model
 from repro.training.trainer import TrainConfig
 from repro.utils.logutil import get_logger
 from repro.utils.rng import derive_seed
 
-__all__ = ["BitwidthPoint", "run_bitwidth_sweep", "select_deployment_point"]
+__all__ = ["BitwidthPoint", "run_bitwidth_sweep", "select_deployment_point", "DSE_BIT_WIDTHS"]
 
 _LOG = get_logger("dse.bitwidth")
+
+#: Bit widths explored in the paper's design-space exploration.
+DSE_BIT_WIDTHS = (2, 3, 4, 6, 8)
 
 
 @dataclass

@@ -94,16 +94,6 @@ class ScenarioRun:
         return self.report.phases_detected
 
     @property
-    def worst_detection_latency_s(self) -> float | None:
-        """Slowest first-alert latency across detected phases (None: none)."""
-        latencies = [
-            outcome.detection_latency_s
-            for outcome in self.report.phase_outcomes
-            if outcome.detection_latency_s is not None
-        ]
-        return max(latencies) if latencies else None
-
-    @property
     def attack_frames(self) -> int:
         """Ground-truth attack frames observed across all channels."""
         return sum(
@@ -111,27 +101,6 @@ class ScenarioRun:
             for c in self.report.channels
             if c.capture is not None
         )
-
-    @property
-    def f1(self) -> float:
-        """Frame-weighted mean F1 (percent) over non-idle channels."""
-        scored = [
-            (c.report.metrics["f1"], c.num_processed)
-            for c in self.report.channels
-            if c.report is not None and c.report.metrics is not None
-        ]
-        total = sum(weight for _, weight in scored)
-        if not total:
-            return 0.0
-        return sum(value * weight for value, weight in scored) / total
-
-    @property
-    def p99_latency_s(self) -> float:
-        """Worst per-channel p99 end-to-end latency (queueing included)."""
-        values = [
-            c.report.p99_latency_s for c in self.report.channels if c.report is not None
-        ]
-        return max(values) if values else float("nan")
 
 
 @dataclass
@@ -381,7 +350,7 @@ def render_campaign_sweep(result: CampaignSweepResult) -> Table:
         for mode in SWEEP_MODES:
             run = result.run(scenario, mode)
             report = run.report
-            worst = run.worst_detection_latency_s
+            worst = report.worst_detection_latency_s
             detectable = run.phases_injecting
             table.add_row(
                 [
@@ -393,9 +362,9 @@ def render_campaign_sweep(result: CampaignSweepResult) -> Table:
                     f"{100.0 * report.drop_rate:.2f}",
                     f"{run.phases_detected}/{detectable}",
                     f"{1e3 * worst:.1f} ms" if worst is not None else "-",
-                    f"{run.f1:.1f}" if run.attack_frames else "-",
-                    f"{1e3 * run.p99_latency_s:.2f} ms"
-                    if np.isfinite(run.p99_latency_s)
+                    f"{report.f1:.1f}" if run.attack_frames else "-",
+                    f"{1e3 * report.p99_latency_s:.2f} ms"
+                    if np.isfinite(report.p99_latency_s)
                     else "-",
                 ]
             )

@@ -93,24 +93,7 @@ class NoiseSweepResult:
 
 
 def _fold_report(ber: float, report: GatewayReport, injecting: int) -> NoisePoint:
-    latencies = [
-        outcome.detection_latency_s
-        for outcome in report.phase_outcomes
-        if outcome.detection_latency_s is not None
-    ]
-    scored = [
-        (channel.report.metrics["f1"], channel.num_processed)
-        for channel in report.channels
-        if channel.report is not None and channel.report.metrics is not None
-    ]
-    weight = sum(count for _, count in scored)
-    f1 = sum(value * count for value, count in scored) / weight if weight else 0.0
-    p99 = max(
-        (channel.report.p99_latency_s
-         for channel in report.channels
-         if channel.report is not None),
-        default=0.0,
-    )
+    idle = all(channel.idle for channel in report.channels)
     return NoisePoint(
         bit_error_rate=ber,
         frames_observed=report.total_frames,
@@ -120,9 +103,9 @@ def _fold_report(ber: float, report: GatewayReport, injecting: int) -> NoisePoin
         frames_processed=report.total_processed,
         phases_injecting=injecting,
         phases_detected=report.phases_detected,
-        worst_detection_latency_s=max(latencies) if latencies else None,
-        f1=f1,
-        p99_latency_s=p99,
+        worst_detection_latency_s=report.worst_detection_latency_s,
+        f1=report.f1,
+        p99_latency_s=0.0 if idle else report.p99_latency_s,
     )
 
 

@@ -31,7 +31,7 @@ flow end to end:
 from repro.finn.build import build_frontend_graph
 from repro.finn.compiled import CompiledEngine, compile_engine, engine_cache_info, engine_for
 from repro.finn.cyclesim import CycleSimulator, SimReport
-from repro.finn.folding import FoldingConfig, fold_for_target, max_parallel_folding
+from repro.finn.folding import FoldingConfig, fold_for_target
 from repro.finn.graph import DataflowGraph
 from repro.finn.hls_layers import MVAU, StreamingFIFO, to_hw_pipeline
 from repro.finn.ipgen import AcceleratorIP, compile_model
@@ -57,7 +57,6 @@ __all__ = [
     "engine_cache_info",
     "engine_for",
     "fold_for_target",
-    "max_parallel_folding",
     "streamline",
     "to_hw_pipeline",
     "verify_bit_exact",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from repro.errors import CompileError, ResourceError
 from repro.finn.graph import DataflowGraph, MatMulIntNode
 
-__all__ = ["FoldingConfig", "fold_for_target", "max_parallel_folding", "divisors"]
+__all__ = ["FoldingConfig", "fold_for_target", "divisors"]
 
 
 def divisors(value: int) -> list[int]:
@@ -73,15 +73,6 @@ class FoldingConfig:
 
     def to_dict(self) -> dict:
         return {"pe": list(self.pe), "simd": list(self.simd)}
-
-
-def max_parallel_folding(graph: DataflowGraph) -> FoldingConfig:
-    """Fully parallel folding: one cycle per sample per layer."""
-    matmuls = graph.nodes_of_type(MatMulIntNode)
-    return FoldingConfig(
-        pe=[node.out_features for node in matmuls],
-        simd=[node.in_features for node in matmuls],
-    )
 
 
 def fold_for_target(

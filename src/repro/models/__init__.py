@@ -1,15 +1,10 @@
 """IDS model definitions.
 
 :func:`~repro.models.qmlp.build_qmlp` constructs the paper's quantised
-multi-layer perceptron at any uniform bit width (4-bit is the deployed
-configuration); :mod:`~repro.models.reference` provides the
-full-precision twin used for accuracy ablations and the GPU energy
-reference; :mod:`~repro.models.zoo` names the exact configurations the
-experiments use.
+multi-layer perceptron from a :class:`~repro.models.qmlp.QMLPConfig`, at
+any uniform bit width (4-bit is the deployed configuration).
 """
 
 from repro.models.qmlp import QMLPConfig, build_qmlp
-from repro.models.reference import build_float_mlp
-from repro.models.zoo import ZOO, get_config
 
-__all__ = ["QMLPConfig", "ZOO", "build_float_mlp", "build_qmlp", "get_config"]
+__all__ = ["QMLPConfig", "build_qmlp"]

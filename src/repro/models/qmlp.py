@@ -38,7 +38,6 @@ class QMLPConfig:
     act_bits: int = 4
     input_bits: int = 8
     dropout: float = 0.0
-    scale_mode: str = "po2"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -80,7 +79,7 @@ def build_qmlp(config: QMLPConfig | None = None) -> Sequential:
     FINN compiler directly after training.
     """
     config = config or QMLPConfig()
-    layers = [QuantIdentity(bit_width=config.input_bits, signed=False, scale_mode=config.scale_mode)]
+    layers = [QuantIdentity(bit_width=config.input_bits, signed=False)]
     widths = config.topology
     for index, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         layer_seed = derive_seed(config.seed, f"qmlp-layer-{index}")
@@ -89,13 +88,12 @@ def build_qmlp(config: QMLPConfig | None = None) -> Sequential:
                 fan_in,
                 fan_out,
                 weight_bit_width=config.weight_bits,
-                scale_mode=config.scale_mode,
                 seed=layer_seed,
             )
         )
         is_last = index == len(widths) - 2
         if not is_last:
-            layers.append(QuantReLU(bit_width=config.act_bits, scale_mode=config.scale_mode))
+            layers.append(QuantReLU(bit_width=config.act_bits))
             if config.dropout > 0.0:
                 layers.append(Dropout(config.dropout, seed=derive_seed(config.seed, f"dropout-{index}")))
     return Sequential(*layers)

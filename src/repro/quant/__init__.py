@@ -6,31 +6,23 @@ integer grid, then rescaled to floats) while gradients flow through
 straight-through estimators.  This package reproduces that machinery:
 
 * :mod:`~repro.quant.quantizers` — symmetric uniform weight/activation
-  quantisers with float or power-of-two scales.
-* :mod:`~repro.quant.calibration` — range observers (min/max, EMA,
-  percentile) that track activation statistics during training.
-* :mod:`~repro.quant.layers` — ``QuantLinear``, ``QuantReLU``,
-  ``QuantIdentity``, ``QuantHardTanh`` drop-in modules.
-* :mod:`~repro.quant.qtensor` — :class:`QuantTensor`, a value+scale pair
-  with exact integer representation checks.
+  quantisers with power-of-two scales.
+* :mod:`~repro.quant.calibration` — the EMA range observer that tracks
+  activation statistics during training.
+* :mod:`~repro.quant.layers` — ``QuantLinear``, ``QuantReLU`` and
+  ``QuantIdentity`` drop-in modules.
 * :mod:`~repro.quant.export` — extraction of integer weights and
   quantisation parameters for the FINN-style compiler.
 
-Power-of-two scales (the default) make every fake-quantised value
-exactly representable in float64, which is what lets
-:mod:`repro.finn.verify` prove bit-exactness between the trained model
-and the generated hardware IP.
+Power-of-two scales make every fake-quantised value exactly
+representable in float64, which is what lets :mod:`repro.finn.verify`
+prove bit-exactness between the trained model and the generated
+hardware IP.
 """
 
-from repro.quant.calibration import EMAObserver, MinMaxObserver, PercentileObserver
+from repro.quant.calibration import EMAObserver
 from repro.quant.export import ActQuantExport, LayerExport, QNNExport, export_qnn
-from repro.quant.layers import (
-    QuantHardTanh,
-    QuantIdentity,
-    QuantLinear,
-    QuantReLU,
-)
-from repro.quant.qtensor import QuantTensor
+from repro.quant.layers import QuantIdentity, QuantLinear, QuantReLU
 from repro.quant.quantizers import (
     ActQuantizer,
     WeightQuantizer,
@@ -44,14 +36,10 @@ __all__ = [
     "ActQuantizer",
     "EMAObserver",
     "LayerExport",
-    "MinMaxObserver",
-    "PercentileObserver",
     "QNNExport",
-    "QuantHardTanh",
     "QuantIdentity",
     "QuantLinear",
     "QuantReLU",
-    "QuantTensor",
     "WeightQuantizer",
     "export_qnn",
     "int_range",

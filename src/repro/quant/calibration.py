@@ -1,14 +1,10 @@
-"""Range observers for activation quantisation.
+"""Range observer for activation quantisation.
 
 During quantisation-aware training the activation quantiser must pick a
-clipping range.  Brevitas tracks runtime statistics with configurable
-observers; we provide the three standard choices:
-
-* :class:`MinMaxObserver` — running maximum of ``|x|`` (never shrinks).
-* :class:`EMAObserver` — exponential moving average of the batch max,
-  robust to early-training outliers (Brevitas/TF default).
-* :class:`PercentileObserver` — EMA of a high percentile, clipping
-  outliers entirely.
+clipping range.  Brevitas tracks runtime statistics with an observer;
+:class:`EMAObserver` keeps an exponential moving average of the batch
+maximum of ``|x|``, robust to early-training outliers (the Brevitas/TF
+default).
 
 Observers only *collect*; the quantiser converts the observed range to a
 scale.  After :meth:`freeze`, the range is fixed (inference behaviour).
@@ -20,7 +16,7 @@ import numpy as np
 
 from repro.errors import QuantError
 
-__all__ = ["MinMaxObserver", "EMAObserver", "PercentileObserver"]
+__all__ = ["EMAObserver"]
 
 
 class _Observer:
@@ -65,13 +61,6 @@ class _Observer:
         self.num_batches = int(state.get("num_batches", 0))
 
 
-class MinMaxObserver(_Observer):
-    """Track the all-time maximum absolute value."""
-
-    def _update(self, batch_range: float) -> None:
-        self.range = max(self.range, batch_range)
-
-
 class EMAObserver(_Observer):
     """Exponential moving average of per-batch maxima.
 
@@ -90,18 +79,3 @@ class EMAObserver(_Observer):
             self.range = batch_range
         else:
             self.range = (1 - self.momentum) * self.range + self.momentum * batch_range
-
-
-class PercentileObserver(EMAObserver):
-    """EMA of a high percentile of ``|x|`` — ignores extreme outliers."""
-
-    def __init__(self, percentile: float = 99.9, momentum: float = 0.1):
-        super().__init__(momentum=momentum)
-        if not 0.0 < percentile <= 100.0:
-            raise QuantError(f"percentile must be in (0, 100], got {percentile}")
-        self.percentile = percentile
-
-    def _batch_range(self, values: np.ndarray) -> float:
-        if values.size == 0:
-            raise QuantError("observer received an empty batch")
-        return float(np.percentile(np.abs(values), self.percentile))

@@ -25,11 +25,10 @@ from repro.autograd import init as initialisers
 from repro.autograd.module import Module, Parameter
 from repro.autograd.tensor import Tensor
 from repro.errors import ConfigError, ShapeError
-from repro.quant.calibration import EMAObserver, MinMaxObserver
 from repro.quant.quantizers import ActQuantizer, WeightQuantizer
 from repro.utils.rng import new_rng
 
-__all__ = ["QuantLinear", "QuantReLU", "QuantIdentity", "QuantHardTanh"]
+__all__ = ["QuantLinear", "QuantReLU", "QuantIdentity"]
 
 
 class _QuantActModule(Module):
@@ -70,21 +69,8 @@ class QuantIdentity(_QuantActModule):
     receives integer data (bit-vectors of a CAN frame quantise exactly).
     """
 
-    def __init__(
-        self,
-        bit_width: int = 8,
-        signed: bool = False,
-        scale_mode: str = "po2",
-        ema_momentum: float = 0.1,
-    ):
-        quantizer = ActQuantizer(
-            bit_width,
-            signed=signed,
-            narrow_range=False,
-            scale_mode=scale_mode,
-            observer=EMAObserver(momentum=ema_momentum),
-        )
-        super().__init__(quantizer)
+    def __init__(self, bit_width: int = 8, signed: bool = False):
+        super().__init__(ActQuantizer(bit_width, signed=signed, narrow_range=False))
 
     def forward(self, x: Tensor) -> Tensor:
         return self.quantizer.quantize(x, training=self.training)
@@ -100,47 +86,14 @@ class QuantReLU(_QuantActModule):
     node: an unsigned ``b``-bit staircase over the accumulator.
     """
 
-    def __init__(self, bit_width: int = 4, scale_mode: str = "po2", ema_momentum: float = 0.1):
-        quantizer = ActQuantizer(
-            bit_width,
-            signed=False,
-            narrow_range=False,
-            scale_mode=scale_mode,
-            observer=EMAObserver(momentum=ema_momentum),
-        )
-        super().__init__(quantizer)
+    def __init__(self, bit_width: int = 4):
+        super().__init__(ActQuantizer(bit_width, signed=False, narrow_range=False))
 
     def forward(self, x: Tensor) -> Tensor:
         return self.quantizer.quantize(x.relu(), training=self.training)
 
     def __repr__(self) -> str:
         return f"QuantReLU(bits={self.bit_width})"
-
-
-class QuantHardTanh(_QuantActModule):
-    """Signed hard-tanh with a fixed [-1, 1] quantisation range.
-
-    Used by binarised/low-bit networks with signed activations; the
-    range is fixed so the observer is pre-seeded and frozen.
-    """
-
-    def __init__(self, bit_width: int = 4, scale_mode: str = "po2"):
-        observer = MinMaxObserver(initial=1.0)
-        observer.freeze()
-        quantizer = ActQuantizer(
-            bit_width,
-            signed=True,
-            narrow_range=True,
-            scale_mode=scale_mode,
-            observer=observer,
-        )
-        super().__init__(quantizer)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self.quantizer.quantize(x.clamp(-1.0, 1.0), training=False)
-
-    def __repr__(self) -> str:
-        return f"QuantHardTanh(bits={self.bit_width})"
 
 
 class QuantLinear(Module):
@@ -159,8 +112,6 @@ class QuantLinear(Module):
         weight_bit_width: int = 4,
         bias: bool = True,
         narrow_range: bool = True,
-        scale_mode: str = "po2",
-        per_channel: bool = False,
         seed: int = 0,
     ):
         super().__init__()
@@ -170,12 +121,7 @@ class QuantLinear(Module):
             )
         self.in_features = in_features
         self.out_features = out_features
-        self.weight_quant = WeightQuantizer(
-            weight_bit_width,
-            narrow_range=narrow_range,
-            scale_mode=scale_mode,
-            per_channel=per_channel,
-        )
+        self.weight_quant = WeightQuantizer(weight_bit_width, narrow_range=narrow_range)
         rng = new_rng(seed, f"quantlinear-{in_features}x{out_features}")
         self.weight = Parameter(initialisers.kaiming_uniform((out_features, in_features), rng))
         if bias:

@@ -15,9 +15,9 @@ banker's rounding: half-up makes threshold conversion in
 :mod:`repro.finn.thresholds` a clean inequality and matches hardware
 adders.
 
-Power-of-two scales are the default: multiplying/dividing by a po2 is
-exact in float64, which makes the fake-quantised network *bit-exact*
-against integer-only execution — the invariant the FINN verifier and the
+Every scale is a power of two: multiplying/dividing by a po2 is exact
+in float64, which makes the fake-quantised network *bit-exact* against
+integer-only execution — the invariant the FINN verifier and the
 property-based tests lean on.
 """
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.autograd.tensor import Tensor
 from repro.errors import QuantError
-from repro.quant.calibration import EMAObserver, _Observer
+from repro.quant.calibration import EMAObserver
 
 __all__ = [
     "int_range",
@@ -78,13 +78,6 @@ def po2_scale(abs_max: float, qmax: int) -> float:
     return 2.0 ** math.ceil(math.log2(abs_max / qmax))
 
 
-def float_scale(abs_max: float, qmax: int) -> float:
-    """Exact float scale ``abs_max / qmax`` (Brevitas float-scaling mode)."""
-    if abs_max <= 0.0:
-        return 1.0
-    return abs_max / qmax
-
-
 def round_half_up(x: Tensor) -> Tensor:
     """Differentiable round-half-up with straight-through gradient."""
     return (x + 0.5).floor_ste()
@@ -102,11 +95,8 @@ class QuantConfig:
     bit_width: int
     signed: bool
     narrow_range: bool = True
-    scale_mode: str = "po2"  # "po2" | "float"
 
     def __post_init__(self) -> None:
-        if self.scale_mode not in ("po2", "float"):
-            raise QuantError(f"scale_mode must be 'po2' or 'float', got {self.scale_mode!r}")
         # Validates the range.
         int_range(self.bit_width, self.signed, self.narrow_range)
 
@@ -119,46 +109,28 @@ class QuantConfig:
         return int_range(self.bit_width, self.signed, self.narrow_range)[1]
 
     def scale_for(self, abs_max: float) -> float:
-        """Convert an observed absolute range into a scale."""
-        if self.scale_mode == "po2":
-            return po2_scale(abs_max, self.qmax)
-        return float_scale(abs_max, self.qmax)
+        """Convert an observed absolute range into a power-of-two scale."""
+        return po2_scale(abs_max, self.qmax)
 
 
 class WeightQuantizer:
     """Fake-quantise a weight tensor from its own statistics.
 
-    The scale is recomputed from ``max(|W|)`` on every forward pass
-    (per-tensor, or per-output-channel when ``per_channel=True``), which
-    is Brevitas' default weight-scaling behaviour: as the float weights
-    shrink or grow during training, the integer grid follows.
+    The per-tensor scale is recomputed from ``max(|W|)`` on every
+    forward pass, which is Brevitas' default weight-scaling behaviour: as
+    the float weights shrink or grow during training, the integer grid
+    follows.
     """
 
-    def __init__(
-        self,
-        bit_width: int,
-        narrow_range: bool = True,
-        scale_mode: str = "po2",
-        per_channel: bool = False,
-    ):
-        self.config = QuantConfig(bit_width, signed=True, narrow_range=narrow_range, scale_mode=scale_mode)
-        self.per_channel = per_channel
+    def __init__(self, bit_width: int, narrow_range: bool = True):
+        self.config = QuantConfig(bit_width, signed=True, narrow_range=narrow_range)
 
     @property
     def bit_width(self) -> int:
         return self.config.bit_width
 
     def scale_of(self, weight_data: np.ndarray) -> np.ndarray:
-        """Scale(s) for a weight array of shape (out, in).
-
-        Returns an array of shape ``(out, 1)`` when per-channel, else a
-        0-d array; both broadcast against the weight.
-        """
-        if self.per_channel:
-            abs_max = np.abs(weight_data).max(axis=1, keepdims=True)
-            return np.array(
-                [[self.config.scale_for(float(m))] for m in abs_max[:, 0]], dtype=np.float64
-            )
+        """Scale for a weight array of shape (out, in)."""
         return np.float64(self.config.scale_for(float(np.abs(weight_data).max())))
 
     def quantize(self, weight: Tensor) -> tuple[Tensor, np.ndarray]:
@@ -186,21 +158,14 @@ class ActQuantizer:
         Integer bits of the activation representation.
     signed:
         False after ReLU (range ``[0, qmax]``), True for symmetric
-        signed activations (``QuantIdentity``/``QuantHardTanh``).
-    observer:
-        Range observer instance; defaults to an EMA of batch maxima.
+        signed activations (a signed ``QuantIdentity``).
+
+    The range is tracked by an :class:`EMAObserver` of batch maxima.
     """
 
-    def __init__(
-        self,
-        bit_width: int,
-        signed: bool = False,
-        narrow_range: bool = False,
-        scale_mode: str = "po2",
-        observer: _Observer | None = None,
-    ):
-        self.config = QuantConfig(bit_width, signed=signed, narrow_range=narrow_range, scale_mode=scale_mode)
-        self.observer = observer if observer is not None else EMAObserver()
+    def __init__(self, bit_width: int, signed: bool = False, narrow_range: bool = False):
+        self.config = QuantConfig(bit_width, signed=signed, narrow_range=narrow_range)
+        self.observer = EMAObserver()
 
     @property
     def bit_width(self) -> int:

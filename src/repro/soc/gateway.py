@@ -249,6 +249,38 @@ class GatewayReport:
         """Phases with at least one true alert (of those that inject frames)."""
         return sum(1 for outcome in self.phase_outcomes if outcome.detected)
 
+    @property
+    def worst_detection_latency_s(self) -> float | None:
+        """Slowest first-alert latency across detected phases (None: none)."""
+        latencies = [
+            outcome.detection_latency_s
+            for outcome in self.phase_outcomes
+            if outcome.detection_latency_s is not None
+        ]
+        return max(latencies) if latencies else None
+
+    @property
+    def f1(self) -> float:
+        """Frame-weighted mean F1 (percent) over non-idle channels; 0 if none."""
+        scored = [
+            (c.report.metrics["f1"], c.num_processed)
+            for c in self.channels
+            if c.report is not None and c.report.metrics is not None
+        ]
+        total = sum(weight for _, weight in scored)
+        if not total:
+            return 0.0
+        return sum(value * weight for value, weight in scored) / total
+
+    @property
+    def p99_latency_s(self) -> float:
+        """Worst per-channel p99 end-to-end latency (queueing included).
+
+        NaN when every channel was idle.
+        """
+        values = [c.report.p99_latency_s for c in self.channels if c.report is not None]
+        return max(values) if values else float("nan")
+
     def channel(self, name: str) -> ChannelResult:
         """Look one channel's result up by name."""
         for result in self.channels:

@@ -8,7 +8,6 @@ paper's Table I (precision, recall, F1, false-negative rate, with the
 attack class as the positive class).
 """
 
-from repro.training.checkpoint import load_checkpoint, save_checkpoint
 from repro.training.metrics import (
     ConfusionMatrix,
     confusion_matrix,
@@ -25,7 +24,5 @@ __all__ = [
     "Trainer",
     "confusion_matrix",
     "ids_metrics",
-    "load_checkpoint",
-    "save_checkpoint",
     "train_ids_model",
 ]

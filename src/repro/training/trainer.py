@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.autograd import functional as F
 from repro.autograd.module import Module
-from repro.autograd.optim import SGD, Adam, clip_grad_norm
+from repro.autograd.optim import Adam, clip_grad_norm
 from repro.autograd.tensor import Tensor, no_grad
 from repro.errors import ConfigError, TrainingError
 from repro.training.metrics import ids_metrics
@@ -34,22 +34,24 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 256
     lr: float = 1e-3
-    optimizer: str = "adam"  # "adam" | "sgd"
-    weight_decay: float = 0.0
-    momentum: float = 0.9  # SGD only
-    class_balanced: bool = True
     clip_norm: float | None = None
     early_stopping_patience: int | None = 5
     seed: int = 0
     verbose: bool = False
 
     def __post_init__(self) -> None:
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if self.clip_norm is not None and self.clip_norm <= 0:
+            raise ConfigError(f"clip_norm must be positive or None, got {self.clip_norm}")
+        if self.early_stopping_patience is not None and self.early_stopping_patience < 1:
+            raise ConfigError(
+                f"early_stopping_patience must be >= 1 or None, got {self.early_stopping_patience}"
+            )
 
 
 @dataclass
@@ -131,16 +133,8 @@ class Trainer:
             raise TrainingError("x_train and y_train lengths differ")
         has_val = x_val is not None and y_val is not None
 
-        if config.optimizer == "adam":
-            optimizer = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-        else:
-            optimizer = SGD(
-                model.parameters(),
-                lr=config.lr,
-                momentum=config.momentum,
-                weight_decay=config.weight_decay,
-            )
-        class_weights = _class_weights(y_train) if config.class_balanced else None
+        optimizer = Adam(model.parameters(), lr=config.lr)
+        class_weights = _class_weights(y_train)
         rng = new_rng(config.seed, "trainer-shuffle")
         history = TrainHistory()
         best_state: dict[str, np.ndarray] | None = None
@@ -155,7 +149,9 @@ class Trainer:
             for start in range(0, len(order), config.batch_size):
                 batch_idx = order[start : start + config.batch_size]
                 if len(batch_idx) < 2:
-                    continue  # BatchNorm-style layers need > 1 sample
+                    # A 1-row tail is skipped; keeping it would move the
+                    # trained weights of every split that leaves one.
+                    continue
                 optimizer.zero_grad()
                 logits = model(Tensor(x_train[batch_idx]))
                 loss = F.cross_entropy(logits, y_train[batch_idx], class_weights=class_weights)

@@ -4,13 +4,7 @@ These helpers are dependency-free (numpy only) and used across every
 subsystem.  Nothing in here is specific to CAN or FPGAs.
 """
 
-from repro.utils.bitops import (
-    bits_to_int,
-    bytes_to_bits,
-    count_stuff_bits,
-    int_to_bits,
-    popcount,
-)
+from repro.utils.bitops import bits_to_int, bytes_to_bits, int_to_bits
 from repro.utils.logutil import get_logger
 from repro.utils.rng import SeedSequence, derive_seed, new_rng
 from repro.utils.serialization import from_json_file, to_json_file
@@ -21,13 +15,11 @@ __all__ = [
     "Table",
     "bits_to_int",
     "bytes_to_bits",
-    "count_stuff_bits",
     "derive_seed",
     "format_si",
     "from_json_file",
     "get_logger",
     "int_to_bits",
     "new_rng",
-    "popcount",
     "to_json_file",
 ]

@@ -20,9 +20,6 @@ __all__ = [
     "int_to_bits",
     "bits_to_int",
     "bytes_to_bits",
-    "bits_to_bytes",
-    "popcount",
-    "count_stuff_bits",
     "stuff_bits",
     "destuff_bits",
 ]
@@ -69,23 +66,6 @@ def bytes_to_bits(data: Iterable[int]) -> np.ndarray:
         return np.zeros(0, dtype=np.uint8)
     shifts = np.arange(7, -1, -1, dtype=np.int64)
     return ((data[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
-
-
-def bits_to_bytes(bits: Sequence[int] | np.ndarray) -> bytes:
-    """Pack an MSB-first bit vector (length divisible by 8) into bytes."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size % 8 != 0:
-        raise ConfigError(f"bit vector length {bits.size} is not a multiple of 8")
-    shifts = np.arange(7, -1, -1, dtype=np.int64)
-    grouped = bits.reshape(-1, 8)
-    return bytes(int(v) for v in (grouped << shifts).sum(axis=1))
-
-
-def popcount(value: int) -> int:
-    """Number of set bits in a non-negative integer."""
-    if value < 0:
-        raise ConfigError("popcount requires a non-negative integer")
-    return bin(value).count("1")
 
 
 def stuff_bits(bits: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -138,8 +118,3 @@ def destuff_bits(bits: Sequence[int] | np.ndarray) -> np.ndarray:
         if run_length == 5:
             skip_next = True
     return np.array(out, dtype=np.uint8)
-
-
-def count_stuff_bits(bits: Sequence[int] | np.ndarray) -> int:
-    """Number of stuff bits CAN would insert into ``bits``."""
-    return int(stuff_bits(bits).size - np.asarray(bits).size)

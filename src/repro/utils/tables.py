@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, Sequence
 
-__all__ = ["Table", "format_si", "format_percent"]
+__all__ = ["Table", "format_si"]
 
 _SI_PREFIXES = [
     (1e9, "G"),
@@ -45,11 +45,6 @@ def format_si(value: float, unit: str = "", digits: int = 3) -> str:
             return f"{text} {prefix}{unit}".strip()
     factor, prefix = _SI_PREFIXES[-1]
     return f"{value / factor:.{digits}g} {prefix}{unit}".strip()
-
-
-def format_percent(value: float, digits: int = 2) -> str:
-    """Format a fraction as a percentage string: ``0.9999`` → ``'99.99'``."""
-    return f"{100.0 * value:.{digits}f}"
 
 
 class Table:

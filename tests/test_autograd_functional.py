@@ -43,7 +43,7 @@ class TestCrossEntropy:
         labels = np.array([0, 2, 1, 1, 0])
         F.cross_entropy(logits, labels).backward()
         probs = F.softmax(Tensor(logits.data)).data
-        expected = (probs - F.one_hot(labels, 3)) / 5
+        expected = (probs - np.eye(3)[labels]) / 5
         np.testing.assert_allclose(logits.grad, expected, atol=1e-9)
 
     def test_class_weights_reweigh_loss(self):
@@ -63,35 +63,3 @@ class TestCrossEntropy:
             F.cross_entropy(Tensor(np.zeros((2, 2, 2))), np.array([0, 1]))
         with pytest.raises(ShapeError):
             F.cross_entropy(Tensor(np.zeros((2, 2))), np.array([0, 1, 0]))
-
-
-class TestBCEAndRegression:
-    def test_bce_matches_reference(self, rng):
-        logits = rng.normal(size=12)
-        targets = rng.integers(0, 2, size=12).astype(float)
-        ours = F.binary_cross_entropy_with_logits(Tensor(logits), targets).item()
-        p = 1 / (1 + np.exp(-logits))
-        expected = -(targets * np.log(p) + (1 - targets) * np.log(1 - p)).mean()
-        np.testing.assert_allclose(ours, expected, atol=1e-9)
-
-    def test_bce_stable_at_extreme_logits(self):
-        loss = F.binary_cross_entropy_with_logits(Tensor([1000.0, -1000.0]), np.array([1.0, 0.0]))
-        assert loss.item() < 1e-8
-
-    def test_mse(self):
-        loss = F.mse_loss(Tensor([1.0, 2.0]), np.array([0.0, 0.0]))
-        np.testing.assert_allclose(loss.item(), 2.5)
-
-    def test_l1(self):
-        loss = F.l1_loss(Tensor([1.0, -2.0]), np.array([0.0, 0.0]))
-        np.testing.assert_allclose(loss.item(), 1.5)
-
-
-class TestAccuracyOneHot:
-    def test_accuracy(self):
-        logits = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
-        assert F.accuracy(logits, np.array([0, 1, 1])) == pytest.approx(2 / 3)
-
-    def test_one_hot(self):
-        out = F.one_hot(np.array([1, 0]), 3)
-        np.testing.assert_array_equal(out, [[0, 1, 0], [1, 0, 0]])

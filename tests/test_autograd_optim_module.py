@@ -1,4 +1,4 @@
-"""Tests for optimisers, schedulers and Module mechanics."""
+"""Tests for the optimiser, gradient clipping and Module mechanics."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,7 @@ import pytest
 from repro.autograd import functional as F
 from repro.autograd.layers import Linear, ReLU, Sequential
 from repro.autograd.module import Module, Parameter
-from repro.autograd.optim import (
-    SGD,
-    Adam,
-    CosineAnnealingLR,
-    ExponentialLR,
-    StepLR,
-    clip_grad_norm,
-)
+from repro.autograd.optim import Adam, clip_grad_norm
 from repro.autograd.tensor import Tensor
 from repro.errors import ConfigError
 
@@ -33,29 +26,8 @@ def minimise(optimizer_factory, steps=200):
 
 
 class TestOptimizers:
-    def test_sgd_minimises_quadratic(self):
-        assert minimise(lambda ps: SGD(ps, lr=0.1)) == pytest.approx(2.0, abs=1e-3)
-
-    def test_sgd_momentum(self):
-        assert minimise(lambda ps: SGD(ps, lr=0.05, momentum=0.9)) == pytest.approx(2.0, abs=1e-3)
-
-    def test_sgd_nesterov(self):
-        assert minimise(lambda ps: SGD(ps, lr=0.05, momentum=0.9, nesterov=True)) == pytest.approx(2.0, abs=1e-3)
-
     def test_adam_minimises_quadratic(self):
         assert minimise(lambda ps: Adam(ps, lr=0.1)) == pytest.approx(2.0, abs=1e-2)
-
-    def test_weight_decay_shrinks_weights(self):
-        p = Parameter(np.array([1.0]))
-        opt = SGD([p], lr=0.1, weight_decay=0.5)
-        opt.zero_grad()
-        (p * 0.0).sum().backward()  # zero task gradient
-        opt.step()
-        assert abs(p.data[0]) < 1.0
-
-    def test_nesterov_requires_momentum(self):
-        with pytest.raises(ConfigError):
-            SGD([quadratic_param()], lr=0.1, nesterov=True)
 
     def test_empty_params_rejected(self):
         with pytest.raises(ConfigError):
@@ -63,7 +35,7 @@ class TestOptimizers:
 
     def test_bad_lr_rejected(self):
         with pytest.raises(ConfigError):
-            SGD([quadratic_param()], lr=0.0)
+            Adam([quadratic_param()], lr=0.0)
 
     def test_step_skips_params_without_grad(self):
         p = quadratic_param()
@@ -87,31 +59,6 @@ class TestClipGradNorm:
 
     def test_handles_no_grads(self):
         assert clip_grad_norm([quadratic_param()], 1.0) == 0.0
-
-
-class TestSchedulers:
-    def test_step_lr(self):
-        opt = SGD([quadratic_param()], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = []
-        for _ in range(4):
-            sched.step()
-            lrs.append(opt.lr)
-        np.testing.assert_allclose(lrs, [1.0, 0.1, 0.1, 0.01])
-
-    def test_exponential_lr(self):
-        opt = SGD([quadratic_param()], lr=1.0)
-        sched = ExponentialLR(opt, gamma=0.5)
-        sched.step()
-        sched.step()
-        assert opt.lr == pytest.approx(0.25)
-
-    def test_cosine_reaches_eta_min(self):
-        opt = SGD([quadratic_param()], lr=1.0)
-        sched = CosineAnnealingLR(opt, t_max=10, eta_min=0.01)
-        for _ in range(10):
-            sched.step()
-        assert opt.lr == pytest.approx(0.01)
 
 
 class TestModule:
@@ -172,4 +119,4 @@ class TestEndToEndLearning:
             opt.zero_grad()
             F.cross_entropy(net(Tensor(features)), labels).backward()
             opt.step()
-        assert F.accuracy(net(Tensor(features)), labels) == 1.0
+        np.testing.assert_array_equal(net(Tensor(features)).data.argmax(axis=1), labels)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autograd.tensor import Tensor, concatenate, no_grad, stack
+from repro.autograd.tensor import Tensor, no_grad
 from repro.errors import GradError, ShapeError
 
 
@@ -47,12 +47,6 @@ class TestElementwiseGrads:
 
     def test_relu(self):
         check_unary("relu", lambda v: np.maximum(v, 0))
-
-    def test_abs(self):
-        check_unary("abs", np.abs)
-
-    def test_sqrt(self):
-        check_unary("sqrt", np.sqrt, positive=True)
 
 
 class TestArithmeticGrads:
@@ -133,28 +127,8 @@ class TestReductionsAndShape:
         x[np.array([0, 0, 2])].sum().backward()
         np.testing.assert_allclose(x.grad, [2, 0, 1, 0, 0])
 
-    def test_concatenate_grad(self, rng):
-        a = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
-        b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        concatenate([a, b], axis=0).sum().backward()
-        np.testing.assert_allclose(a.grad, np.ones((2, 2)))
-        np.testing.assert_allclose(b.grad, np.ones((3, 2)))
-
-    def test_stack_grad(self, rng):
-        parts = [Tensor(rng.normal(size=(3,)), requires_grad=True) for _ in range(4)]
-        stack(parts, axis=0).sum().backward()
-        for part in parts:
-            np.testing.assert_allclose(part.grad, np.ones(3))
-
 
 class TestSTE:
-    def test_round_ste_identity_grad(self):
-        x = Tensor([0.4, 1.6, -2.3], requires_grad=True)
-        y = x.round_ste()
-        np.testing.assert_allclose(y.data, [0.0, 2.0, -2.0])
-        y.sum().backward()
-        np.testing.assert_allclose(x.grad, np.ones(3))
-
     def test_floor_ste(self):
         x = Tensor([0.9, -0.1], requires_grad=True)
         y = x.floor_ste()
@@ -193,11 +167,6 @@ class TestGraphMechanics:
         x = Tensor([1.0], requires_grad=True)
         with no_grad():
             y = x * 2
-        assert not y.requires_grad
-
-    def test_detach_cuts_graph(self):
-        x = Tensor([1.0], requires_grad=True)
-        y = x.detach() * 3
         assert not y.requires_grad
 
     def test_zero_grad(self):

@@ -17,7 +17,7 @@ from repro.datasets.features import (
     WindowFeatureEncoder,
 )
 from repro.datasets.splits import train_val_test_split
-from repro.datasets.stats import capture_summary, id_inventory, message_rate
+from repro.datasets.stats import capture_summary, id_inventory
 from repro.errors import DatasetError
 from repro.utils.bitops import bits_to_int
 
@@ -230,13 +230,6 @@ class TestStats:
         for can_id, info in inventory.items():
             if info["count"] > 20:
                 assert info["mean_period"] == pytest.approx(spec_periods[can_id], rel=0.2)
-
-    def test_message_rate_spikes_during_dos(self, dos_capture):
-        times, rates = message_rate(dos_capture.records, window=0.2)
-        in_attack = np.zeros(len(times), dtype=bool)
-        for start, end in dos_capture.attack_windows:
-            in_attack |= (times >= start) & (times < end)
-        assert rates[in_attack].mean() > 1.5 * rates[~in_attack].mean()
 
     def test_empty_rejected(self):
         with pytest.raises(DatasetError):

@@ -1,16 +1,13 @@
-"""Tests for the extension features: mixed captures and checkpoints."""
+"""Tests for the extension features: mixed captures."""
 
 import numpy as np
 import pytest
 
 from repro.datasets.carhacking import generate_mixed_capture
 from repro.datasets.features import BitFeatureEncoder
-from repro.errors import ConfigError, DatasetError
-from repro.finn.ipgen import compile_model
-from repro.training.checkpoint import load_checkpoint, save_checkpoint
+from repro.errors import DatasetError
 from repro.training.metrics import ids_metrics
 from repro.training.trainer import Trainer
-from repro.utils.serialization import from_json_file, to_json_file
 
 
 class TestMixedCapture:
@@ -61,36 +58,3 @@ class TestMixedCapture:
         # Each single detector misses the other attack's bursts.
         dos_only = ids_metrics(labels, dos_pred)
         assert dos_only["recall"] < metrics["recall"]
-
-
-class TestCheckpoint:
-    def test_roundtrip_predictions_identical(self, trained_dos, tiny_model_config, tmp_path):
-        path = save_checkpoint(
-            trained_dos.model, tiny_model_config, tmp_path / "dos.json",
-            attack="dos", metrics=trained_dos.metrics,
-        )
-        model, config, provenance = load_checkpoint(path)
-        assert config == tiny_model_config
-        assert provenance["attack"] == "dos"
-        assert provenance["metrics"]["f1"] == trained_dos.metrics["f1"]
-        X = trained_dos.splits.x_test[:400]
-        np.testing.assert_array_equal(
-            Trainer.predict(model, X), Trainer.predict(trained_dos.model, X)
-        )
-
-    def test_compiled_ip_identical_after_reload(self, trained_dos, tiny_model_config, tmp_path, rng):
-        path = save_checkpoint(trained_dos.model, tiny_model_config, tmp_path / "dos.json")
-        model, _, _ = load_checkpoint(path)
-        ip_original = compile_model(trained_dos.model, name="orig", verify=False)
-        ip_reloaded = compile_model(model, name="reload", verify=False)
-        X = rng.random((64, 79))
-        np.testing.assert_array_equal(ip_original.run(X), ip_reloaded.run(X))
-        assert ip_original.resources.lut == ip_reloaded.resources.lut
-
-    def test_version_check(self, trained_dos, tiny_model_config, tmp_path):
-        path = save_checkpoint(trained_dos.model, tiny_model_config, tmp_path / "dos.json")
-        payload = from_json_file(path)
-        payload["format_version"] = 999
-        to_json_file(payload, path)
-        with pytest.raises(ConfigError):
-            load_checkpoint(path)

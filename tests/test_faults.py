@@ -27,11 +27,11 @@ from repro.can.log import CaptureArray
 from repro.datasets.carhacking import build_vehicle_bus
 from repro.datasets.features import BitFeatureEncoder
 from repro.errors import ConfigError, SoCError
-from repro.experiments.noise import render_noise_sweep, run_noise_sweep
+from repro.experiments.noise import _fold_report, render_noise_sweep, run_noise_sweep
 from repro.fleet import ExecOptions, FleetSpec, VehicleSpec
 from repro.fleet.aggregate import FleetSlice
 from repro.soc.ecu import IDSEnabledECU
-from repro.soc.gateway import build_campaign_gateway
+from repro.soc.gateway import ChannelResult, GatewayReport, build_campaign_gateway
 
 
 def _noisy_topology(seed: int):
@@ -534,3 +534,12 @@ class TestNoiseSweep:
             engine="event",
         )
         assert columnar.points == event.points
+
+    def test_all_idle_report_folds_p99_to_zero(self):
+        """E12 reads the gateway's summary numbers; idle p99 stays 0, not NaN."""
+        report = GatewayReport("idle", 1.0, [ChannelResult("can0", 0.0, None)])
+        assert report.worst_detection_latency_s is None
+        assert report.f1 == 0.0
+        assert np.isnan(report.p99_latency_s)
+        point = _fold_report(1e-3, report, injecting=0)
+        assert (point.worst_detection_latency_s, point.f1, point.p99_latency_s) == (None, 0.0, 0.0)

@@ -6,7 +6,7 @@ import pytest
 from repro.errors import CompileError, ResourceError, VerificationError
 from repro.finn.build import build_frontend_graph, quantize_input
 from repro.finn.cyclesim import CycleSimulator
-from repro.finn.folding import FoldingConfig, divisors, fold_for_target, max_parallel_folding
+from repro.finn.folding import FoldingConfig, divisors, fold_for_target
 from repro.finn.graph import MatMulIntNode, MultiThresholdNode, PadNode
 from repro.finn.hls_layers import MVAU, to_hw_pipeline
 from repro.finn.ipgen import RegisterMap, compile_model
@@ -101,8 +101,9 @@ class TestFolding:
         assert cost(fast) > cost(slow)
 
     def test_max_parallel_single_cycle(self, export):
+        # One frame per clock is only met by the fully parallel folding.
         hw = streamline(build_frontend_graph(export))
-        folding = max_parallel_folding(hw)
+        folding = fold_for_target(hw, target_fps=100e6, clock_hz=100e6)
         assert folding.max_cycles(hw.nodes_of_type(MatMulIntNode)) == 1
 
     def test_impossible_target_raises(self, export):

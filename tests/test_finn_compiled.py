@@ -37,14 +37,14 @@ def synthetic_export(
     rng: np.random.Generator,
     weight_bits: int,
     act_bits: int,
-    scale_mode: str,
+    scales: str,
     widths=WIDTHS,
     input_bits: int = 6,
 ) -> QNNExport:
     """A random but structurally valid QNN export (no training needed)."""
 
     def scale(lo: int = -5, hi: int = 2) -> float:
-        if scale_mode == "po2":
+        if scales == "po2":
             return float(2.0 ** rng.integers(lo, hi))
         return float(rng.uniform(0.02, 0.4))
 
@@ -80,11 +80,11 @@ def random_features(rng: np.random.Generator, export: QNNExport, batch: int) -> 
 class TestBitExactnessSweep:
     """Engine vs graph across the bit-width grid, both scale modes."""
 
-    @pytest.mark.parametrize("scale_mode", ["po2", "float"])
+    @pytest.mark.parametrize("scales", ["po2", "float"])
     @pytest.mark.parametrize("bits", [1, 2, 3, 4, 5, 6, 7, 8])
-    def test_labels_and_logits_match_graph(self, bits, scale_mode):
-        rng = np.random.default_rng(1000 * bits + (scale_mode == "float"))
-        export = synthetic_export(rng, weight_bits=bits, act_bits=bits, scale_mode=scale_mode)
+    def test_labels_and_logits_match_graph(self, bits, scales):
+        rng = np.random.default_rng(1000 * bits + (scales == "float"))
+        export = synthetic_export(rng, weight_bits=bits, act_bits=bits, scales=scales)
         graph = streamline(build_frontend_graph(export))
         engine = compile_engine(graph, input_quant=export.input_quant)
         logits_graph = streamline(build_frontend_graph(export, with_argmax=False))
@@ -103,7 +103,7 @@ class TestBitExactnessSweep:
     @pytest.mark.parametrize("kernel", ["auto", "stepped", "searchsorted"])
     def test_both_threshold_kernels_exact(self, kernel):
         rng = np.random.default_rng(7)
-        export = synthetic_export(rng, weight_bits=4, act_bits=4, scale_mode="po2")
+        export = synthetic_export(rng, weight_bits=4, act_bits=4, scales="po2")
         graph = streamline(build_frontend_graph(export))
         engine = compile_engine(graph, input_quant=export.input_quant, threshold_kernel=kernel)
         if kernel == "auto":
@@ -119,8 +119,8 @@ class TestBitExactnessSweep:
         # Float scales do not space thresholds by powers of two, so no
         # layer takes the shift kernel and the step count decides.
         rng = np.random.default_rng(8)
-        narrow = synthetic_export(rng, weight_bits=2, act_bits=4, scale_mode="float")
-        wide = synthetic_export(rng, weight_bits=2, act_bits=8, scale_mode="float")
+        narrow = synthetic_export(rng, weight_bits=2, act_bits=4, scales="float")
+        wide = synthetic_export(rng, weight_bits=2, act_bits=8, scales="float")
         narrow_engine = compile_engine(streamline(build_frontend_graph(narrow)))
         wide_engine = compile_engine(streamline(build_frontend_graph(wide)))
         assert 2**4 - 1 <= STEPPED_KERNEL_MAX_STEPS < 2**8 - 1
@@ -134,7 +134,7 @@ class TestBitExactnessSweep:
         rng = np.random.default_rng(28)
         seen = set()
         for act_bits in (4, 8):
-            export = synthetic_export(rng, weight_bits=4, act_bits=act_bits, scale_mode="po2")
+            export = synthetic_export(rng, weight_bits=4, act_bits=act_bits, scales="po2")
             engine = compile_engine(streamline(build_frontend_graph(export)))
             for layer in engine._layers[:-1]:
                 gaps = np.diff(layer.thresholds, axis=1)
@@ -154,12 +154,12 @@ class TestBitExactnessSweep:
         through the step-counting kernels (float scales) and the shift
         kernel (power-of-two scales)."""
         rng = np.random.default_rng(9)
-        for scale_mode in ("float", "po2"):
-            export = synthetic_export(rng, weight_bits=4, act_bits=4, scale_mode=scale_mode)
+        for scales in ("float", "po2"):
+            export = synthetic_export(rng, weight_bits=4, act_bits=4, scales=scales)
             graph = streamline(build_frontend_graph(export))
             engine = compile_engine(graph, input_quant=export.input_quant, compute_dtype=dtype)
             assert set(engine.compute_dtypes) == {dtype}
-            assert ("shift" in engine.threshold_kernels) == (scale_mode == "po2")
+            assert ("shift" in engine.threshold_kernels) == (scales == "po2")
             x_int = quantize_input(export, random_features(rng, export, 50))
             np.testing.assert_array_equal(
                 engine.run_quantized(x_int), graph.execute(x_int).reshape(-1)
@@ -176,7 +176,7 @@ class TestBitExactnessSweep:
 
     def test_chunked_stream_path_matches_whole_batch(self):
         rng = np.random.default_rng(10)
-        export = synthetic_export(rng, weight_bits=4, act_bits=4, scale_mode="po2")
+        export = synthetic_export(rng, weight_bits=4, act_bits=4, scales="po2")
         graph = streamline(build_frontend_graph(export))
         whole = compile_engine(graph, input_quant=export.input_quant, chunk_size=4096)
         chunked = compile_engine(graph, input_quant=export.input_quant, chunk_size=7)
@@ -192,7 +192,7 @@ class TestBitExactnessSweep:
         graph's IEEE semantics (``NaN >= t`` is False -> 0 steps) on
         every threshold kernel."""
         rng = np.random.default_rng(16)
-        export = synthetic_export(rng, weight_bits=4, act_bits=4, scale_mode="po2")
+        export = synthetic_export(rng, weight_bits=4, act_bits=4, scales="po2")
         graph = streamline(build_frontend_graph(export))
         engine = compile_engine(graph, input_quant=export.input_quant, threshold_kernel=kernel)
         if kernel == "auto":
@@ -220,7 +220,7 @@ class TestBitExactnessSweep:
         from repro.errors import ShapeError
 
         rng = np.random.default_rng(19)
-        export = synthetic_export(rng, weight_bits=4, act_bits=4, scale_mode="po2")
+        export = synthetic_export(rng, weight_bits=4, act_bits=4, scales="po2")
         graph = streamline(build_frontend_graph(export))
         engine = compile_engine(graph, input_quant=export.input_quant, compute_dtype="int64")
         x_int = quantize_input(export, random_features(rng, export, 4))
@@ -234,7 +234,7 @@ class TestBitExactnessSweep:
 
     def test_canonical_weights_are_compact_integers(self):
         rng = np.random.default_rng(17)
-        export = synthetic_export(rng, weight_bits=4, act_bits=4, scale_mode="po2")
+        export = synthetic_export(rng, weight_bits=4, act_bits=4, scales="po2")
         graph = streamline(build_frontend_graph(export))
         engine = compile_engine(graph, input_quant=export.input_quant)
         for weight, width_in, width_out in zip(engine.canonical_weights, WIDTHS, WIDTHS[1:]):
@@ -244,7 +244,7 @@ class TestBitExactnessSweep:
     def test_extreme_integer_inputs(self):
         """Quantiser rails (all-min / all-max inputs) stay exact."""
         rng = np.random.default_rng(11)
-        export = synthetic_export(rng, weight_bits=8, act_bits=8, scale_mode="float")
+        export = synthetic_export(rng, weight_bits=8, act_bits=8, scales="float")
         graph = streamline(build_frontend_graph(export))
         engine = compile_engine(graph, input_quant=export.input_quant)
         levels = 2 ** export.input_quant.bit_width - 1
@@ -260,7 +260,7 @@ class TestBitExactnessSweep:
 class TestCompileValidation:
     def test_frontend_graph_rejected(self):
         rng = np.random.default_rng(12)
-        export = synthetic_export(rng, weight_bits=4, act_bits=4, scale_mode="po2")
+        export = synthetic_export(rng, weight_bits=4, act_bits=4, scales="po2")
         with pytest.raises(CompileError, match="streamline"):
             compile_engine(build_frontend_graph(export))
 
@@ -268,7 +268,7 @@ class TestCompileValidation:
         # 8-bit weights against 16-bit inputs push |acc| past 2**24,
         # so float32 SGEMM can no longer be exact and must be refused.
         rng = np.random.default_rng(13)
-        export = synthetic_export(rng, weight_bits=8, act_bits=4, scale_mode="float", input_bits=16)
+        export = synthetic_export(rng, weight_bits=8, act_bits=4, scales="float", input_bits=16)
         graph = streamline(build_frontend_graph(export))
         with pytest.raises(CompileError, match="exactly"):
             compile_engine(graph, compute_dtype="float32")
@@ -280,7 +280,7 @@ class TestCompileValidation:
         from repro.errors import ShapeError
 
         rng = np.random.default_rng(18)
-        export = synthetic_export(rng, weight_bits=4, act_bits=4, scale_mode="po2")
+        export = synthetic_export(rng, weight_bits=4, act_bits=4, scales="po2")
         graph = streamline(build_frontend_graph(export))
         engine = compile_engine(graph, input_quant=export.input_quant)
         high = graph.input_info.dtype.max
@@ -303,7 +303,7 @@ class TestCompileValidation:
 
     def test_self_check_catches_corruption(self):
         rng = np.random.default_rng(15)
-        export = synthetic_export(rng, weight_bits=4, act_bits=4, scale_mode="po2")
+        export = synthetic_export(rng, weight_bits=4, act_bits=4, scales="po2")
         graph = streamline(build_frontend_graph(export, with_argmax=False))
         engine = compile_engine(graph, input_quant=export.input_quant)
         # Corrupt the *graph* after compilation: the engine's frozen

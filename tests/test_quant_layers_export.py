@@ -1,19 +1,12 @@
-"""Tests for quant layers, QuantTensor and the QNN exporter."""
+"""Tests for quant layers and the QNN exporter."""
 
 import numpy as np
 import pytest
 
 from repro.autograd.layers import Dropout, Sequential
 from repro.autograd.tensor import Tensor
-from repro.errors import CompileError, QuantError, ShapeError
-from repro.quant import (
-    QuantHardTanh,
-    QuantIdentity,
-    QuantLinear,
-    QuantReLU,
-    QuantTensor,
-    export_qnn,
-)
+from repro.errors import CompileError, ShapeError
+from repro.quant import QuantIdentity, QuantLinear, QuantReLU, export_qnn
 
 
 class TestQuantLinear:
@@ -70,11 +63,6 @@ class TestQuantActivations:
         out = quant(Tensor(rng.normal(size=100)))
         assert out.data.min() < 0  # signed values survive
 
-    def test_hardtanh_fixed_range(self):
-        act = QuantHardTanh(bit_width=4)
-        out = act(Tensor(np.array([-5.0, 0.0, 5.0])))
-        assert out.data.min() >= -1.0 and out.data.max() <= 1.0
-
     def test_extra_state_roundtrip(self, rng):
         act = QuantReLU(bit_width=4)
         act(Tensor(np.abs(rng.normal(size=64))))
@@ -82,25 +70,6 @@ class TestQuantActivations:
         fresh = QuantReLU(bit_width=4)
         fresh.load_state_dict(state)
         assert fresh.scale == act.scale
-
-
-class TestQuantTensor:
-    def test_int_repr_roundtrip(self):
-        qt = QuantTensor.from_int(np.array([0, 3, 15]), 0.25, bit_width=4, signed=False)
-        np.testing.assert_array_equal(qt.int_repr(), [0, 3, 15])
-
-    def test_off_grid_rejected(self):
-        qt = QuantTensor(np.array([0.3]), 0.25, bit_width=4, signed=False)
-        with pytest.raises(QuantError):
-            qt.int_repr()
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(QuantError):
-            QuantTensor.from_int(np.array([16]), 0.25, bit_width=4, signed=False)
-
-    def test_negative_scale_rejected(self):
-        with pytest.raises(QuantError):
-            QuantTensor(np.array([1.0]), -1.0, 4, False)
 
 
 def build_canonical(seed=0):

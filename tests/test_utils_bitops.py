@@ -6,13 +6,10 @@ from hypothesis import given, strategies as st
 
 from repro.errors import ConfigError
 from repro.utils.bitops import (
-    bits_to_bytes,
     bits_to_int,
     bytes_to_bits,
-    count_stuff_bits,
     destuff_bits,
     int_to_bits,
-    popcount,
     stuff_bits,
 )
 
@@ -62,23 +59,9 @@ class TestByteBits:
         with pytest.raises(ConfigError):
             bytes_to_bits([256])
 
-    def test_bits_to_bytes_requires_multiple_of_8(self):
-        with pytest.raises(ConfigError):
-            bits_to_bytes([1, 0, 1])
-
     @given(st.binary(min_size=0, max_size=16))
     def test_roundtrip(self, data):
-        assert bits_to_bytes(bytes_to_bits(data)) == data
-
-
-class TestPopcount:
-    @pytest.mark.parametrize("value,expected", [(0, 0), (1, 1), (0xFF, 8), (0b1010, 2)])
-    def test_known(self, value, expected):
-        assert popcount(value) == expected
-
-    def test_negative_rejected(self):
-        with pytest.raises(ConfigError):
-            popcount(-1)
+        assert np.packbits(bytes_to_bits(data)).tobytes() == data
 
 
 class TestStuffing:
@@ -96,10 +79,6 @@ class TestStuffing:
         # 0x00 byte + more zeros: stuff bit (1) resets the zero run.
         out = stuff_bits([0] * 10)
         assert out.tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1]
-
-    def test_count_stuff_bits(self):
-        assert count_stuff_bits([0] * 10) == 2
-        assert count_stuff_bits([0, 1] * 5) == 0
 
     @given(st.lists(st.integers(min_value=0, max_value=1), min_size=0, max_size=200))
     def test_roundtrip(self, bits):

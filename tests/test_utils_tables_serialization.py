@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.utils.serialization import from_json_file, to_json_file, to_jsonable
-from repro.utils.tables import Table, format_percent, format_si
+from repro.utils.tables import Table, format_si
 
 
 class TestFormatSI:
@@ -20,9 +20,6 @@ class TestFormatSI:
     )
     def test_known_values(self, value, unit, expected):
         assert format_si(value, unit) == expected
-
-    def test_percent(self):
-        assert format_percent(0.9999) == "99.99"
 
 
 class TestTable:
