@@ -6,7 +6,8 @@ columnar arbitration-replay kernel (``BusSimulator.capture``, the
 default since the fastbus PR) — asserts bit-exactness on the flood
 traffic, and archives the frame rates to
 ``benchmarks/output/BENCH_bus.json``.  A second clean-traffic lane
-tracks the uncontended (vectorised singleton) path.
+tracks mostly uncontended traffic, where most frames are alone when
+they start and skip the arbitration heap.
 
 Metric classes (see ``scripts/check_bench_regression.py``): the
 ``offered_fps`` leaves are deterministic traffic rates (a property of

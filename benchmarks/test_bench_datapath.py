@@ -8,11 +8,12 @@ touches, archived to ``benchmarks/output/BENCH_datapath.json``:
   ingest path that previously round-tripped through record lists;
 * ``capture_to_stream`` — the chunked ``ECUStreamSession`` consuming
   array slices (FIFO admission, encode, classify) for a DoS window;
-* ``flood_arbitration`` — the batched same-priority run resolver in
-  the fastbus contended loop, on the worst case that motivated it: a
+* ``flood_arbitration`` — the fastbus arbitration sweep on a
   saturated attacker-only bus (release interval shorter than the frame
-  wire time) where the whole backlog is one same-id run.  Bit-exactness
-  against the per-frame event loop is asserted in-lane.
+  wire time): the backlog only grows, so nearly every frame goes
+  through the heap.  No scenario has this shape; the lane bounds the
+  heap's worst case.  Bit-exactness against the per-frame event loop is
+  asserted in-lane.
 
 Metric classes (see ``scripts/check_bench_regression.py``): the
 ``offered_fps``/``serviced_fps`` leaves are deterministic properties of
@@ -114,9 +115,8 @@ def _saturated_flood_lane(repeats):
     """Attacker-only bus flooded past line rate: one giant same-id run.
 
     The release interval (0.1 ms) is well under the 127-bit frame wire
-    time (0.254 ms at 500 kbit/s), so the backlog only grows and the
-    contended loop sees maximal consecutive same-id stretches — the
-    case the batched run resolver vectorises wholesale.
+    time (0.254 ms at 500 kbit/s), so the backlog only grows and nearly
+    every frame is served through the arbitration heap.
     """
 
     def build_bus():

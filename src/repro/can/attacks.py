@@ -35,6 +35,7 @@ of the bus for the wrapper.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -78,6 +79,8 @@ def _validate_windows(windows: Sequence[Window]) -> list[Window]:
                 f"attack windows must be a sequence of (start, end) pairs, "
                 f"got {windows!r}"
             ) from None
+        if not math.isfinite(start) or not math.isfinite(end):
+            raise CANError(f"attack window ({start}, {end}) must be finite")
         if end <= start:
             raise CANError(f"attack window ({start}, {end}) is empty")
     return sorted(windows)
@@ -123,8 +126,10 @@ class _WindowedInjector(_WindowedSource):
     """Windowed source with a fixed injection cadence."""
 
     def __init__(self, interval: float, windows: Sequence[Window], name: str, seed: int):
-        if interval <= 0:
-            raise CANError(f"injection interval must be positive, got {interval}")
+        if not math.isfinite(interval) or interval <= 0:
+            raise CANError(
+                f"injection interval must be positive and finite, got {interval}"
+            )
         super().__init__(windows, name, seed)
         self.interval = interval
 
@@ -196,10 +201,10 @@ class BurstDoSAttacker(DoSAttacker):
         seed: int = 0,
         name: str = "burst-dos-attacker",
     ):
-        if burst_on <= 0 or burst_off < 0:
+        if not (0 < burst_on < math.inf and 0 <= burst_off < math.inf):
             raise CANError(
-                f"burst_on must be positive and burst_off non-negative, "
-                f"got ({burst_on}, {burst_off})"
+                f"burst_on must be positive and burst_off non-negative, both "
+                f"finite, got ({burst_on}, {burst_off})"
             )
         super().__init__(
             windows, interval=interval, can_id=can_id, payload=payload,
@@ -243,9 +248,10 @@ class RampDoSAttacker(DoSAttacker):
         seed: int = 0,
         name: str = "ramp-dos-attacker",
     ):
-        if interval_start <= 0 or interval_end <= 0:
+        if not (0 < interval_start < math.inf and 0 < interval_end < math.inf):
             raise CANError(
-                f"ramp intervals must be positive, got ({interval_start}, {interval_end})"
+                f"ramp intervals must be positive and finite, "
+                f"got ({interval_start}, {interval_end})"
             )
         super().__init__(
             windows, interval=min(interval_start, interval_end), can_id=can_id,
@@ -489,8 +495,8 @@ class SuspensionAttacker:
     ):
         if mode not in self.MODES:
             raise CANError(f"unknown suspension mode {mode!r}; choose from {self.MODES}")
-        if mode == "delay" and delay <= 0:
-            raise CANError(f"suspension delay must be positive, got {delay}")
+        if mode == "delay" and not 0 < delay < math.inf:
+            raise CANError(f"suspension delay must be positive and finite, got {delay}")
         self.victim = victim
         self.windows = _validate_windows(windows)
         self.mode = mode

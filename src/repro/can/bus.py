@@ -20,6 +20,7 @@ message content.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -88,8 +89,8 @@ class BusSimulator:
     """
 
     def __init__(self, bitrate: float = BITRATE_HS_CAN):
-        if bitrate <= 0:
-            raise CANError(f"bitrate must be positive, got {bitrate}")
+        if not math.isfinite(bitrate) or bitrate <= 0:
+            raise CANError(f"bitrate must be positive and finite, got {bitrate}")
         self.bitrate = float(bitrate)
         self.sources: list[TrafficSource] = []
 
@@ -115,8 +116,8 @@ class BusSimulator:
         silent.  Attached sources exposing ``targeted_faults()`` (the
         bus-off attacker) contribute hooks even when ``faults`` is None.
         """
-        if duration <= 0:
-            raise CANError(f"duration must be positive, got {duration}")
+        if not math.isfinite(duration) or duration <= 0:
+            raise CANError(f"duration must be positive and finite, got {duration}")
         effective = resolve_bus_faults(self.sources, faults)
         releases: list[ScheduledFrame] = []
         for source in self.sources:
@@ -183,18 +184,19 @@ class BusSimulator:
 
         Bit-exact against :meth:`run` (same winners, same timestamps,
         same horizon drops — see :mod:`repro.can.fastbus`), but the
-        schedule is emitted, arbitrated and recorded as numpy columns:
-        no per-frame generator yields, heap pops, CRC passes or record
-        objects on the hot path.  Returns the columnar
-        :class:`~repro.can.fastbus.ArbitrationResult`; :meth:`run`
+        schedule is emitted and recorded as numpy columns, and
+        arbitrated by one sweep over plain floats and ints: no
+        per-frame generator yields, CRC passes or record objects, and
+        no heap for a frame that is alone when it starts.  Returns the
+        columnar :class:`~repro.can.fastbus.ArbitrationResult`; :meth:`run`
         remains the event-driven reference for A/B verification.
         ``faults`` mirrors :meth:`run` exactly, corruption draws and
         bus-off times included.
         """
         from repro.can.fastbus import build_schedule, simulate_arbitration
 
-        if duration <= 0:
-            raise CANError(f"duration must be positive, got {duration}")
+        if not math.isfinite(duration) or duration <= 0:
+            raise CANError(f"duration must be positive and finite, got {duration}")
         return simulate_arbitration(
             build_schedule(self.sources, duration),
             self.bitrate,

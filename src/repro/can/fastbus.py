@@ -19,24 +19,28 @@ This module is the *compute* engine for the same physics:
   CRC instead of tens of thousands; the unique rows step a byte at a
   time through a 256-entry CRC-15 table and a 9-state stuffing
   automaton (~150 numpy calls per DLC width, whatever the row count).
-* :func:`simulate_arbitration` — arbitration replay as a columnar
-  sweep.  Uncontended stretches (each frame completes before the next
-  release) are resolved in vectorised runs; only genuinely contended
-  busy periods fall back to a tight heap loop over primitive tuples.
+* :func:`simulate_arbitration` — arbitration replay as one scalar
+  sweep over the release-sorted rows, on plain Python floats and ints.
+  A frame alone when it starts skips the heap; contended frames go
+  through a heap of ints packing ``(can_id, row)``.  Measured traffic
+  has no long same-id runs to vectorise (a flood's served runs average
+  ~4 frames), so the sweep has no vectorised path beside it.  Records
+  are gathered into columns once, after the sweep.
 
 **Bit-exactness.**  The kernel reproduces ``BusSimulator.run`` exactly:
 same winners, same timestamps (the same IEEE operations in the same
 order, not merely close), same capture-horizon drop semantics.  The
-CI equivalence sweep (``tests/test_fastbus.py``) holds both engines to
-that contract across mixed periodic/attacker topologies, bitrates and
-horizon clipping.
+CI equivalence tests (``tests/test_fastbus.py``, with a property test
+over small hand-built buses, and ``tests/test_faults.py``) hold both
+engines to that contract across mixed periodic/attacker topologies,
+bitrates, wire faults and horizon clipping.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 import dataclasses
+import heapq
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -260,10 +264,13 @@ def release_grid(start: float, stop: float, step: float) -> np.ndarray:
 
     Uses the closed-form grid (``start + k * step``) rather than
     repeated accumulation; the trailing mask keeps the float boundary
-    exact (never a release at or past ``stop``).
+    exact (never a release at or past ``stop``).  Bounds and step must
+    be finite.
     """
-    if step <= 0:
-        raise CANError(f"grid step must be positive, got {step}")
+    if not math.isfinite(step) or step <= 0:
+        raise CANError(f"grid step must be positive and finite, got {step}")
+    if not math.isfinite(start) or not math.isfinite(stop):
+        raise CANError(f"grid bounds must be finite, got ({start}, {stop})")
     if stop <= start:
         return np.zeros(0, dtype=np.float64)
     count = max(int(np.ceil((stop - start) / step)), 0)
@@ -591,6 +598,23 @@ class ArbitrationResult:
         return records
 
 
+def _check_timing(bitrate: float, duration: float) -> None:
+    """Reject a bitrate or capture horizon that is not positive and finite."""
+    if not math.isfinite(bitrate) or bitrate <= 0:
+        raise CANError(f"bitrate must be positive and finite, got {bitrate}")
+    if not math.isfinite(duration) or duration <= 0:
+        raise CANError(f"duration must be positive and finite, got {duration}")
+
+
+def _check_releases(releases: np.ndarray) -> None:
+    """The sweep needs finite release times in non-decreasing order."""
+    if not np.isfinite(releases).all():
+        bad = releases[~np.isfinite(releases)]
+        raise CANError(f"release times must be finite, got {float(bad[0])}")
+    if np.any(np.diff(releases) < 0):
+        raise CANError("simulate_arbitration needs a release-sorted schedule")
+
+
 def simulate_arbitration(
     schedule: ScheduleArray,
     bitrate: float,
@@ -599,233 +623,79 @@ def simulate_arbitration(
 ) -> ArbitrationResult:
     """Replay CSMA/CR priority arbitration over a merged schedule.
 
-    ``schedule`` must be release-sorted (ties in the attach/emission
-    order the event engine uses — :func:`build_schedule` guarantees
-    both).  The sweep partitions the timeline with a precomputed
-    *independence chain* (``release[k+1] >= release[k] + duration[k]``,
-    the same single IEEE comparison the event loop would make): maximal
-    uncontended runs are emitted vectorised, and only genuinely
-    contended busy periods run the heap loop — over primitive tuples,
-    with every float operation identical to ``BusSimulator.run``, so
+    ``schedule`` must be release-sorted, ties in the attach/emission
+    order the event engine uses (:func:`build_schedule` guarantees
+    both).  One scalar sweep over plain floats and ints replays
+    ``BusSimulator.run``: a frame alone when it starts skips the heap;
+    otherwise every frame released by that instant joins a heap of ints
+    packing ``(can_id, row)``, which orders like the event engine's
+    ``(can_id, release, sequence)`` keys because rows enter in release
+    order.  Each completion is the event loop's own float addition, so
     winners, timestamps and horizon drops are bit-exact, not merely
-    close.
+    close.  The sweep stops at the first completion past ``duration``,
+    as the event loop does.
 
     ``faults`` enables the wire-fault layer (:mod:`repro.can.faults`),
-    bit-exact against ``BusSimulator.run(..., faults=)``: the shared
-    :class:`~repro.can.faults.FaultPlan` decides corruptions before the
-    sweep, clean uncontended stretches stay vectorised, and faulted or
-    silenced rows drop to the heap loop.
+    bit-exact against ``BusSimulator.run(..., faults=)``; see
+    :func:`_simulate_arbitration_faulted`.
     """
-    if duration <= 0:
-        raise CANError(f"duration must be positive, got {duration}")
-    if bitrate <= 0:
-        raise CANError(f"bitrate must be positive, got {bitrate}")
+    _check_timing(bitrate, duration)
     if faults is not None:
         return _simulate_arbitration_faulted(schedule, bitrate, duration, faults)
-    from repro.can.log import CaptureArray
-
-    n = len(schedule)
     releases = schedule.release_times
-    if n == 0:
-        return ArbitrationResult(
-            capture=CaptureArray(
-                timestamps=np.zeros(0, dtype=np.float64),
-                can_ids=np.zeros(0, dtype=np.int64),
-                dlcs=np.zeros(0, dtype=np.int64),
-                payloads=np.zeros((0, _PAYLOAD_SLOTS), dtype=np.uint8),
-                labels=np.zeros(0, dtype=np.int64),
-            ),
-            sources=schedule.sources,
-            queued_at=np.zeros(0, dtype=np.float64),
-            started_at=np.zeros(0, dtype=np.float64),
-            wire_bits=np.zeros(0, dtype=np.int64),
-            schedule_indices=np.zeros(0, dtype=np.int64),
-            bitrate=float(bitrate),
-            duration=float(duration),
-        )
-    if np.any(np.diff(releases) < 0):
-        raise CANError("simulate_arbitration needs a release-sorted schedule")
-
+    _check_releases(releases)
+    n = len(schedule)
     wire_bits = schedule.resolved_wire_bits()
-    durations = wire_bits / float(bitrate)
-    #: completion time if frame k transmits the instant it is released
-    solo_ends = releases + durations
-    # chain[k]: frame k+1 releases at or after frame k's solo completion
-    # — the exact comparison deciding whether the bus goes idle between
-    # them.  chain[k] true for a frame that starts fresh means it is a
-    # singleton busy period, resolvable without arbitration.
-    chain = np.empty(n, dtype=bool)
-    if n > 1:
-        chain[:-1] = releases[1:] >= solo_ends[:-1]
-    chain[-1] = True
-    contended = np.flatnonzero(~chain)
-
-    out_index = np.empty(n, dtype=np.int64)
-    out_start = np.empty(n, dtype=np.float64)
-    out_end = np.empty(n, dtype=np.float64)
-    count = 0
-
-    # Primitive views for the scalar busy-period loop (built lazily).
-    releases_list: list[float] | None = None
-    durations_list: list[float] | None = None
-    ids_list: list[int] | None = None
-    chain_list: list[bool] | None = None
-
-    i = 0
+    # A +inf sentinel release ends every admission scan without a bound check.
+    rel = releases.tolist() + [math.inf]
+    dur = (wire_bits / float(bitrate)).tolist()
+    # One int per row packs (can_id, row): ints compare faster than tuples.
+    shift = max(n, 1).bit_length()
+    row_mask = (1 << shift) - 1
+    keys = ((schedule.can_ids << shift) | np.arange(n, dtype=np.int64)).tolist()
+    pending: list[int] = []
+    order: list[int] = []
+    ends: list[float] = []
     free = 0.0
-    while i < n:
-        if releases[i] >= free and chain[i]:
-            # Vectorised run of singleton busy periods: every frame up
-            # to the next contention point starts at its release and
-            # completes solo (start = release, end = release + duration
-            # — the identical operations the event loop performs).
-            position = np.searchsorted(contended, i)
-            j = int(contended[position]) if position < contended.size else n
-            run = j - i
-            out_index[count : count + run] = np.arange(i, j, dtype=np.int64)
-            out_start[count : count + run] = releases[i:j]
-            out_end[count : count + run] = solo_ends[i:j]
-            count += run
-            free = float(solo_ends[j - 1])
-            i = j
-            continue
-        # Contended stretch: exact event-loop replay over primitives.
-        if releases_list is None:
-            releases_list = releases.tolist()
-            durations_list = durations.tolist()
-            ids_list = schedule.can_ids.tolist()
-            chain_list = chain.tolist()
-        assert durations_list is not None
-        assert ids_list is not None
-        assert chain_list is not None
-        pending: list[tuple[int, int]] = []
-        run_queue: deque[int] = deque()
-        block_index: list[int] = []
-        block_start: list[float] = []
-        block_end: list[float] = []
-        while True:
-            if not pending:
-                if i >= n or (releases_list[i] >= free and chain_list[i]):
-                    break  # bus idle again and the next frame is a singleton
-                next_release = releases_list[i]
-                candidate = next_release if next_release > free else free
-            else:
-                root_release = releases_list[pending[0][1]]
-                candidate = root_release if root_release > free else free
-            # Everyone released by the idle point joins arbitration;
-            # (can_id, index) orders exactly like the event engine's
-            # (can_id, release_time, sequence) because admission is in
-            # release-sorted order.
-            while i < n and releases_list[i] <= candidate:
-                heapq.heappush(pending, (ids_list[i], i))
+    i = 0
+    while True:
+        if pending:
+            # Backlog: every pending frame was released by the time the
+            # bus frees, so the winner starts exactly then.  Frames
+            # released meanwhile join, the last one through a single
+            # heappushpop instead of a push and a pop.
+            if rel[i] <= free:
+                key = keys[i]
                 i += 1
-            m, winner = heapq.heappop(pending)
-            release = releases_list[winner]
-            start = release if release > free else free
-            end = start + durations_list[winner]
-            block_index.append(winner)
-            block_start.append(start)
-            block_end.append(end)
-            free = end
-            # Batched same-priority run: while the winning identifier
-            # keeps winning, serve its frames back-to-back without the
-            # per-frame heap churn and candidate recomputation.  Two
-            # invariants make this bit-exact with the plain loop above:
-            # every heap entry's release is <= free (so candidate would
-            # equal free), and an admitted frame's start is therefore
-            # exactly free.  Same-id frames already in the heap carry
-            # smaller schedule indices than anything admitted here, so
-            # popping them before the run queue preserves (id, index)
-            # order.  Breaking out at any point leaves (emitted, heap,
-            # i, free) in a state the plain loop reaches too.
-            while True:
-                if (
-                    not run_queue
-                    and (not pending or pending[0][0] > m)
-                    and i < n
-                    and ids_list[i] == m
-                    and releases_list[i] <= free
-                ):
-                    # Contiguous stretch of schedule rows all carrying id
-                    # m: resolve the saturated prefix in one vectorised
-                    # slice.  np.add.accumulate is sequential, so the
-                    # back-to-back completions are the identical IEEE
-                    # additions the scalar loop would perform.
-                    j = i + 1
-                    while j < n and ids_list[j] == m:
-                        j += 1
-                    if j - i >= 8:
-                        limit = releases_list[j] if j < n else float("inf")
-                        ends = np.add.accumulate(
-                            np.concatenate(
-                                (np.array([free], dtype=np.float64), durations[i:j])
-                            )
-                        )[1:]
-                        begins = np.concatenate(
-                            (np.array([free], dtype=np.float64), ends[:-1])
-                        )
-                        # Serve while each frame is released by its start
-                        # and nothing outside the run would join
-                        # arbitration first.
-                        ok = (releases[i:j] <= begins) & (begins < limit)
-                        served = j - i if bool(ok.all()) else int(np.argmin(ok))
-                        if served:
-                            block_index.extend(range(i, i + served))
-                            block_start.extend(begins[:served].tolist())
-                            block_end.extend(ends[:served].tolist())
-                            free = float(ends[served - 1])
-                            i += served
-                            continue
-                while i < n and releases_list[i] <= free:
-                    cid = ids_list[i]
-                    if cid == m:
-                        run_queue.append(i)
-                    else:
-                        heapq.heappush(pending, (cid, i))
+                while rel[i] <= free:
+                    heapq.heappush(pending, key)
+                    key = keys[i]
                     i += 1
-                if pending and pending[0][0] <= m:
-                    if pending[0][0] < m:
-                        break  # a higher-priority id preempts the run
-                    _, nxt = heapq.heappop(pending)
-                elif run_queue:
-                    nxt = run_queue.popleft()
-                else:
-                    break  # nothing released that id m outranks
-                block_index.append(nxt)
-                block_start.append(free)
-                end = free + durations_list[nxt]
-                block_end.append(end)
-                free = end
-            while run_queue:  # unserved run frames rejoin arbitration
-                heapq.heappush(pending, (m, run_queue.popleft()))
-        emitted = len(block_index)
-        out_index[count : count + emitted] = block_index
-        out_start[count : count + emitted] = block_start
-        out_end[count : count + emitted] = block_end
-        count += emitted
-
-    # Horizon drop: completions are non-decreasing in service order, so
-    # the event engine's break at the first over-horizon frame equals a
-    # prefix cut here — frames in flight at the horizon never complete.
-    kept = int(np.searchsorted(out_end[:count], duration, side="right"))
-    survivors = out_index[:kept]
-    capture = CaptureArray(
-        timestamps=out_end[:kept].copy(),
-        can_ids=schedule.can_ids[survivors],
-        dlcs=schedule.dlcs[survivors],
-        payloads=schedule.payloads[survivors],
-        labels=schedule.labels[survivors],
-    )
-    return ArbitrationResult(
-        capture=capture,
-        sources=schedule.sources[survivors],
-        queued_at=schedule.release_times[survivors],
-        started_at=out_start[:kept].copy(),
-        wire_bits=wire_bits[survivors],
-        schedule_indices=survivors.copy(),
-        bitrate=float(bitrate),
-        duration=float(duration),
-    )
+                row = heapq.heappushpop(pending, key) & row_mask
+            else:
+                row = heapq.heappop(pending) & row_mask
+            end = free + dur[row]
+        elif i < n:
+            release = rel[i]
+            start = release if release > free else free
+            row = i
+            i += 1
+            if rel[i] <= start:
+                # Frames released by the start contend for the bus.
+                heapq.heappush(pending, keys[row])
+                while rel[i] <= start:
+                    heapq.heappush(pending, keys[i])
+                    i += 1
+                row = heapq.heappop(pending) & row_mask
+            end = start + dur[row]
+        else:
+            break
+        if end > duration:
+            break  # completions never decrease: nothing later fits either
+        order.append(row)
+        ends.append(end)
+        free = end
+    return _arbitration_result(schedule, wire_bits, order, ends, bitrate, duration)
 
 
 def _simulate_arbitration_faulted(
@@ -834,205 +704,146 @@ def _simulate_arbitration_faulted(
     duration: float,
     faults: "WireFaultModel",
 ) -> ArbitrationResult:
-    """The faulted columnar sweep: error frames, retransmission, bus-off.
+    """The faulted sweep: error frames, retransmission, bus-off.
 
     The shared :class:`~repro.can.faults.FaultPlan` is resolved over the
     release-sorted columns first, so corruption draws and bus-off times
-    are identical to the event engine's.  Rows the plan leaves alone
-    keep the clean engine's vectorised singleton runs; rows with
-    corrupted attempts — whose retransmissions re-enter arbitration at
-    their error-frame completion — and rows of silenced nodes run the
-    scalar heap loop, whose keys gain the entry release and a push
-    sequence exactly as the faulted event loop's do.  Schedule rows may
-    emit several records (one per attempt plus the final success);
-    completion times stay non-decreasing, so the horizon prefix cut is
-    unchanged.
+    are identical to the event engine's; a plan that perturbs nothing
+    hands over to the clean sweep.  Otherwise the same single sweep runs
+    with the faulted event loop's additions: rows of a bus-off node are
+    never offered, a corrupted attempt occupies the wire for the frame
+    plus an error frame, and its retransmission re-enters arbitration at
+    the error frame's end.  Heap keys stay ``(can_id, entry_release,
+    sequence, row)``: a same-id frame released before that re-entry
+    must still win.  A schedule row emits one record per attempt;
+    completions still never decrease, so the sweep stops at the first
+    one past ``duration``.
     """
-    from repro.can.log import CaptureArray
-
-    n = len(schedule)
     releases = schedule.release_times
-    if n == 0:
-        empty = simulate_arbitration(schedule, bitrate, duration)
-        return ArbitrationResult(
-            capture=empty.capture,
-            sources=empty.sources,
-            queued_at=empty.queued_at,
-            started_at=empty.started_at,
-            wire_bits=empty.wire_bits,
-            schedule_indices=empty.schedule_indices,
-            bitrate=float(bitrate),
-            duration=float(duration),
-            corrupted=np.zeros(0, dtype=bool),
-            retries=np.zeros(0, dtype=np.int64),
-            bus_off=np.zeros(0, dtype=bool),
-        )
-    if np.any(np.diff(releases) < 0):
-        raise CANError("simulate_arbitration needs a release-sorted schedule")
-
+    _check_releases(releases)
     wire_bits = schedule.resolved_wire_bits()
-    durations = wire_bits / float(bitrate)
     plan = faults.plan(releases, schedule.can_ids, wire_bits, schedule.sources, bitrate)
     if plan.clean:
-        # The model drew nothing over this window: the clean kernel is
+        # The model drew nothing over this window: the clean sweep is
         # bit-identical, so a zero-rate model costs only the plan.  The
         # resolved wire bits ride along so the length kernel runs once.
         return simulate_arbitration(
             dataclasses.replace(schedule, wire_bits=wire_bits), bitrate, duration
         )
+    n = len(schedule)
+    rel = releases.tolist() + [math.inf]
+    dur = (wire_bits / float(bitrate)).tolist()
+    ids = schedule.can_ids.tolist()
+    queued = plan.queued.tolist()
+    left = plan.attempts.tolist()
+    attempts = plan.attempts.tolist()
+    transmit = plan.transmit.tolist()
     error_s = plan.error_s
-    solo_ends = releases + durations
-    chain = np.empty(n, dtype=bool)
-    if n > 1:
-        chain[:-1] = releases[1:] >= solo_ends[:-1]
-    chain[-1] = True
-    # Rows the plan touches (extra attempts, or silenced entirely) bound
-    # the vectorised runs exactly like contention does.
-    affected = (plan.attempts > 0) | ~plan.queued
-    contended = np.flatnonzero(~chain | affected)
-
-    capacity = n + plan.total_attempts
-    out_index = np.empty(capacity, dtype=np.int64)
-    out_start = np.empty(capacity, dtype=np.float64)
-    out_end = np.empty(capacity, dtype=np.float64)
-    out_corr = np.zeros(capacity, dtype=bool)
-    out_retry = np.zeros(capacity, dtype=np.int64)
-    out_boff = np.zeros(capacity, dtype=bool)
-    count = 0
-
-    # Primitive views for the scalar busy-period loop (built lazily).
-    releases_list: list[float] | None = None
-    durations_list: list[float] | None = None
-    ids_list: list[int] | None = None
-    chain_list: list[bool] | None = None
-    affected_list: list[bool] | None = None
-    queued_list: list[bool] | None = None
-    left: list[int] | None = None
-    attempts_total: list[int] | None = None
-    transmit_list: list[bool] | None = None
-
-    i = 0
+    pending: list[tuple[int, float, int, int]] = []
+    order: list[int] = []
+    ends: list[float] = []
+    corrupted: list[bool] = []
+    retries: list[int] = []
+    bus_off: list[bool] = []
     free = 0.0
+    i = 0
     sequence = 0
-    while i < n:
-        if releases[i] >= free and chain[i] and not affected[i]:
-            # Clean vectorised run, identical to the fault-free engine:
-            # every row up to the next contended/affected index starts
-            # at its release and completes solo.
-            position = np.searchsorted(contended, i)
-            j = int(contended[position]) if position < contended.size else n
-            run = j - i
-            out_index[count : count + run] = np.arange(i, j, dtype=np.int64)
-            out_start[count : count + run] = releases[i:j]
-            out_end[count : count + run] = solo_ends[i:j]
-            count += run
-            free = float(solo_ends[j - 1])
-            i = j
-            continue
-        if releases_list is None:
-            releases_list = releases.tolist()
-            durations_list = durations.tolist()
-            ids_list = schedule.can_ids.tolist()
-            chain_list = chain.tolist()
-            affected_list = affected.tolist()
-            queued_list = plan.queued.tolist()
-            left = plan.attempts.tolist()
-            attempts_total = plan.attempts.tolist()
-            transmit_list = plan.transmit.tolist()
-        assert durations_list is not None
-        assert ids_list is not None
-        assert chain_list is not None
-        assert affected_list is not None
-        assert queued_list is not None
-        assert left is not None
-        assert attempts_total is not None
-        assert transmit_list is not None
-        # Faulted busy period: exact replay of the faulted event loop.
-        pending: list[tuple[int, float, int, int]] = []
-        block_index: list[int] = []
-        block_start: list[float] = []
-        block_end: list[float] = []
-        block_corr: list[bool] = []
-        block_retry: list[int] = []
-        block_boff: list[bool] = []
-        while True:
-            if not pending:
-                while i < n and not queued_list[i]:
-                    i += 1  # bus-off node: the frame is never offered
-                if i >= n or (
-                    releases_list[i] >= free
-                    and chain_list[i]
-                    and not affected_list[i]
-                ):
-                    break  # bus idle again and the next row is a clean singleton
-                next_release = releases_list[i]
-                candidate = next_release if next_release > free else free
-            else:
-                root_release = pending[0][1]
-                candidate = root_release if root_release > free else free
-            while i < n and releases_list[i] <= candidate:
-                if queued_list[i]:
-                    heapq.heappush(
-                        pending, (ids_list[i], releases_list[i], sequence, i)
-                    )
+    while True:
+        if pending:
+            # Retransmissions re-enter when the bus frees, and fresh
+            # entries were released by then: the winner starts at free.
+            while rel[i] <= free:
+                if queued[i]:
+                    heapq.heappush(pending, (ids[i], rel[i], sequence, i))
                     sequence += 1
                 i += 1
-            if not pending:
-                continue
-            can_id, entry_release, _, winner = heapq.heappop(pending)
-            start = entry_release if entry_release > free else free
-            if left[winner] > 0:
-                end = start + durations_list[winner] + error_s
-                left[winner] -= 1
-                dead = left[winner] == 0 and not transmit_list[winner]
-                block_index.append(winner)
-                block_start.append(start)
-                block_end.append(end)
-                block_corr.append(True)
-                block_retry.append(attempts_total[winner] - 1 - left[winner])
-                block_boff.append(dead)
-                if not dead:
-                    # The retransmission re-arbitrates from its error
-                    # frame's completion.
-                    heapq.heappush(pending, (can_id, end, sequence, winner))
-                    sequence += 1
-            else:
-                end = start + durations_list[winner]
-                block_index.append(winner)
-                block_start.append(start)
-                block_end.append(end)
-                block_corr.append(False)
-                block_retry.append(attempts_total[winner])
-                block_boff.append(False)
-            free = end
-        emitted = len(block_index)
-        out_index[count : count + emitted] = block_index
-        out_start[count : count + emitted] = block_start
-        out_end[count : count + emitted] = block_end
-        out_corr[count : count + emitted] = block_corr
-        out_retry[count : count + emitted] = block_retry
-        out_boff[count : count + emitted] = block_boff
-        count += emitted
-
-    kept = int(np.searchsorted(out_end[:count], duration, side="right"))
-    survivors = out_index[:kept]
-    capture = CaptureArray(
-        timestamps=out_end[:kept].copy(),
-        can_ids=schedule.can_ids[survivors],
-        dlcs=schedule.dlcs[survivors],
-        payloads=schedule.payloads[survivors],
-        labels=schedule.labels[survivors],
+            row = heapq.heappop(pending)[3]
+            start = free
+        else:
+            while i < n and not queued[i]:
+                i += 1  # bus-off node: the frame is never offered
+            if i >= n:
+                break
+            release = rel[i]
+            start = release if release > free else free
+            row = i
+            i += 1
+            if rel[i] <= start:
+                heapq.heappush(pending, (ids[row], release, sequence, row))
+                sequence += 1
+                while rel[i] <= start:
+                    if queued[i]:
+                        heapq.heappush(pending, (ids[i], rel[i], sequence, i))
+                        sequence += 1
+                    i += 1
+                row = heapq.heappop(pending)[3]
+        if left[row]:
+            end = start + dur[row] + error_s
+            if end > duration:
+                break
+            left[row] -= 1
+            dead = not left[row] and not transmit[row]
+            order.append(row)
+            ends.append(end)
+            corrupted.append(True)
+            retries.append(attempts[row] - 1 - left[row])
+            bus_off.append(dead)
+            if not dead:
+                heapq.heappush(pending, (ids[row], end, sequence, row))
+                sequence += 1
+        else:
+            end = start + dur[row]
+            if end > duration:
+                break
+            order.append(row)
+            ends.append(end)
+            corrupted.append(False)
+            retries.append(attempts[row])
+            bus_off.append(False)
+        free = end
+    return dataclasses.replace(
+        _arbitration_result(schedule, wire_bits, order, ends, bitrate, duration),
+        corrupted=np.array(corrupted, dtype=bool),
+        retries=np.array(retries, dtype=np.int64),
+        bus_off=np.array(bus_off, dtype=bool),
     )
+
+
+def _arbitration_result(
+    schedule: ScheduleArray,
+    wire_bits: np.ndarray,
+    order: list[int],
+    ends: list[float],
+    bitrate: float,
+    duration: float,
+) -> ArbitrationResult:
+    """Columns of the records a sweep served, in service order.
+
+    Each frame started when the bus freed or at its release, whichever
+    is later: ``max`` does no rounding, so rebuilding the start times
+    here is exact.  ``np.maximum(a, b)`` keeps ``b`` on ties, as the
+    event loop's ``max(bus_free_at, release)`` keeps its first argument.
+    """
+    from repro.can.log import CaptureArray
+
+    survivors = np.array(order, dtype=np.int64)
+    timestamps = np.array(ends, dtype=np.float64)
+    queued_at = schedule.release_times[survivors]
+    freed_at = np.zeros(survivors.size, dtype=np.float64)
+    freed_at[1:] = timestamps[:-1]
     return ArbitrationResult(
-        capture=capture,
+        capture=CaptureArray(
+            timestamps=timestamps,
+            can_ids=schedule.can_ids[survivors],
+            dlcs=schedule.dlcs[survivors],
+            payloads=schedule.payloads[survivors],
+            labels=schedule.labels[survivors],
+        ),
         sources=schedule.sources[survivors],
-        queued_at=schedule.release_times[survivors],
-        started_at=out_start[:kept].copy(),
+        queued_at=queued_at,
+        started_at=np.maximum(queued_at, freed_at),
         wire_bits=wire_bits[survivors],
-        schedule_indices=survivors.copy(),
+        schedule_indices=survivors,
         bitrate=float(bitrate),
         duration=float(duration),
-        corrupted=out_corr[:kept].copy(),
-        retries=out_retry[:kept].copy(),
-        bus_off=out_boff[:kept].copy(),
     )

@@ -20,6 +20,7 @@ engines is by construction, not by coincidence of draw ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Protocol
 
@@ -205,8 +206,10 @@ class PeriodicSender:
         name: str | None = None,
         seed: int = 0,
     ):
-        if period <= 0:
-            raise CANError(f"period must be positive, got {period}")
+        if not math.isfinite(period) or period <= 0:
+            raise CANError(f"period must be positive and finite, got {period}")
+        if phase is not None and not math.isfinite(phase):
+            raise CANError(f"phase must be finite, got {phase}")
         if not 0.0 <= jitter < 1.0:
             raise CANError(f"jitter fraction must be in [0, 1), got {jitter}")
         self.can_id = can_id

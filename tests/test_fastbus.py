@@ -4,16 +4,19 @@ The contract under test (see ``repro.can.fastbus``): the vectorised
 schedule emitters plus the arbitration-replay kernel must reproduce
 ``BusSimulator.run`` *exactly* — same winners, same float timestamps,
 same capture-horizon drops — across mixed periodic/attacker topologies,
-bitrates, horizon clipping and quiet buses.  Plus the satellites: the
-vectorised wire-length kernel vs ``CANFrame.bit_length``, the columnar
-``bus_load`` overload, ``CaptureArray.from_bus_records``, and the
-picklable process-pool scenario workers.
+bitrates, horizon clipping and quiet buses; a property test covers small
+hand-built buses with and without wire faults.  Plus the satellites:
+the vectorised wire-length kernel vs ``CANFrame.bit_length``, the
+columnar ``bus_load`` overload, ``CaptureArray.from_bus_records``,
+non-finite timing inputs, and the picklable process-pool scenario
+workers.
 """
 
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.can.attacks import (
     BurstDoSAttacker,
@@ -37,6 +40,7 @@ from repro.can.fastbus import (
     simulate_arbitration,
     standard_wire_bits,
 )
+from repro.can.faults import TargetedFault, WireFaultModel
 from repro.can.frame import CANFrame, crc15
 from repro.can.log import CaptureArray, records_from_bus
 from repro.can.node import PeriodicSender, ScheduledFrame, sensor_payload
@@ -282,6 +286,181 @@ class TestEngineEquivalence:
         records = build().run(0.05)
         result = build().capture(0.05)
         _assert_records_match(records, result)
+
+
+def _capture_equals_run(bus, duration, faults):
+    """``bus.capture`` vs ``bus.run`` record for record, fault fields included."""
+    records = bus.run(duration, faults=faults)
+    result = bus.capture(duration, faults=faults)
+    _assert_records_match(records, result)
+    for field, column in (
+        ("corrupted", result.corrupted_mask),
+        ("retries", result.retry_counts),
+        ("bus_off", result.bus_off_mask),
+    ):
+        np.testing.assert_array_equal(
+            np.array([getattr(r, field) for r in records], dtype=column.dtype), column
+        )
+    return result
+
+
+#: Identifiers the property test draws from (0x000 is the flood's).
+_ID_POOL = (0x000, 0x0A0, 0x100, 0x101, 0x316, 0x7FF)
+
+#: Releases sit on a dyadic grid (~0.12 ms), so frames of different
+#: sources tie exactly; at 2**19 bit/s wire times are dyadic too, so
+#: completions also land exactly on later releases.
+_TICK = 2.0**-13
+
+
+@st.composite
+def _small_buses(draw):
+    """A bus of scalar-only sources, a horizon and an optional fault model."""
+    bus = BusSimulator(bitrate=draw(st.sampled_from((125_000, 2**19, 500_000, 1_000_000))))
+    for index in range(draw(st.integers(1, 4))):
+        ticks = sorted(draw(st.lists(st.integers(0, 60), max_size=10)))
+        entries = [
+            (
+                tick * _TICK,
+                CANFrame(draw(st.sampled_from(_ID_POOL)), bytes(draw(st.integers(0, 8)))),
+            )
+            for tick in ticks
+        ]
+        bus.attach(_OneShot(entries, source=f"ecu{index}"))
+    if draw(st.booleans()):
+        # A zero-jitter grid: every release lands on an exact multiple.
+        step = draw(st.integers(1, 10))
+        frame = CANFrame(draw(st.sampled_from(_ID_POOL)), b"\x01\x02")
+        bus.attach(_OneShot([(k * step * _TICK, frame) for k in range(60 // step)], source="grid"))
+    if draw(st.booleans()):
+        # A dominant 0x000 flood that can outrun the bus and build a backlog.
+        first, gap = draw(st.integers(0, 30)), draw(st.integers(1, 3))
+        flood = [((first + k * gap) * _TICK, CANFrame(0x000, bytes(8))) for k in range(30)]
+        bus.attach(_OneShot(flood, label="T", source="flood"))
+    if draw(st.booleans()):
+        extended = CANFrame(0x1ABCDE0, b"\x07", extended=True)
+        bus.attach(_OneShot([(draw(st.integers(0, 60)) * _TICK, extended)], source="ext"))
+    # Horizons from mid-backlog to past the last completion.
+    duration = draw(st.integers(1, 400)) * _TICK / 2
+    kind = draw(st.sampled_from((None, "ber", "targeted")))
+    if kind is None:
+        return bus, duration, None
+    # A low bus-off threshold lets a few errors silence a node.
+    faults = WireFaultModel(
+        seed=draw(st.integers(0, 1000)),
+        bit_error_rate=draw(st.sampled_from((2e-3, 1e-2))) if kind == "ber" else 0.0,
+        tec_error_passive=8,
+        tec_bus_off=draw(st.sampled_from((16, 256))),
+        recovery=draw(st.sampled_from(("auto", "none"))),
+    )
+    if kind == "targeted":
+        start = draw(st.integers(0, 60)) * _TICK
+        target = TargetedFault(
+            start,
+            start + draw(st.integers(1, 30)) * _TICK,
+            attempts=draw(st.integers(1, 3)),
+            can_id=draw(st.sampled_from((None,) + _ID_POOL)),
+        )
+        faults = faults.with_targets([target])
+    return bus, duration, faults
+
+
+class TestSweepProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_small_buses())
+    def test_capture_equals_run_record_for_record(self, case):
+        _capture_equals_run(*case)
+
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_release_at_a_completion_joins_that_arbitration(self, faulted):
+        """Frames released exactly when the bus frees contend right then,
+        even while an older frame is still pending."""
+        first = CANFrame(0x200, bytes(2))
+        freed = first.bit_length() / 2**19  # exact: a dyadic wire time
+        bus = BusSimulator(bitrate=2**19)
+        bus.attach(_OneShot([(0.0, first)], source="a"))
+        bus.attach(_OneShot([(0.0, CANFrame(0x300, bytes(2)))], source="b"))
+        bus.attach(_OneShot([(freed, CANFrame(0x250, bytes(2)))], source="c"))
+        bus.attach(_OneShot([(freed, CANFrame(0x100, bytes(2)))], source="d"))
+        # A late corrupted frame moves the whole run onto the faulted sweep.
+        bus.attach(_OneShot([(0.01, CANFrame(0x400, bytes(2)))], source="e"))
+        faults = (
+            WireFaultModel(seed=0, targeted=(TargetedFault(0.01, 0.011, can_id=0x400),))
+            if faulted
+            else None
+        )
+        result = _capture_equals_run(bus, 0.02, faults)
+        assert result.capture.can_ids[:4].tolist() == [0x200, 0x100, 0x250, 0x300]
+        assert bool(result.corrupted_mask.any()) == faulted
+
+    def test_same_id_frame_released_before_a_retry_wins(self):
+        """A retransmission re-enters at its error frame's end, so a
+        same-id frame released earlier goes first."""
+        frame = CANFrame(0x100, b"\x01\x02")  # 67 wire bits
+        bus = BusSimulator(bitrate=500_000)
+        bus.attach(_OneShot([(0.0, frame), (0.0001, frame)]))
+        faults = WireFaultModel(
+            seed=0, targeted=(TargetedFault(0.0, 0.00005, attempts=1, can_id=0x100),)
+        )
+        result = _capture_equals_run(bus, 0.01, faults)
+        assert result.schedule_indices.tolist() == [0, 1, 0]
+        assert result.corrupted_mask.tolist() == [True, False, False]
+        np.testing.assert_allclose(
+            result.capture.timestamps, [0.000168, 0.000302, 0.000436], rtol=0, atol=1e-12
+        )
+
+
+_NAN = float("nan")
+_INF = float("inf")
+
+
+def _two_frames(releases):
+    return schedule_columns(
+        np.array(releases), 0x100, np.zeros((2, 2), dtype=np.uint8), label=0, source="ecu"
+    )
+
+
+#: Timing inputs that are not finite, and the value each error must name.
+_NON_FINITE = {
+    "grid-start": (lambda: release_grid(_NAN, 1.0, 0.1), "nan"),
+    "grid-stop": (lambda: release_grid(0.0, _INF, 0.1), "inf"),
+    "grid-step": (lambda: release_grid(0.0, 1.0, _NAN), "nan"),
+    "sender-period-nan": (lambda: PeriodicSender(0x100, period=_NAN), "nan"),
+    "sender-period-inf": (lambda: PeriodicSender(0x100, period=_INF), "inf"),
+    "sender-phase": (lambda: PeriodicSender(0x100, period=0.01, phase=_NAN), "nan"),
+    "window-end": (lambda: DoSAttacker([(0.0, _NAN)]), "nan"),
+    "window-start": (lambda: SpoofingAttacker([(-_INF, 1.0)], target_id=0x316), "-inf"),
+    "injector-interval": (lambda: DoSAttacker([(0.0, 1.0)], interval=_NAN), "nan"),
+    "burst-on": (lambda: BurstDoSAttacker([(0.0, 1.0)], burst_on=_INF), "inf"),
+    "burst-off": (lambda: BurstDoSAttacker([(0.0, 1.0)], burst_off=_NAN), "nan"),
+    "ramp-start": (lambda: RampDoSAttacker([(0.0, 1.0)], interval_start=_NAN), "nan"),
+    "ramp-end": (lambda: RampDoSAttacker([(0.0, 1.0)], interval_end=_INF), "inf"),
+    "suspension-delay": (
+        lambda: SuspensionAttacker(
+            PeriodicSender(0x100, period=0.01), [(0.0, 1.0)], mode="delay", delay=_NAN
+        ),
+        "nan",
+    ),
+    "bus-bitrate": (lambda: BusSimulator(bitrate=_NAN), "nan"),
+    "bus-run-duration": (lambda: BusSimulator().run(_NAN), "nan"),
+    "bus-capture-duration": (lambda: BusSimulator().capture(_INF), "inf"),
+    "sweep-bitrate": (lambda: simulate_arbitration(_two_frames([0.0, 1e-3]), _NAN, 0.1), "nan"),
+    "sweep-duration": (
+        lambda: simulate_arbitration(_two_frames([0.0, 1e-3]), 500_000, _NAN),
+        "nan",
+    ),
+    "sweep-release": (
+        lambda: simulate_arbitration(_two_frames([0.0, _NAN]), 500_000, 0.1),
+        "nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE))
+def test_non_finite_timing_rejected_naming_the_value(case):
+    build, value = _NON_FINITE[case]
+    with pytest.raises(CANError, match=value):
+        build()
 
 
 class TestScheduleLayer:

@@ -16,9 +16,11 @@ flags:
 * per-element ``CANFrame(...)`` construction.
 
 Each module's sanctioned scalar helpers (A/B materialisers, CSV I/O,
-contended-run replay) are whitelisted in
+table builders run once at import) are whitelisted in
 :mod:`tools.reprolint.project`; anything else needs an inline
-suppression with a justification.
+suppression with a justification.  ``while`` loops are not flagged:
+the fastbus arbitration sweep is one, an exact sequential replay of
+the event engine.
 """
 
 from __future__ import annotations
