@@ -6,8 +6,9 @@ touches, archived to ``benchmarks/output/BENCH_datapath.json``:
 * ``capture_to_train`` — synthesis + feature encoding straight off the
   capture columns (``encoder.encode(capture.capture)``), the training
   ingest path that previously round-tripped through record lists;
-* ``capture_to_stream`` — the chunked ``ECUStreamSession`` consuming
-  array slices (FIFO admission, encode, classify) for a DoS window;
+* ``capture_to_stream`` — ``IDSEnabledECU.process_stream`` consuming
+  array slices (FIFO admission, then chunked encode and classify) for a
+  DoS window;
 * ``flood_arbitration`` — the fastbus arbitration sweep on a
   saturated attacker-only bus (release interval shorter than the frame
   wire time): the backlog only grows, so nearly every frame goes
@@ -95,10 +96,7 @@ def _stream_lane(ip, repeats):
 
     def run():
         ecu = IDSEnabledECU(ip, BitFeatureEncoder(), name="bench-datapath-ecu", seed=5)
-        session = ecu.open_stream(capture, chunk_size=4096, with_metrics=False)
-        while not session.done:
-            session.step()
-        return session.finish()
+        return ecu.process_stream(capture, with_metrics=False)
 
     stream_s, report = _best_of(run, repeats)
     serviced = int(len(report.predictions))

@@ -1,10 +1,10 @@
-"""Micro-benchmark: the multi-channel gateway scheduler and arbitration.
+"""Micro-benchmark: the multi-channel gateway and arbitration.
 
-Times one interleaved monitoring run of a 3-channel gateway (one
+Times one monitoring run of a 3-channel gateway (one
 DoS-flooded segment) under both accelerator deployments — one IP per
 channel vs one shared IP behind a round-robin arbiter.  Archives
 wall-times, aggregate sustained rates, per-channel effective drains and
-drops to ``benchmarks/output/BENCH_gateway.json`` so the scheduler's
+drops to ``benchmarks/output/BENCH_gateway.json`` so the gateway's
 perf trajectory is tracked.
 
 A small detector is trained in-file (a few epochs on a short capture),

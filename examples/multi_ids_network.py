@@ -82,14 +82,14 @@ def main() -> None:
             f"first-alert delay {np.mean(delays):.2f} ms over {len(delays)} bursts"
         )
 
-    print("\n== multi-channel gateway (interleaved streaming, per-channel IPs) ==")
+    print("\n== multi-channel gateway (streaming, per-channel IPs) ==")
 
     # Three concurrent segments of the same vehicle: the powertrain bus
     # is being DoS-flooded while the body bus sees a fuzzing campaign;
     # the telematics segment is parked-car quiet (no traffic at all) and
-    # must come back as an idle channel, not an error.  Channels advance
-    # in virtual-time order, so the flooded powertrain drops its own
-    # frames without delaying the body segment's verdicts.
+    # must come back as an idle channel, not an error.  Each channel
+    # drains through its own ECU, so the flooded powertrain drops its
+    # own frames while the body segment keeps its verdicts.
     def build_gateway() -> IDSGateway:
         gateway = IDSGateway("vehicle-gateway")
         powertrain = build_vehicle_bus(vehicle_seed=vehicle_seed)

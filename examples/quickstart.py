@@ -60,7 +60,7 @@ def main() -> None:
     # through the vectorised encoder.
     print("\n== streaming the capture through the RX FIFO ==")
     streaming_ecu = IDSEnabledECU(ip, BitFeatureEncoder(), name="streaming-ecu", seed=1)
-    stream_report = streaming_ecu.process_stream(fresh.records, chunk_size=4096)
+    stream_report = streaming_ecu.process_stream(fresh.records)
     print(stream_report.summary())
 
 

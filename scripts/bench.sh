@@ -3,7 +3,7 @@
 #
 # Leaves the perf trajectory on disk:
 #   benchmarks/output/BENCH_encoders.json   — scalar vs. vectorised encoding
-#   benchmarks/output/BENCH_gateway.json    — interleaved gateway monitor walls,
+#   benchmarks/output/BENCH_gateway.json    — gateway monitor walls and
 #                                             per-IP vs. shared-IP rates and drops
 #   benchmarks/output/BENCH_campaigns.json  — attack-campaign sweep rates/drops
 #   benchmarks/output/BENCH_inference.json  — float graph vs. compiled engine fps,

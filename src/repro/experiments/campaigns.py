@@ -225,7 +225,6 @@ def _sweep_one_scenario(
         )
         report = gateway.monitor(
             duration=campaign.duration,
-            chunk_size=options.chunk_size,
             truth=truth,
             arbiter=SharedAcceleratorArbiter() if mode == "shared-ip" else None,
             engine=options.engine,

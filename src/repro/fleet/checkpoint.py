@@ -18,10 +18,10 @@ by construction.
 **Compatibility.**  A checkpoint binds to a *fingerprint* of everything
 that shapes per-shard results: the full :class:`FleetSpec`, the shard
 size (shard ids change with it) and the result-affecting execution
-knobs (``engine``/``fifo_capacity``/``chunk_size`` — backend and
-worker count are free to differ between the interrupted and resumed
-runs).  Resuming against a mismatched fingerprint raises instead of
-silently merging incompatible partial results.
+knobs (``engine``/``fifo_capacity`` — backend, worker count and the
+resilience knobs are free to differ between the interrupted and
+resumed runs).  Resuming against a mismatched fingerprint raises
+instead of silently merging incompatible partial results.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ def fleet_fingerprint(
             f"shard_size={shard_size}",
             f"engine={options.engine}",
             f"fifo_capacity={options.fifo_capacity}",
-            f"chunk_size={options.chunk_size}",
         ]
     )
     return hashlib.sha256(material.encode("utf-8")).hexdigest()

@@ -205,7 +205,6 @@ def _simulate_vehicle(
     )
     report = gateway.monitor(
         duration=campaign.duration,
-        chunk_size=options.chunk_size,
         with_metrics=False,
         arbiter=(
             SharedAcceleratorArbiter() if vehicle.deployment == "shared-ip" else None

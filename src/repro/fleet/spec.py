@@ -3,8 +3,8 @@
 Two orthogonal concerns, two frozen dataclasses:
 
 * :class:`ExecOptions` — *how* to execute: pool backend, bus engine,
-  worker count, FIFO/chunk sizing.  Shared by every fan-out entry point
-  (:func:`repro.fleet.runner.run_fleet`,
+  worker count, RX-FIFO depth and shard resilience.  Shared by every
+  fan-out entry point (:func:`repro.fleet.runner.run_fleet`,
   :func:`repro.experiments.campaigns.run_campaign_sweep`), replacing
   the kwarg grab-bags those functions had accreted.
 * :class:`VehicleSpec` / :class:`FleetSpec` — *what* to simulate: one
@@ -23,6 +23,7 @@ few hundred bytes regardless of fleet size.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Any, Iterator
@@ -61,14 +62,14 @@ class ExecOptions:
     would oversubscribe the host.  ``max_workers=None`` sizes
     the pool to ``min(8, cpu_count, tasks)``.  ``engine`` picks the bus
     simulation path per channel window (``"columnar"`` kernel by
-    default, ``"event"`` for the reference loop); ``fifo_capacity`` and
-    ``chunk_size`` parameterise each vehicle's RX FIFO and streaming
-    chunk.
+    default, ``"event"`` for the reference loop); ``fifo_capacity`` is
+    the depth of each ECU's RX FIFO.
 
     **Resilience knobs** (see :mod:`repro.fleet.pool`): each shard
-    attempt may take at most ``timeout_s`` (``None`` disables the
-    deadline; enforced on pool backends only) and is retried up to
-    ``max_retries`` times with capped seed-derived exponential backoff.
+    attempt may take at most ``timeout_s`` seconds, finite and positive
+    (``None`` disables the deadline; enforced on pool backends only),
+    and is retried up to ``max_retries`` times with capped seed-derived
+    exponential backoff.
     ``strict=False`` (default) degrades gracefully — shards that
     exhaust their retries land in the run's
     :class:`~repro.fleet.health.RunHealth` instead of raising;
@@ -80,7 +81,6 @@ class ExecOptions:
     engine: str = "columnar"
     max_workers: int | None = None
     fifo_capacity: int = 64
-    chunk_size: int = 4096
     timeout_s: float | None = None
     max_retries: int = 2
     strict: bool = False
@@ -101,10 +101,12 @@ class ExecOptions:
             raise ConfigError(f"max_workers must be >= 1, got {self.max_workers}")
         if self.fifo_capacity < 1:
             raise ConfigError(f"fifo_capacity must be >= 1, got {self.fifo_capacity}")
-        if self.chunk_size < 1:
-            raise ConfigError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ConfigError(f"timeout_s must be positive, got {self.timeout_s}")
+        if self.timeout_s is not None and (
+            not math.isfinite(self.timeout_s) or self.timeout_s <= 0
+        ):
+            raise ConfigError(
+                f"timeout_s must be finite and positive, got {self.timeout_s}"
+            )
         if self.max_retries < 0:
             raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
 
@@ -136,7 +138,6 @@ class ExecOptions:
             "engine": self.engine,
             "max_workers": self.max_workers,
             "fifo_capacity": self.fifo_capacity,
-            "chunk_size": self.chunk_size,
             "timeout_s": self.timeout_s,
             "max_retries": self.max_retries,
             "strict": self.strict,

@@ -10,12 +10,12 @@ accelerator over AXI.  This package models that platform:
 * :mod:`~repro.soc.accelerator` — the memory-mapped IP wrapper.
 * :mod:`~repro.soc.driver` — a PYNQ-style ``Overlay`` facade.
 * :mod:`~repro.soc.ecu` — the receive-path pipeline (interface → FIFO
-  → feature encode → accelerator → verdict) with latency accounting,
-  including the streaming engine (resumable per-channel sessions with
-  real FIFO backpressure).
+  → feature encode → accelerator → verdict) with latency accounting:
+  an offline batch path, and a streaming path whose drop-oldest RX
+  FIFO applies real backpressure.
 * :mod:`~repro.soc.gateway` — multi-channel gateway: several buses,
-  each scanned by its own IDS-ECU, interleaved in virtual-time order
-  with aggregate accounting.
+  each drained through its own IDS-ECU's streaming path, with
+  aggregate accounting.
 * :mod:`~repro.soc.arbiter` — shared-accelerator arbitration: N
   channels time-multiplexing one IDS IP (round-robin/fixed-priority).
 * :mod:`~repro.soc.power` — PMBus-style rail sampling and energy.
@@ -32,10 +32,8 @@ from repro.soc.ecu import (
     ECUReport,
     ECUStreamSession,
     IDSEnabledECU,
-    StreamChunk,
     simulate_fifo_admission,
 )
-from repro.soc.fifo import RxFIFO
 from repro.soc.gateway import (
     ChannelResult,
     GatewayReport,
@@ -62,7 +60,6 @@ __all__ = [
     "IDSEnabledECU",
     "IDSGateway",
     "SharedAcceleratorArbiter",
-    "StreamChunk",
     "LatencyBreakdown",
     "LatencyModel",
     "MemoryMappedAccelerator",
@@ -73,7 +70,6 @@ __all__ = [
     "PlatformModel",
     "PowerModel",
     "PowerReport",
-    "RxFIFO",
     "build_campaign_gateway",
     "build_segment_gateway",
     "ZCU104",

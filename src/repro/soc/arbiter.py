@@ -27,14 +27,16 @@ cycle-accurate interconnect replay:
 
 The result is an :class:`ArbitrationGrant` per channel whose
 ``effective_drain_fps`` is what the gateway feeds to
-:func:`repro.soc.ecu.simulate_fifo_admission` (via the stream session's
-``drain_fps``): the arbitration wait is folded into the channel's drain
-rate, so FIFO occupancy, drops and queueing delay all see the slower
-shared service without any change to the admission model itself.
+:func:`repro.soc.ecu.simulate_fifo_admission` (as the channel's
+stream ``drain_fps``): the arbitration wait is folded into the
+channel's drain rate, so FIFO occupancy, drops and queueing delay all
+see the slower shared service without any change to the admission
+model itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -115,8 +117,8 @@ class SharedAcceleratorArbiter:
             raise SoCError(
                 f"unknown arbitration policy {policy!r}; choose from {ARBITRATION_POLICIES}"
             )
-        if slot_overhead_s < 0:
-            raise SoCError(f"slot overhead must be >= 0, got {slot_overhead_s}")
+        if not math.isfinite(slot_overhead_s) or slot_overhead_s < 0:
+            raise SoCError(f"slot overhead must be finite and >= 0, got {slot_overhead_s}")
         self.policy = policy
         self.slot_overhead_s = float(slot_overhead_s)
         self.priorities = dict(priorities or {})
@@ -156,8 +158,10 @@ class SharedAcceleratorArbiter:
             raise SoCError("cannot arbitrate zero channels")
         channels = list(base_drain_fps)
         for name, fps in base_drain_fps.items():
-            if fps <= 0:
-                raise SoCError(f"channel {name!r} base drain rate must be positive, got {fps}")
+            if not math.isfinite(fps) or fps <= 0:
+                raise SoCError(
+                    f"channel {name!r} base drain rate must be finite and positive, got {fps}"
+                )
         ranks = self._ranks(channels)
         raw = {name: self._slot_factor(ranks[name], len(channels)) for name in channels}
         # Conservation: the worst-case waits the raw factors model can

@@ -7,13 +7,13 @@ style buffer ... examined by our IDS IP for threat signatures."
 :class:`IDSEnabledECU` wires the pieces together: capture records enter
 the RX FIFO, are feature-encoded, classified by the memory-mapped
 accelerator, and accounted with the latency and power models.  Two
-capture-scale entry points exist:
+capture-scale entry points share one classify loop, which encodes and
+classifies :data:`CHUNK_ROWS` frames per call:
 
-* :meth:`IDSEnabledECU.process_capture` — offline batch: every frame is
-  serviced (the batch path drains the FIFO as it fills it), the
-  vectorised encoder and the dataflow graph run whole-capture kernels.
-  This is the workhorse behind Table II, the throughput claim, the
-  energy claim and the Fig.-1 network demonstration.
+* :meth:`IDSEnabledECU.process_capture` — offline batch, no queueing:
+  every frame is serviced as it is copied in.  This is the workhorse
+  behind Table II, the throughput claim, the energy claim and the
+  Fig.-1 network demonstration.
 * :meth:`IDSEnabledECU.process_stream` — online streaming: frames
   arrive at their capture timestamps, the ECU drains at its sustained
   (II-gated) service rate, and the RX FIFO's bounded occupancy is
@@ -21,22 +21,19 @@ capture-scale entry points exist:
   age out exactly as the hardware buffer's drop-oldest policy dictates,
   and dropped frames are excluded from predictions and metrics.
 
-The streaming engine is built on a *resumable stepper*:
-:meth:`IDSEnabledECU.open_stream` returns an :class:`ECUStreamSession`
-that encodes and classifies one chunk per :meth:`~ECUStreamSession.step`
-call and reports the chunk's virtual-time window and FIFO state.
-:meth:`process_stream` simply runs a session to completion; the
-multi-channel gateway (:mod:`repro.soc.gateway`) instead holds one
-session per channel and advances them in virtual-time order, so a
-flooded segment cannot delay another segment's verdicts.  A session's
-``drain_fps`` may be the channel's arbitrated share of a *shared*
-accelerator (:mod:`repro.soc.arbiter`): the arbitration wait is folded
-into the effective service interval, so :func:`simulate_fifo_admission`
-sees the slower shared service without modification.
+A stream runs in two named steps: :meth:`IDSEnabledECU.open_stream`
+resolves FIFO admission into an :class:`ECUStreamSession`, and
+:meth:`ECUStreamSession.finish` classifies the admitted frames and
+assembles the report.  A stream's ``drain_fps`` may be a channel's
+arbitrated share of a *shared* accelerator (:mod:`repro.soc.arbiter`):
+the arbitration wait is folded into the effective service interval, so
+:func:`simulate_fifo_admission` sees the slower shared service without
+modification.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
@@ -52,7 +49,6 @@ from repro.errors import SoCError
 from repro.finn.ipgen import AcceleratorIP
 from repro.soc.accelerator import HWInferenceTrace, MemoryMappedAccelerator
 from repro.soc.axi import AXILiteBus
-from repro.soc.fifo import RxFIFO
 from repro.soc.latency import LatencyBreakdown, LatencyModel
 from repro.soc.power import PMBusSampler, PowerModel, energy_per_inference
 from repro.training.metrics import ids_metrics
@@ -62,87 +58,12 @@ __all__ = [
     "ECUReport",
     "ECUStreamSession",
     "IDSEnabledECU",
-    "StreamChunk",
     "simulate_fifo_admission",
 ]
 
-
-def _simulate_fifo_admission_events(
-    timestamps: np.ndarray,
-    service_seconds: float,
-    capacity: int,
-) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """:func:`simulate_fifo_admission` plus per-frame eviction times.
-
-    The fourth return value maps each frame to the virtual time the
-    drop-oldest policy evicted it from the buffer; kept frames carry
-    ``+inf`` (they leave by being serviced, at ``timestamp + wait``).
-    Dropped frames *occupy FIFO slots until that instant*, which is why
-    occupancy reconstruction needs it.
-    """
-    timestamps = np.asarray(timestamps, dtype=np.float64)
-    n = timestamps.shape[0]
-    if n == 0:
-        return (
-            np.zeros(0, dtype=bool),
-            0,
-            np.zeros(0, dtype=np.float64),
-            np.zeros(0, dtype=np.float64),
-        )
-    if service_seconds <= 0:
-        raise SoCError(f"service time must be positive, got {service_seconds}")
-    if np.any(np.diff(timestamps) < 0):
-        raise SoCError("stream timestamps must be non-decreasing")
-
-    index = np.arange(n, dtype=np.int64)
-    # Service-start times under an unbounded queue: starts[k] = g[k] + s*k
-    # with g = running max of (t[k] - s*k)  <=>  f[k] = max(t[k], f[k-1]) + s.
-    g = np.maximum.accumulate(timestamps - service_seconds * index)
-    starts = g + service_seconds * index
-    # Occupancy seen by arrival k: earlier frames whose service has not
-    # begun strictly before t[k] are still sitting in the FIFO.
-    waiting = index - np.searchsorted(starts, timestamps, side="left")
-    peak = int(waiting.max()) + 1  # occupancy just after the push
-    if peak <= capacity:
-        return (
-            np.ones(n, dtype=bool),
-            peak,
-            starts - timestamps,
-            np.full(n, np.inf, dtype=np.float64),
-        )
-
-    # Overflow: exact drop-oldest replay (only under floods).
-    kept = np.ones(n, dtype=bool)
-    waits = np.zeros(n, dtype=np.float64)
-    evictions = np.full(n, np.inf, dtype=np.float64)
-    queue: deque[int] = deque()
-    t_free = -np.inf
-    max_occupancy = 0
-
-    def serve(head: int, begin: float) -> float:
-        waits[head] = begin - timestamps[head]
-        return begin + service_seconds
-
-    for i in range(n):
-        t_arrival = timestamps[i]
-        while queue:
-            head_arrival = timestamps[queue[0]]
-            begin = t_free if t_free > head_arrival else head_arrival
-            if begin >= t_arrival:
-                break
-            t_free = serve(queue.popleft(), begin)
-        if len(queue) >= capacity:
-            victim = queue.popleft()
-            kept[victim] = False
-            evictions[victim] = t_arrival
-        queue.append(i)
-        if len(queue) > max_occupancy:
-            max_occupancy = len(queue)
-    while queue:  # end of capture: the ECU finishes its backlog
-        head = queue.popleft()
-        begin = t_free if t_free > timestamps[head] else timestamps[head]
-        t_free = serve(head, begin)
-    return kept, max_occupancy, waits, evictions
+#: Frames encoded and classified per call on the receive path: one
+#: chunk's feature matrix is alive at a time, however long the capture.
+CHUNK_ROWS = 4096
 
 
 def simulate_fifo_admission(
@@ -166,11 +87,65 @@ def simulate_fifo_admission(
     The common drop-free case is fully vectorised (the completion-time
     recurrence ``f[n] = max(t[n], f[n-1]) + s`` is a prefix-maximum);
     the exact per-frame drop-oldest simulation only runs when the
-    vectorised occupancy check shows the buffer would overflow.
+    vectorised occupancy check shows the buffer would overflow.  Every
+    eviction there happens at an arrival instant, so overflow onset and
+    recovery are exact, not sampled.
     """
-    kept, max_occupancy, waits, _ = _simulate_fifo_admission_events(
-        timestamps, service_seconds, capacity
-    )
+    if not math.isfinite(service_seconds) or service_seconds <= 0:
+        raise SoCError(f"service time must be finite and positive, got {service_seconds}")
+    if capacity < 1:
+        raise SoCError(f"FIFO capacity must be >= 1, got {capacity}")
+    timestamps = np.asarray(timestamps, dtype=np.float64)
+    n = timestamps.shape[0]
+    if n == 0:
+        return np.zeros(0, dtype=bool), 0, np.zeros(0, dtype=np.float64)
+    finite = np.isfinite(timestamps)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise SoCError(f"stream timestamps must be finite, got {timestamps[row]} at row {row}")
+    if np.any(np.diff(timestamps) < 0):
+        raise SoCError("stream timestamps must be non-decreasing")
+
+    index = np.arange(n, dtype=np.int64)
+    # Service-start times under an unbounded queue: starts[k] = g[k] + s*k
+    # with g = running max of (t[k] - s*k)  <=>  f[k] = max(t[k], f[k-1]) + s.
+    g = np.maximum.accumulate(timestamps - service_seconds * index)
+    starts = g + service_seconds * index
+    # Occupancy seen by arrival k: earlier frames whose service has not
+    # begun strictly before t[k] are still sitting in the FIFO.
+    waiting = index - np.searchsorted(starts, timestamps, side="left")
+    peak = int(waiting.max()) + 1  # occupancy just after the push
+    if peak <= capacity:
+        return np.ones(n, dtype=bool), peak, starts - timestamps
+
+    # Overflow: exact drop-oldest replay (only under floods).
+    kept = np.ones(n, dtype=bool)
+    waits = np.zeros(n, dtype=np.float64)
+    queue: deque[int] = deque()
+    t_free = -np.inf
+    max_occupancy = 0
+
+    def serve(head: int, begin: float) -> float:
+        waits[head] = begin - timestamps[head]
+        return begin + service_seconds
+
+    for i in range(n):
+        t_arrival = timestamps[i]
+        while queue:
+            head_arrival = timestamps[queue[0]]
+            begin = t_free if t_free > head_arrival else head_arrival
+            if begin >= t_arrival:
+                break
+            t_free = serve(queue.popleft(), begin)
+        if len(queue) >= capacity:
+            kept[queue.popleft()] = False
+        queue.append(i)
+        if len(queue) > max_occupancy:
+            max_occupancy = len(queue)
+    while queue:  # end of capture: the ECU finishes its backlog
+        head = queue.popleft()
+        begin = t_free if t_free > timestamps[head] else timestamps[head]
+        t_free = serve(head, begin)
     return kept, max_occupancy, waits
 
 
@@ -186,10 +161,10 @@ class ECUReport:
     latency_samples: np.ndarray
     mean_power_w: float
     fifo_dropped: int  #: frames actually lost to RX-FIFO overflow
+    sustained_fps_value: float  #: II-gated pipeline rate (stream: drain rate)
+    num_processed: int  #: serviced frames, excluding corruption
     metrics: dict[str, float] | None = None
     alerts: list[int] = field(default_factory=list)  # indices of detected attacks
-    sustained_fps_value: float | None = None  #: II-gated pipeline rate
-    num_processed: int | None = None  #: serviced frames, excluding corruption
     max_fifo_occupancy: int | None = None  #: peak RX-FIFO fill (stream path)
     #: wire-corrupted attempts observed but never admitted (CRC fails at
     #: the controller, so they are excluded from predictions and metrics)
@@ -224,13 +199,12 @@ class ECUReport:
         Uses the initiation-interval definition (as
         ``SimReport.throughput_fps`` does for the core alone): the CPU
         software path, the driver MMIO occupancy and the core II bound
-        the steady-state rate, not the end-to-end latency sum.  See
+        the steady-state rate, not the end-to-end latency sum.  On the
+        stream path it is the drain rate in force.  See
         :attr:`inverse_latency_fps` for the paper's inverse-latency
         figure.
         """
-        if self.sustained_fps_value is not None:
-            return self.sustained_fps_value
-        return self.inverse_latency_fps
+        return self.sustained_fps_value
 
     @property
     def energy_per_inference_j(self) -> float:
@@ -243,11 +217,10 @@ class ECUReport:
         return energy_per_inference(self.mean_power_w, self.latency_breakdown.total_seconds)
 
     def summary(self) -> str:
-        processed = self.num_processed if self.num_processed is not None else self.num_frames
         corrupted = f", {self.corrupted_frames} corrupted" if self.corrupted_frames else ""
         lines = [
             f"ECU {self.name!r}: {self.num_frames} frames "
-            f"({processed} serviced, {self.fifo_dropped} dropped{corrupted})",
+            f"({self.num_processed} serviced, {self.fifo_dropped} dropped{corrupted})",
             f"  latency: mean {1e3 * self.mean_latency_s:.3f} ms, "
             f"p99 {1e3 * self.p99_latency_s:.3f} ms "
             f"(dominant: {self.latency_breakdown.dominant()})",
@@ -268,7 +241,11 @@ class ECUReport:
 
 
 class IDSEnabledECU:
-    """A Zynq-based ECU with the IDS accelerator on its receive path."""
+    """A Zynq-based ECU with the IDS accelerator on its receive path.
+
+    ``fifo_capacity`` is the depth of the drop-oldest RX FIFO that
+    :meth:`process_stream` admits frames through.
+    """
 
     def __init__(
         self,
@@ -281,22 +258,17 @@ class IDSEnabledECU:
         power_model: PowerModel | None = None,
         seed: int = 0,
     ):
+        if fifo_capacity < 1:
+            raise SoCError(f"FIFO capacity must be >= 1, got {fifo_capacity}")
         self.name = name
         self.encoder = encoder
         self.accelerator = MemoryMappedAccelerator(ip, bus=bus)
-        self.fifo: RxFIFO[CANLogRecord] = RxFIFO(capacity=fifo_capacity)
+        self.fifo_capacity = fifo_capacity
         self.latency_model = latency_model or LatencyModel()
         self.power_model = power_model or PowerModel()
         self.sampler = PMBusSampler(model=self.power_model)
         self._rng = new_rng(seed, f"ecu-{name}")
         self._reference_trace: HWInferenceTrace | None = None
-
-    def classify_frame(self, record: CANLogRecord) -> tuple[int, LatencyBreakdown]:
-        """Process a single frame with full per-frame accounting."""
-        self.fifo.push(record)
-        features = self.encoder.encode_frame(self.fifo.pop())
-        label, trace = self.accelerator.infer(features)
-        return label, self.latency_model.end_to_end(trace)
 
     # -- shared accounting ------------------------------------------------
     def reference_trace(self) -> HWInferenceTrace:
@@ -316,6 +288,25 @@ class IDSEnabledECU:
         """II-gated sustained rate of the whole receive pipeline."""
         core_ii_s = 1.0 / self.accelerator.ip.throughput_fps
         return self.latency_model.sustained_fps(self.reference_trace(), core_ii_s)
+
+    def _classify(self, frames: CaptureArray) -> np.ndarray:
+        """Encode and classify ``frames`` in :data:`CHUNK_ROWS`-frame chunks.
+
+        Window encoders need the preceding ``encoder.lookback`` frames
+        to reproduce whole-capture encoding at a chunk boundary: those
+        context rows are re-encoded and their outputs discarded, so the
+        predictions are bit-identical to one whole-capture call.
+        """
+        predictions = np.empty(len(frames), dtype=np.int64)
+        lookback = self.encoder.lookback
+        for start in range(0, len(frames), CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, len(frames))
+            context = min(lookback, start)
+            features = self.encoder.encode_batch(frames[start - context : stop])
+            predictions[start:stop] = self.accelerator.run_batch(features[context:])
+            # Free this chunk's matrix before the next one is encoded.
+            del features
+        return predictions
 
     def _measure(
         self,
@@ -396,12 +387,9 @@ class IDSEnabledECU:
         capture = CaptureArray.coerce(records)
         if len(capture) == 0:
             raise SoCError("cannot process an empty capture")
-        features = self.encoder.encode_batch(capture)
-        predictions = self.accelerator.run_batch(features)
-        self.fifo.transfer(len(capture))
         return self._measure(
             capture,
-            predictions,
+            self._classify(capture),
             num_frames=len(capture),
             fifo_dropped=0,
             with_metrics=with_metrics,
@@ -410,20 +398,19 @@ class IDSEnabledECU:
     def open_stream(
         self,
         records: "Sequence[CANLogRecord] | CaptureArray | ArbitrationResult",
-        chunk_size: int = 4096,
         drain_fps: float | None = None,
         with_metrics: bool = True,
         corrupted: np.ndarray | None = None,
     ) -> "ECUStreamSession":
-        """Open a resumable streaming session over one capture.
+        """Admit one capture through the RX FIFO: the first step of a stream.
 
-        The session exposes the chunk loop of :meth:`process_stream` as
-        an explicit stepper: each :meth:`ECUStreamSession.step` encodes
-        and classifies one chunk of admitted frames and returns the
-        chunk's virtual-time window plus the RX-FIFO state at its end.
-        The gateway uses this to interleave several channels in
-        virtual-time order; ``drain_fps`` may be an arbitrated share of
-        a shared accelerator (see :mod:`repro.soc.arbiter`).
+        Resolves which frames survive the drop-oldest FIFO at
+        ``drain_fps`` and how long each waits (see
+        :func:`simulate_fifo_admission`); the returned session's
+        ``fifo_dropped``, ``kept_indices`` and ``max_occupancy`` are
+        known at once, and :meth:`ECUStreamSession.finish` classifies
+        the admitted frames.  :meth:`process_stream` is both steps in
+        one call.
 
         ``corrupted`` marks capture rows that are wire-corrupted
         attempts (see :mod:`repro.can.faults`): they fail CRC at the
@@ -435,7 +422,6 @@ class IDSEnabledECU:
         return ECUStreamSession(
             self,
             CaptureArray.coerce(records),
-            chunk_size=chunk_size,
             drain_fps=drain_fps,
             with_metrics=with_metrics,
             corrupted=corrupted,
@@ -444,7 +430,6 @@ class IDSEnabledECU:
     def process_stream(
         self,
         records: "Sequence[CANLogRecord] | CaptureArray | ArbitrationResult",
-        chunk_size: int = 4096,
         drain_fps: float | None = None,
         with_metrics: bool = True,
         corrupted: np.ndarray | None = None,
@@ -460,90 +445,50 @@ class IDSEnabledECU:
         and ``metrics``, and counted in ``fifo_dropped``.
 
         On drop-free traffic the result is prediction-identical to
-        :meth:`process_capture` (the chunked encoder carries window
-        context across chunk boundaries).  Reported latency samples
-        include the simulated queueing delay, so p99 latency degrades
-        visibly as the FIFO fills; ``kept_indices`` maps each serviced
-        frame back to its position in the original capture.
+        :meth:`process_capture` (both classify through the same chunked
+        loop).  Reported latency samples include the simulated queueing
+        delay, so p99 latency degrades visibly as the FIFO fills;
+        ``kept_indices`` maps each serviced frame back to its position
+        in the original capture.
 
-        This is the single-channel convenience wrapper around
-        :meth:`open_stream`: it runs the session to completion in one
-        call.
+        This is :meth:`open_stream` followed by
+        :meth:`ECUStreamSession.finish`; ``corrupted`` is as there.
         """
-        session = self.open_stream(
+        return self.open_stream(
             records,
-            chunk_size=chunk_size,
             drain_fps=drain_fps,
             with_metrics=with_metrics,
             corrupted=corrupted,
-        )
-        while not session.done:
-            session.step()
-        return session.finish()
-
-
-@dataclass(frozen=True)
-class StreamChunk:
-    """One stepper advance: a contiguous run of serviced frames.
-
-    ``start``/``stop`` index into the session's *serviced* frames (use
-    :attr:`ECUStreamSession.kept_indices` to map back to capture
-    positions).  Times are virtual capture time, not wall time.
-    """
-
-    start: int
-    stop: int
-    arrival_time: float  #: interface arrival of the chunk's first frame
-    completion_time: float  #: service completion of the chunk's last frame
-    #: frames occupying the RX FIFO at ``completion_time`` — queued
-    #: survivors plus flood casualties not yet evicted by drop-oldest
-    fifo_backlog: int
-
-    @property
-    def num_serviced(self) -> int:
-        return self.stop - self.start
+        ).finish()
 
 
 class ECUStreamSession:
-    """Resumable per-channel stepper over one capture.
+    """One capture admitted through an ECU's RX FIFO, ready to classify.
 
-    FIFO admission is resolved up front (it is a closed-form function
-    of arrival timestamps, service interval and capacity — see
-    :func:`simulate_fifo_admission`); what the stepper resumes is the
-    expensive part, the chunked encode + classify of admitted frames.
-    Each :meth:`step` advances one chunk and returns its
-    :class:`StreamChunk`; :meth:`finish` assembles the
-    :class:`ECUReport` once every chunk has been stepped.
-
-    Window encoders need the preceding ``encoder.lookback`` frames to
-    reproduce whole-capture encoding at chunk boundaries; the context
-    rows are re-encoded and their outputs discarded, so the assembled
-    predictions are bit-identical to a single whole-capture call — and
-    therefore independent of how steps from different sessions are
-    interleaved by a scheduler.
+    FIFO admission is resolved in the constructor: it is a closed-form
+    function of arrival timestamps, service interval and capacity (see
+    :func:`simulate_fifo_admission`), so ``fifo_dropped``,
+    ``kept_indices`` and ``max_occupancy`` are set on construction.
+    :meth:`finish` encodes and classifies the admitted frames and
+    assembles the :class:`ECUReport`.
     """
 
     def __init__(
         self,
         ecu: "IDSEnabledECU",
         capture: CaptureArray,
-        chunk_size: int = 4096,
         drain_fps: float | None = None,
         with_metrics: bool = True,
         corrupted: np.ndarray | None = None,
     ):
         if len(capture) == 0:
             raise SoCError("cannot process an empty capture")
-        if chunk_size < 1:
-            raise SoCError(f"chunk_size must be >= 1, got {chunk_size}")
-        if drain_fps is not None and drain_fps <= 0:
-            raise SoCError(f"drain_fps must be positive, got {drain_fps}")
+        if drain_fps is not None and (not math.isfinite(drain_fps) or drain_fps <= 0):
+            raise SoCError(f"drain_fps must be finite and positive, got {drain_fps}")
         self.ecu = ecu
-        self.chunk_size = int(chunk_size)
         self.with_metrics = with_metrics
         self.drain_fps = float(drain_fps) if drain_fps is not None else ecu.sustained_fps()
-        self._service_s = 1.0 / self.drain_fps
-        self._capture = capture
+        self.num_frames = len(capture)
 
         if corrupted is not None:
             corrupted = np.asarray(corrupted, dtype=bool)
@@ -566,118 +511,38 @@ class ECUStreamSession:
         if len(offered) == 0:
             raise SoCError("every frame in the capture is corrupted; nothing to scan")
         self.corrupted_frames = len(capture) - len(offered)
-        self._offered = offered
 
-        kept_mask, self.max_occupancy, queue_waits, evictions = (
-            _simulate_fifo_admission_events(
-                offered.timestamps, self._service_s, ecu.fifo.capacity
-            )
+        kept_mask, self.max_occupancy, queue_waits = simulate_fifo_admission(
+            offered.timestamps, 1.0 / self.drain_fps, ecu.fifo_capacity
         )
         if bool(kept_mask.all()):
             # Drop-free (the common case): the admitted stream IS the
             # offered capture — alias it zero-copy instead of
-            # mask-copying every column, and chunk slices below stay
-            # views of the caller's buffers end to end.
+            # mask-copying every column, and chunk slices stay views of
+            # the caller's buffers end to end.
             self._kept = offered
             kept_positions = np.arange(len(offered), dtype=np.int64)
             self._queue_waits = queue_waits
-            self._eviction_times = np.zeros(0, dtype=np.float64)
         else:
             self._kept = offered[kept_mask]
             kept_positions = np.flatnonzero(kept_mask)
             self._queue_waits = queue_waits[kept_mask]
-            #: when drop-oldest evicted each casualty (sorted)
-            self._eviction_times = np.sort(evictions[~kept_mask])
         self.kept_indices = (
             clean_indices[kept_positions] if clean_indices is not None else kept_positions
         )
         self.fifo_dropped = len(offered) - len(self._kept)
-        #: service-start times of admitted frames (non-decreasing: FIFO order)
-        self._starts = self._kept.timestamps + self._queue_waits
-        ecu.fifo.transfer(len(self._kept))
-        ecu.fifo.record_overflow(self.fifo_dropped)
-
-        self._lookback = getattr(ecu.encoder, "lookback", 0)
-        self._predictions = np.empty(len(self._kept), dtype=np.int64)
-        self._cursor = 0
         self._report: ECUReport | None = None
 
-    @property
-    def num_frames(self) -> int:
-        """Frames observed at the interface (serviced + dropped + corrupted)."""
-        return len(self._capture)
-
-    @property
-    def num_serviced(self) -> int:
-        return len(self._kept)
-
-    @property
-    def done(self) -> bool:
-        return self._cursor >= len(self._kept)
-
-    @property
-    def next_arrival(self) -> float:
-        """Arrival time of the next unserviced frame (+inf when done).
-
-        This is the virtual-time key a scheduler orders sessions by:
-        always stepping the session with the earliest pending arrival
-        yields a deterministic interleaving that follows capture time
-        across channels.
-        """
-        if self.done:
-            return float("inf")
-        return float(self._kept.timestamps[self._cursor])
-
-    @property
-    def virtual_time(self) -> float:
-        """Service-completion time of the last stepped chunk (0 initially)."""
-        if self._cursor == 0:
-            return 0.0
-        return float(self._starts[self._cursor - 1] + self._service_s)
-
-    def _backlog_at(self, when: float) -> int:
-        """Frames occupying the FIFO at virtual time ``when``.
-
-        Every arrival occupies a slot until it *leaves* — serviced
-        frames at their service start, flood casualties at the instant
-        drop-oldest evicted them — so under a flood this reads at or
-        near capacity, consistent with ``max_occupancy``.
-        """
-        arrived = int(np.searchsorted(self._offered.timestamps, when, side="right"))
-        begun = int(np.searchsorted(self._starts, when, side="right"))
-        evicted = int(np.searchsorted(self._eviction_times, when, side="right"))
-        return arrived - begun - evicted
-
-    def step(self) -> StreamChunk:
-        """Encode + classify the next chunk of admitted frames."""
-        if self.done:
-            raise SoCError("stream session is exhausted")
-        start = self._cursor
-        stop = min(start + self.chunk_size, len(self._kept))
-        context = min(self._lookback, start)
-        features = self.ecu.encoder.encode_batch(self._kept[start - context : stop])
-        self._predictions[start:stop] = self.ecu.accelerator.run_batch(features[context:])
-        self._cursor = stop
-        completion = float(self._starts[stop - 1] + self._service_s)
-        return StreamChunk(
-            start=start,
-            stop=stop,
-            arrival_time=float(self._kept.timestamps[start]),
-            completion_time=completion,
-            fifo_backlog=self._backlog_at(completion),
-        )
-
     def finish(self) -> ECUReport:
-        """Assemble the report once every chunk has been stepped."""
-        if not self.done:
-            raise SoCError(
-                f"stream session has {len(self._kept) - self._cursor} frames pending"
-            )
+        """Encode and classify the admitted frames; assemble the report.
+
+        The report is built once: later calls return the same object.
+        """
         if self._report is None:
             self._report = self.ecu._measure(
                 self._kept,
-                self._predictions,
-                num_frames=len(self._capture),
+                self.ecu._classify(self._kept),
+                num_frames=self.num_frames,
                 fifo_dropped=self.fifo_dropped,
                 with_metrics=self.with_metrics,
                 max_fifo_occupancy=self.max_occupancy,

@@ -10,24 +10,23 @@ that deployment simulable at scale: each channel pairs a
 and pushed through the ECU's streaming engine, and the gateway
 aggregates throughput, drops and alerts across channels.
 
-**Scheduling model.**  :meth:`IDSGateway.monitor` holds one resumable
-:class:`~repro.soc.ecu.ECUStreamSession` per channel and *interleaves*
-them in virtual-time order: at every turn the session with the earliest
-pending frame arrival advances one chunk (ties break on attach order).
-Channel state is fully per-session, so every channel's report equals
-what its ECU would produce draining that segment alone — what the
-interleaving buys is the correct *concurrency semantics*: a flooded
-segment spends its own FIFO budget and drops its own frames, while
-quieter segments keep their verdicts and their zero drop counts,
-exactly as N independent receive paths behave in hardware.
+**Channel model.**  Each channel is its own receive path:
+:meth:`IDSGateway.monitor` drains every active channel's traffic
+through that channel's ECU with one
+:meth:`~repro.soc.ecu.IDSEnabledECU.process_stream` call.  Channel state
+is fully per-ECU, so every channel's report equals what its ECU would
+produce draining that segment alone, in any order: a flooded segment
+spends its own FIFO budget and drops its own frames, while quieter
+segments keep their verdicts and their zero drop counts, exactly as N
+independent receive paths behave in hardware.
 
 **Arbitration model.**  With per-channel accelerator IPs every channel
 drains at its own sustained rate.  Pass a
 :class:`~repro.soc.arbiter.SharedAcceleratorArbiter` to model all
 channels time-multiplexing *one* IP over the AXI interconnect instead:
 the arbiter plans each channel's slot share (round-robin or
-fixed-priority) and the gateway opens that channel's session at the
-granted ``effective_drain_fps`` — the arbitration wait is folded into
+fixed-priority) and the gateway streams that channel at the granted
+``effective_drain_fps`` — the arbitration wait is folded into
 the drain rate, so FIFO admission, drops and queueing delay all see
 the slower shared service.
 
@@ -39,6 +38,7 @@ not an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -50,7 +50,7 @@ from repro.can.faults import WireFaultModel
 from repro.can.log import CaptureArray
 from repro.errors import SoCError
 from repro.soc.arbiter import ArbitrationGrant, SharedAcceleratorArbiter
-from repro.soc.ecu import ECUReport, ECUStreamSession, IDSEnabledECU
+from repro.soc.ecu import ECUReport, IDSEnabledECU
 
 __all__ = [
     "ChannelResult",
@@ -134,7 +134,7 @@ class ChannelResult:
     name: str
     bus_load: float  #: fraction of wire time occupied on this segment
     report: ECUReport | None
-    effective_drain_fps: float | None = None  #: drain rate the session ran at
+    effective_drain_fps: float | None = None  #: drain rate the channel ran at
     grant: ArbitrationGrant | None = None  #: shared-IP slot grant, if any
     capture: CaptureArray | None = None  #: observed traffic (None when idle)
     phase_outcomes: tuple[PhaseOutcome, ...] = ()  #: campaign phase verdicts
@@ -156,11 +156,7 @@ class ChannelResult:
 
     @property
     def num_processed(self) -> int:
-        if self.report is None:
-            return 0
-        if self.report.num_processed is not None:
-            return self.report.num_processed
-        return self.report.num_frames
+        return self.report.num_processed if self.report is not None else 0
 
     @property
     def dropped(self) -> int:
@@ -455,7 +451,6 @@ class IDSGateway:
     def monitor(
         self,
         duration: float,
-        chunk_size: int = 4096,
         drain_fps: float | None = None,
         with_metrics: bool = True,
         arbiter: SharedAcceleratorArbiter | None = None,
@@ -465,18 +460,17 @@ class IDSGateway:
     ) -> GatewayReport:
         """Run every segment for ``duration`` seconds and scan its traffic.
 
-        Each channel's frames stream through its ECU with real FIFO
-        backpressure (see :meth:`IDSEnabledECU.process_stream`);
-        ``drain_fps`` overrides the per-ECU sustained rate, e.g. to
-        model a slower shared post-processing stage.  Sessions advance
-        in virtual-time order of their next pending arrival; they are
-        independent, so each channel's report equals a lone
-        ``process_stream`` of its traffic.
+        Each active channel's frames stream through its ECU with real
+        FIFO backpressure, one :meth:`IDSEnabledECU.process_stream` call
+        per channel, so each channel's report is exactly that lone
+        stream of its traffic.  ``drain_fps`` overrides the per-ECU
+        sustained rate, e.g. to model a slower shared post-processing
+        stage.
 
         ``arbiter`` models every active channel time-multiplexing one
-        shared accelerator IP: each channel's session drains at its
-        granted share of the (possibly ``drain_fps``-overridden) base
-        rate instead of the full rate.
+        shared accelerator IP: each channel drains at its granted share
+        of the (possibly ``drain_fps``-overridden) base rate instead of
+        the full rate.
 
         ``truth`` maps channel names to ground-truth phase windows —
         ``(phase_name, start, end, injects)`` from a campaign's
@@ -508,6 +502,8 @@ class IDSGateway:
             raise SoCError("gateway has no channels attached")
         if duration <= 0:
             raise SoCError(f"duration must be positive, got {duration}")
+        if drain_fps is not None and (not math.isfinite(drain_fps) or drain_fps <= 0):
+            raise SoCError(f"drain_fps must be finite and positive, got {drain_fps}")
         if engine not in ENGINES:
             raise SoCError(f"unknown engine {engine!r}; choose from {ENGINES}")
         if truth is not None:
@@ -582,31 +578,20 @@ class IDSGateway:
             }
             grants = arbiter.plan(base)
 
-        # Phase 3: open one resumable session per active channel.
-        sessions: dict[str, ECUStreamSession] = {}
+        # Phase 3: drain each active channel through its own receive path.
+        reports: dict[str, ECUReport] = {}
         for name in active:
             _, ecu = self._channels[name]
-            channel_drain = (
-                grants[name].effective_drain_fps if name in grants else drain_fps
-            )
-            sessions[name] = ecu.open_stream(
+            reports[name] = ecu.process_stream(
                 traffic[name][1],  # the channel's CaptureArray
-                chunk_size=chunk_size,
-                drain_fps=channel_drain,
+                drain_fps=(
+                    grants[name].effective_drain_fps if name in grants else drain_fps
+                ),
                 with_metrics=with_metrics,
                 corrupted=wire[name][0],
             )
 
-        # Phase 4: advance sessions to completion in virtual-time order.
-        order = {name: position for position, name in enumerate(self._channels)}
-        pending = [name for name in active if not sessions[name].done]
-        while pending:
-            name = min(pending, key=lambda n: (sessions[n].next_arrival, order[n]))
-            sessions[name].step()
-            if sessions[name].done:
-                pending.remove(name)
-
-        # Phase 5: aggregate, attributing verdicts to truth windows.
+        # Phase 4: aggregate, attributing verdicts to truth windows.
         results: list[ChannelResult] = []
         for name in self._channels:
             load, capture, sources = traffic[name]
@@ -614,7 +599,7 @@ class IDSGateway:
             corrupted_frames = (
                 int(corrupted_mask.sum()) if corrupted_mask is not None else 0
             )
-            if name not in sessions:
+            if name not in reports:
                 results.append(
                     ChannelResult(
                         name=name,
@@ -627,8 +612,7 @@ class IDSGateway:
                     )
                 )
                 continue
-            session = sessions[name]
-            report = session.finish()
+            report = reports[name]
             outcomes: tuple[PhaseOutcome, ...] = ()
             if truth is not None and truth.get(name):
                 outcomes = _phase_outcomes(
@@ -639,7 +623,7 @@ class IDSGateway:
                     name=name,
                     bus_load=load,
                     report=report,
-                    effective_drain_fps=session.drain_fps,
+                    effective_drain_fps=report.throughput_fps,
                     grant=grants.get(name),
                     capture=capture,
                     phase_outcomes=outcomes,
@@ -675,7 +659,7 @@ def build_segment_gateway(
     :class:`~repro.soc.ecu.IDSEnabledECU` carrying ``ip`` behind the
     deployed bit encoding; when ``flood_window`` is given, the first
     segment is DoS-flooded over that interval.  This is the shared
-    fixture behind E5's gateway rows, the scheduler tests and the
+    fixture behind E5's gateway rows, the gateway tests and the
     gateway benchmark — one place to change the scenario.
     """
     from repro.datasets.carhacking import build_vehicle_bus

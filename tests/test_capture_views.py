@@ -4,9 +4,8 @@ Property-style pins for the zero-record data path: slicing, masking,
 fancy indexing, ``concat`` and ``iter_windows`` must agree bit-exactly
 with the equivalent record-list operations (timestamps, labels and
 payloads included), views must share the base buffers while mask/fancy
-results are independent copies, and the chunked-columnar
-``ECUStreamSession`` must produce the same output as record-built
-chunks.
+results are independent copies, and streaming a capture through an ECU
+must produce the same output as streaming its records.
 """
 
 from __future__ import annotations
@@ -144,44 +143,23 @@ class TestIterWindows:
 
 
 class TestStreamSessionColumnarAB:
-    """Chunked-columnar streaming == record-built chunks, end to end."""
+    """Chunked-columnar streaming == streaming the record list, end to end."""
 
     def test_stream_from_capture_matches_stream_from_records(self, dos_capture, dos_ip):
-        window = dos_capture[:1200]
+        window = dos_capture.capture  # longer than one classify chunk
         records = window.to_records()
 
         def run(source):
             ecu = IDSEnabledECU(dos_ip, BitFeatureEncoder(), name="ab-ecu", seed=5)
-            session = ecu.open_stream(source, chunk_size=256)
-            chunks = []
-            while not session.done:
-                chunks.append(session.step())
-            return session.finish(), chunks
+            return ecu.process_stream(source)
 
-        columnar_report, columnar_chunks = run(window)
-        record_report, record_chunks = run(records)
-        assert columnar_chunks == record_chunks
+        columnar_report, record_report = run(window), run(records)
         np.testing.assert_array_equal(columnar_report.predictions, record_report.predictions)
         np.testing.assert_array_equal(columnar_report.labels, record_report.labels)
         np.testing.assert_array_equal(
             columnar_report.kept_indices, record_report.kept_indices
         )
+        np.testing.assert_array_equal(
+            columnar_report.latency_samples, record_report.latency_samples
+        )
         assert columnar_report.fifo_dropped == record_report.fifo_dropped
-
-    def test_chunk_slices_encode_like_record_built_chunks(self, dos_capture, dos_ip):
-        window = dos_capture[:1000]
-        records = window.to_records()
-        encoder = BitFeatureEncoder()
-        ecu = IDSEnabledECU(dos_ip, encoder, name="ab-chunk-ecu", seed=5)
-        session = ecu.open_stream(window, chunk_size=300)
-        while not session.done:
-            chunk = session.step()
-            kept = session.kept_indices
-            chunk_records = [
-                records[int(kept[i])] for i in range(chunk.start, chunk.stop)
-            ]
-            expected = encoder.encode_batch(CaptureArray.from_records(chunk_records))
-            actual = encoder.encode_batch(
-                session._kept[chunk.start : chunk.stop]
-            )
-            np.testing.assert_array_equal(actual, expected)

@@ -297,6 +297,12 @@ class TestResilienceOptions:
         with pytest.raises(ConfigError, match="max_retries"):
             ExecOptions(max_retries=-1)
 
+    @pytest.mark.parametrize("timeout_s", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected(self, timeout_s):
+        """A NaN deadline never fires and an infinite one overflows ``wait()``."""
+        with pytest.raises(ConfigError, match=f"got {timeout_s}"):
+            ExecOptions(timeout_s=timeout_s)
+
     def test_as_record_carries_the_resilience_settings(self):
         record = ExecOptions(timeout_s=30.0, max_retries=5, strict=True).as_record()
         assert record["timeout_s"] == 30.0

@@ -397,8 +397,6 @@ class TestGracefulDegradation:
         assert session.corrupted_frames == int(corrupted.sum())
         kept = set(session.kept_indices.tolist())
         assert kept.isdisjoint(np.flatnonzero(corrupted).tolist())
-        while not session.done:
-            session.step()
         report = session.finish()
         assert report.corrupted_frames == int(corrupted.sum())
         assert report.num_frames == len(capture)

@@ -1,13 +1,12 @@
-"""Interleaved gateway scheduling and shared-accelerator arbitration.
+"""Multi-channel gateway monitoring and shared-accelerator arbitration.
 
-Pins the contracts the multi-channel scheduler PR introduced:
+Pins these contracts:
 
-* the resumable :class:`ECUStreamSession` stepper reproduces
-  :meth:`process_stream` exactly, chunk by chunk;
-* interleaved ``monitor()`` matches, per channel, a lone
-  ``process_stream`` of that segment's traffic through a fresh ECU
-  (the sequential oracle), and a flood on one segment cannot leak
-  drops or delay into another segment;
+* a stream session validates its arguments, and its chunked classify
+  loop carries window-encoder context across chunk boundaries;
+* ``monitor()`` matches, per channel, a lone ``process_stream`` of that
+  segment's traffic through a fresh ECU (the sequential oracle), and a
+  flood on one segment cannot leak drops or delay into another segment;
 * a quiet channel yields an idle :class:`ChannelResult` instead of
   aborting the run;
 * the shared-IP arbiter reduces every channel's effective drain rate
@@ -22,7 +21,7 @@ from repro.datasets.carhacking import build_vehicle_bus
 from repro.datasets.features import BitFeatureEncoder
 from repro.errors import SoCError
 from repro.soc.arbiter import ARBITRATION_POLICIES, SharedAcceleratorArbiter
-from repro.soc.ecu import IDSEnabledECU
+from repro.soc.ecu import CHUNK_ROWS, IDSEnabledECU
 from repro.soc.gateway import IDSGateway, build_segment_gateway
 
 
@@ -48,92 +47,39 @@ def _three_channel_gateway(ip, flood=True, fifo_capacity=64):
 
 
 class TestStreamSession:
-    """The resumable stepper behind process_stream."""
-
-    def test_stepping_matches_process_stream(self, dos_ip, dos_capture):
-        records = dos_capture.records[:1200]
-        whole = _ecu(dos_ip, seed=4).process_stream(records, chunk_size=256)
-        session = _ecu(dos_ip, seed=4).open_stream(records, chunk_size=256)
-        chunks = []
-        while not session.done:
-            chunks.append(session.step())
-        report = session.finish()
-        np.testing.assert_array_equal(report.predictions, whole.predictions)
-        assert report.metrics == whole.metrics
-        assert [c.num_serviced for c in chunks] == [256, 256, 256, 256, 176]
-        # Chunks tile the serviced frames contiguously.
-        assert chunks[0].start == 0
-        assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
-        assert chunks[-1].stop == report.num_processed
-
-    def test_chunk_virtual_times_are_monotonic(self, dos_ip, dos_capture):
-        session = _ecu(dos_ip, seed=4, fifo_capacity=16).open_stream(
-            dos_capture.records[:2000], chunk_size=128, drain_fps=800.0
-        )
-        last_completion = 0.0
-        while not session.done:
-            before = session.next_arrival
-            chunk = session.step()
-            assert chunk.arrival_time == before
-            assert chunk.completion_time >= chunk.arrival_time
-            assert chunk.completion_time >= last_completion
-            assert chunk.fifo_backlog >= 0
-            last_completion = chunk.completion_time
-        assert session.next_arrival == float("inf")
-        assert session.virtual_time == last_completion
-
-    def test_backlog_visible_under_flood(self, dos_ip, dos_capture):
-        """Chunk boundaries see the physically full FIFO during a flood."""
-        capacity = 32
-        session = _ecu(dos_ip, seed=4, fifo_capacity=capacity).open_stream(
-            dos_capture.records[:2000], chunk_size=64, drain_fps=400.0
-        )
-        backlogs = []
-        while not session.done:
-            backlogs.append(session.step().fifo_backlog)
-        # Occupancy counts flood casualties until drop-oldest evicts
-        # them, so mid-flood the buffer reads full (minus the frame
-        # whose completion defines the boundary), never over-full.
-        assert capacity - 1 <= max(backlogs) <= capacity
-        assert backlogs[-1] == 0  # the ECU finishes its backlog
-        assert session.fifo_dropped > 0
-
-    def test_finish_requires_completion(self, dos_ip, dos_capture):
-        session = _ecu(dos_ip, seed=4).open_stream(dos_capture.records[:500], chunk_size=100)
-        session.step()
-        with pytest.raises(SoCError):
-            session.finish()
-
-    def test_step_after_done_rejected(self, dos_ip, dos_capture):
-        session = _ecu(dos_ip, seed=4).open_stream(dos_capture.records[:50])
-        session.step()
-        with pytest.raises(SoCError):
-            session.step()
+    """FIFO admission, then the chunked classify loop."""
 
     def test_session_validates_args(self, dos_ip, dos_capture):
         ecu = _ecu(dos_ip, seed=4)
         with pytest.raises(SoCError):
             ecu.open_stream([])
         with pytest.raises(SoCError):
-            ecu.open_stream(dos_capture.records[:10], chunk_size=0)
-        with pytest.raises(SoCError):
             ecu.open_stream(dos_capture.records[:10], drain_fps=0.0)
 
     def test_lookback_context_survives_stepping(self, dos_ip, dos_capture):
-        """Each step re-encodes ``lookback`` context rows and discards them."""
+        """Each chunk re-encodes ``lookback`` context rows and discards them."""
 
-        class LookbackBitEncoder(BitFeatureEncoder):
-            lookback = 3
+        class PreviousFrameEncoder(BitFeatureEncoder):
+            """Row i carries frame i-1's bits; a capture's first row its own."""
 
-        records = dos_capture.records[:600]
-        encoder = LookbackBitEncoder()
-        whole = _ecu(dos_ip, seed=4, encoder=encoder).process_stream(records, chunk_size=600)
-        session = _ecu(dos_ip, seed=4, encoder=encoder).open_stream(records, chunk_size=97)
-        while not session.done:
-            session.step()
-        report = session.finish()
-        assert len(report.predictions) == 600  # context rows were discarded
-        np.testing.assert_array_equal(report.predictions, whole.predictions)
+            lookback = 1
+
+            def encode_batch(self, capture):
+                bits = super().encode_batch(capture)
+                return np.concatenate([bits[:1], bits[:-1]])
+
+        capture = dos_capture.capture
+        assert len(capture) > CHUNK_ROWS
+        encoder = PreviousFrameEncoder()
+        ecu = _ecu(dos_ip, seed=4, encoder=encoder)
+        whole = ecu.accelerator.run_batch(encoder.encode_batch(capture))
+        # The fixture is sensitive: encoding the second chunk without its
+        # context row would change the verdict on that chunk's first frame.
+        cold = ecu.accelerator.run_batch(encoder.encode_batch(capture[CHUNK_ROWS:]))
+        assert cold[0] != whole[CHUNK_ROWS]
+        for report in (ecu.process_capture(capture), ecu.process_stream(capture)):
+            assert report.fifo_dropped == 0
+            np.testing.assert_array_equal(report.predictions, whole)
 
 
 def _assert_matches_lone_channels(ip, report, fifo_capacity, **stream_kwargs):
@@ -141,9 +87,8 @@ def _assert_matches_lone_channels(ip, report, fifo_capacity, **stream_kwargs):
 
     The oracle rebuilds the ECU ``build_segment_gateway`` attached
     (same name, seed and FIFO depth) and runs ``process_stream`` over
-    the channel's observed capture: no other session exists to
-    interleave with, so any cross-channel coupling in the scheduler
-    would show up as a mismatch.
+    the channel's observed capture: no other channel exists, so any
+    cross-channel coupling in the gateway would show up as a mismatch.
     """
     for index, channel in enumerate(report.channels):
         alone = _ecu(
@@ -160,20 +105,16 @@ def _assert_matches_lone_channels(ip, report, fifo_capacity, **stream_kwargs):
 class TestInterleavedSchedule:
     def test_interleaved_matches_sequential_unloaded(self, dos_ip):
         """Every channel equals its lone drain on unloaded traffic."""
-        report = _three_channel_gateway(dos_ip, flood=False).monitor(
-            duration=1.0, chunk_size=128
-        )
+        report = _three_channel_gateway(dos_ip, flood=False).monitor(duration=1.0)
         assert report.total_dropped == 0
-        _assert_matches_lone_channels(dos_ip, report, fifo_capacity=64, chunk_size=128)
+        _assert_matches_lone_channels(dos_ip, report, fifo_capacity=64)
 
     def test_interleaved_matches_sequential_under_flood(self, dos_ip):
         report = _three_channel_gateway(dos_ip, fifo_capacity=16).monitor(
-            duration=1.0, chunk_size=128, drain_fps=2000.0
+            duration=1.0, drain_fps=2000.0
         )
         assert report.channel("powertrain").dropped > 0
-        _assert_matches_lone_channels(
-            dos_ip, report, fifo_capacity=16, chunk_size=128, drain_fps=2000.0
-        )
+        _assert_matches_lone_channels(dos_ip, report, fifo_capacity=16, drain_fps=2000.0)
 
     def test_flood_does_not_leak_across_segments(self, dos_ip):
         """The flooded segment drops its own frames; others are untouched."""

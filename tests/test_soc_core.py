@@ -1,4 +1,4 @@
-"""Tests for SoC primitives: device DB, AXI bus, FIFO, packing."""
+"""Tests for SoC primitives: device DB, AXI bus, packing."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.finn.resources import ResourceEstimate
 from repro.soc.accelerator import pack_words
 from repro.soc.axi import AXILiteBus
 from repro.soc.device import DEVICES, PYNQ_Z2, ZCU104
-from repro.soc.fifo import RxFIFO
 
 
 class TestDevice:
@@ -91,72 +90,6 @@ class TestAXIBus:
         bus.poke(0x4, 7)
         assert bus.peek(0x4) == 7
         assert bus.transactions == 0
-
-
-class TestRxFIFO:
-    def test_fifo_order(self):
-        fifo = RxFIFO(capacity=4)
-        for i in range(3):
-            fifo.push(i)
-        assert fifo.pop() == 0 and fifo.pop() == 1
-
-    def test_drop_oldest_on_overflow(self):
-        fifo = RxFIFO(capacity=2)
-        for i in range(5):
-            fifo.push(i)
-        assert fifo.dropped == 3
-        assert fifo.pop() == 3  # oldest surviving
-
-    def test_peek_window_newest(self):
-        fifo = RxFIFO(capacity=8)
-        for i in range(5):
-            fifo.push(i)
-        assert fifo.peek_window(3) == [2, 3, 4]
-
-    def test_peek_window_short_on_cold_start(self):
-        """Contract: min(count, len) items — a cold window is short, not padded."""
-        fifo = RxFIFO(capacity=8)
-        assert fifo.peek_window(3) == []
-        fifo.push(10)
-        fifo.push(11)
-        assert fifo.peek_window(3) == [10, 11]
-        assert fifo.peek_window(2) == [10, 11]
-
-    def test_peek_window_require_full(self):
-        """require_full turns a cold-start short window into an error."""
-        fifo = RxFIFO(capacity=8)
-        fifo.push(1)
-        with pytest.raises(SoCError):
-            fifo.peek_window(2, require_full=True)
-        fifo.push(2)
-        assert fifo.peek_window(2, require_full=True) == [1, 2]
-
-    def test_peek_window_size_validated(self):
-        with pytest.raises(SoCError):
-            RxFIFO(capacity=2).peek_window(0)
-
-    def test_pop_empty(self):
-        with pytest.raises(SoCError):
-            RxFIFO(capacity=2).pop()
-
-    def test_occupancy(self):
-        fifo = RxFIFO(capacity=4)
-        fifo.push(1)
-        assert fifo.occupancy == 0.25
-
-    def test_capacity_validated(self):
-        with pytest.raises(SoCError):
-            RxFIFO(capacity=0)
-
-    @given(st.lists(st.integers(), min_size=0, max_size=50), st.integers(min_value=1, max_value=10))
-    @settings(max_examples=30, deadline=None)
-    def test_conservation_property(self, items, capacity):
-        fifo = RxFIFO(capacity=capacity)
-        for item in items:
-            fifo.push(item)
-        assert fifo.pushed == len(items)
-        assert len(fifo) == min(len(items), capacity)
-        assert fifo.dropped == max(len(items) - capacity, 0)
 
 
 class TestPackWords:

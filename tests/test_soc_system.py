@@ -163,12 +163,6 @@ class TestECU:
         report = ecu.process_capture(dos_capture.records[:2000])
         assert set(report.alerts) == set(np.flatnonzero(report.predictions == 1).tolist())
 
-    def test_classify_single_frame(self, dos_ip, dos_capture):
-        ecu = IDSEnabledECU(dos_ip, BitFeatureEncoder(), seed=4)
-        label, breakdown = ecu.classify_frame(dos_capture.records[0])
-        assert label in (0, 1)
-        assert breakdown.total_seconds > 0
-
     def test_empty_capture_rejected(self, dos_ip):
         ecu = IDSEnabledECU(dos_ip, BitFeatureEncoder())
         with pytest.raises(SoCError):

@@ -11,14 +11,18 @@ Pins the three contracts the streaming PR introduced:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.can.attacks import DoSAttacker
 from repro.can.log import CaptureArray
 from repro.datasets.carhacking import build_vehicle_bus
 from repro.datasets.features import BitFeatureEncoder, ByteFeatureEncoder, WindowFeatureEncoder
 from repro.errors import DatasetError, SoCError
-from repro.soc.ecu import IDSEnabledECU, simulate_fifo_admission
+from repro.soc.arbiter import SharedAcceleratorArbiter
+from repro.soc.ecu import CHUNK_ROWS, IDSEnabledECU, simulate_fifo_admission
 from repro.soc.gateway import IDSGateway
+
+NAN, INF = float("nan"), float("inf")
 
 
 class TestCaptureArray:
@@ -151,9 +155,6 @@ class TestFifoDropAccounting:
         assert report.num_frames == count
         assert report.num_processed == count
         assert len(report.predictions) == count
-        assert ecu.fifo.pushed == count
-        assert ecu.fifo.popped == count
-        assert ecu.fifo.dropped == 0
 
     def test_metrics_cover_all_frames(self, dos_ip, dos_capture):
         """Predictions/metrics are computed over exactly the serviced frames."""
@@ -162,29 +163,34 @@ class TestFifoDropAccounting:
         assert len(report.predictions) == len(report.labels) == 2000
         assert report.metrics is not None
 
-    def test_classify_frame_keeps_per_frame_accounting(self, dos_ip, dos_capture):
-        ecu = IDSEnabledECU(dos_ip, BitFeatureEncoder(), seed=4)
-        for record in dos_capture.records[:5]:
-            ecu.classify_frame(record)
-        assert ecu.fifo.pushed == 5 and ecu.fifo.popped == 5 and ecu.fifo.dropped == 0
-
 
 class TestFifoAdmission:
     def _naive(self, timestamps, service, capacity):
-        """Independent reference: event-by-event drop-oldest queue."""
+        """Independent reference: event-by-event drop-oldest queue.
+
+        Returns the kept mask, the peak occupancy (just after a push)
+        and each frame's wait before its service starts (0 if dropped).
+        """
         kept = [True] * len(timestamps)
-        queue, t_free = [], float("-inf")
+        waits = [0.0] * len(timestamps)
+        queue, t_free, peak = [], float("-inf"), 0
+
+        def serve_head():
+            begin = max(t_free, timestamps[queue[0]])
+            waits[queue[0]] = begin - timestamps[queue[0]]
+            queue.pop(0)
+            return begin + service
+
         for i, t in enumerate(timestamps):
-            while queue:
-                begin = max(t_free, timestamps[queue[0]])
-                if begin >= t:
-                    break
-                t_free = begin + service
-                queue.pop(0)
+            while queue and max(t_free, timestamps[queue[0]]) < t:
+                t_free = serve_head()
             if len(queue) >= capacity:
                 kept[queue.pop(0)] = False
             queue.append(i)
-        return np.array(kept)
+            peak = max(peak, len(queue))
+        while queue:
+            t_free = serve_head()
+        return np.array(kept), peak, np.array(waits)
 
     def test_drop_free_when_drain_keeps_up(self):
         timestamps = np.arange(100) * 1.0
@@ -212,8 +218,36 @@ class TestFifoAdmission:
     def test_matches_naive_reference(self, rng, capacity):
         timestamps = np.sort(rng.uniform(0.0, 1.0, size=400))
         service = 1.0 / 600.0  # drain slower than the 400/s offered rate
-        kept, _, _ = simulate_fifo_admission(timestamps, service, capacity)
-        np.testing.assert_array_equal(kept, self._naive(timestamps.tolist(), service, capacity))
+        kept, peak, _ = simulate_fifo_admission(timestamps, service, capacity)
+        naive_kept, naive_peak, _ = self._naive(timestamps.tolist(), service, capacity)
+        np.testing.assert_array_equal(kept, naive_kept)
+        assert peak == naive_peak
+
+    @given(
+        gaps=st.lists(st.integers(min_value=0, max_value=8), min_size=8, max_size=80),
+        service_ticks=st.integers(min_value=1, max_value=10),
+        capacity=st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_naive_reference(self, gaps, service_ticks, capacity):
+        """Kept mask, peak occupancy and waits all equal the reference.
+
+        Times sit on a dyadic grid (multiples of 1/64 s), so every sum
+        either side computes is exact and waits compare bit for bit.
+        Zero gaps make exact ties; a service time above or below the
+        4-tick mean gap reaches the overflow replay or the drop-free
+        vectorised path.
+        """
+        tick = 1.0 / 64
+        timestamps = np.cumsum(gaps) * tick
+        service = service_ticks * tick
+        kept, peak, waits = simulate_fifo_admission(timestamps, service, capacity)
+        naive_kept, naive_peak, naive_waits = self._naive(
+            timestamps.tolist(), service, capacity
+        )
+        np.testing.assert_array_equal(kept, naive_kept)
+        assert peak == naive_peak
+        np.testing.assert_array_equal(waits, naive_waits)
 
     def test_unsorted_timestamps_rejected(self):
         with pytest.raises(SoCError):
@@ -227,26 +261,15 @@ class TestFifoAdmission:
 class TestProcessStream:
     def test_parity_with_process_capture(self, dos_ip, dos_capture):
         """Drop-free streaming predicts exactly what the batch path does."""
-        records = dos_capture.records[:1500]
-        batch = IDSEnabledECU(dos_ip, BitFeatureEncoder(), seed=4).process_capture(records)
-        stream = IDSEnabledECU(dos_ip, BitFeatureEncoder(), seed=4).process_stream(
-            records, chunk_size=256
-        )
+        capture = dos_capture.capture
+        assert len(capture) > CHUNK_ROWS  # the classify loop crosses a chunk boundary
+        batch = IDSEnabledECU(dos_ip, BitFeatureEncoder(), seed=4).process_capture(capture)
+        stream = IDSEnabledECU(dos_ip, BitFeatureEncoder(), seed=4).process_stream(capture)
         assert stream.fifo_dropped == 0
-        assert stream.num_processed == len(records)
+        assert stream.num_processed == len(capture)
         np.testing.assert_array_equal(stream.predictions, batch.predictions)
         np.testing.assert_array_equal(stream.labels, batch.labels)
         assert stream.metrics == batch.metrics
-
-    def test_chunk_size_irrelevant_to_predictions(self, dos_ip, dos_capture):
-        records = dos_capture.records[:700]
-        reports = [
-            IDSEnabledECU(dos_ip, BitFeatureEncoder(), seed=4).process_stream(
-                records, chunk_size=size
-            )
-            for size in (64, 701)
-        ]
-        np.testing.assert_array_equal(reports[0].predictions, reports[1].predictions)
 
     def test_flood_drops_oldest_and_excludes_them(self, dos_ip, dos_capture):
         """Arrivals above the drain rate overflow the bounded FIFO."""
@@ -257,9 +280,6 @@ class TestProcessStream:
         assert report.num_processed + report.fifo_dropped == report.num_frames
         assert len(report.predictions) == len(report.labels) == report.num_processed
         assert report.max_fifo_occupancy == 16
-        assert ecu.fifo.dropped == report.fifo_dropped
-        assert ecu.fifo.pushed == report.num_frames
-        assert ecu.fifo.popped == report.num_processed
 
     def test_flood_latency_includes_queueing_delay(self, dos_ip, dos_capture):
         """Under backpressure the reported latency degrades visibly."""
@@ -301,9 +321,71 @@ class TestProcessStream:
     def test_chunk_and_drain_validated(self, dos_ip, dos_capture):
         ecu = IDSEnabledECU(dos_ip, BitFeatureEncoder(), seed=4)
         with pytest.raises(SoCError):
-            ecu.process_stream(dos_capture.records[:10], chunk_size=0)
-        with pytest.raises(SoCError):
             ecu.process_stream(dos_capture.records[:10], drain_fps=-1.0)
+        with pytest.raises(SoCError, match="capacity"):
+            IDSEnabledECU(dos_ip, BitFeatureEncoder(), fifo_capacity=0)
+
+
+def _gateway_monitor(ip, **kwargs):
+    gateway = IDSGateway()
+    gateway.attach_channel(
+        "body", build_vehicle_bus(vehicle_seed=4), IDSEnabledECU(ip, BitFeatureEncoder())
+    )
+    return gateway.monitor(duration=0.5, **kwargs)
+
+
+#: Each case: a call on (ip, capture) and the value its error must name.
+_BAD_TIMING = {
+    "admission-service-nan": (
+        lambda ip, capture: simulate_fifo_admission(np.arange(4.0), NAN, 4), "got nan"
+    ),
+    "admission-service-inf": (
+        lambda ip, capture: simulate_fifo_admission(np.arange(4.0), INF, 4), "got inf"
+    ),
+    "admission-zero-capacity": (
+        lambda ip, capture: simulate_fifo_admission(np.arange(4.0), 0.1, 0), "got 0"
+    ),
+    "admission-timestamp-nan": (
+        lambda ip, capture: simulate_fifo_admission(np.array([0.0, NAN]), 0.1, 4), "got nan"
+    ),
+    "admission-timestamp-inf": (
+        lambda ip, capture: simulate_fifo_admission(np.array([0.0, INF]), 0.1, 4), "got inf"
+    ),
+    "stream-drain-nan": (
+        lambda ip, capture: IDSEnabledECU(ip, BitFeatureEncoder()).process_stream(
+            capture, drain_fps=NAN
+        ),
+        "got nan",
+    ),
+    "stream-drain-inf": (
+        lambda ip, capture: IDSEnabledECU(ip, BitFeatureEncoder()).process_stream(
+            capture, drain_fps=INF
+        ),
+        "got inf",
+    ),
+    "monitor-drain-nan": (lambda ip, capture: _gateway_monitor(ip, drain_fps=NAN), "got nan"),
+    "monitor-drain-inf": (lambda ip, capture: _gateway_monitor(ip, drain_fps=INF), "got inf"),
+    "arbiter-overhead-nan": (
+        lambda ip, capture: SharedAcceleratorArbiter(slot_overhead_s=NAN), "got nan"
+    ),
+    "arbiter-overhead-inf": (
+        lambda ip, capture: SharedAcceleratorArbiter(slot_overhead_s=INF), "got inf"
+    ),
+    "arbiter-base-nan": (
+        lambda ip, capture: SharedAcceleratorArbiter().plan({"a": NAN}), "got nan"
+    ),
+    "arbiter-base-inf": (
+        lambda ip, capture: SharedAcceleratorArbiter().plan({"a": INF}), "got inf"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_TIMING))
+def test_bad_timing_rejected_naming_the_value(dos_ip, dos_capture, case):
+    """NaN/inf timing and an empty FIFO raise a SoCError naming the value."""
+    call, named = _BAD_TIMING[case]
+    with pytest.raises(SoCError, match=named):
+        call(dos_ip, dos_capture.capture[:50])
 
 
 class TestThroughputDefinitions:

@@ -87,10 +87,11 @@ class LintConfig:
                 # Encoders: the base-class scalar reference fallback and
                 # the O(window) offset loop carry inline suppressions.
                 "src/repro/datasets/features.py": frozenset(),
-                # Stream path: chunks are array slices; the only scalar
-                # loop is the exact drop-oldest overflow replay.
+                # Receive path: the exact drop-oldest overflow replay is
+                # the only per-frame loop; _classify steps over
+                # CHUNK_ROWS-row chunks, never frames.
                 "src/repro/soc/ecu.py": frozenset(
-                    {"_simulate_fifo_admission_events"}
+                    {"simulate_fifo_admission", "_classify"}
                 ),
             }
         )
