@@ -11,7 +11,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-LINT_PATHS=(src tools scripts benchmarks)
+LINT_PATHS=(src tools scripts benchmarks examples)
 CHANGED=0
 PASSTHROUGH=()
 while [[ $# -gt 0 ]]; do
@@ -31,7 +31,7 @@ if [[ "$CHANGED" -eq 1 ]]; then
     base=$(git merge-base HEAD main 2>/dev/null || echo main)
     mapfile -t changed_files < <(
         git diff --name-only "$base" -- '*.py' |
-            grep -E '^(src|tools|scripts|benchmarks)/' || true
+            grep -E '^(src|tools|scripts|benchmarks|examples)/' || true
     )
     existing=()
     for f in "${changed_files[@]:-}"; do

@@ -10,8 +10,10 @@ This module is the *compute* engine for the same physics:
 
 * :class:`ScheduleArray` — a columnar frame schedule (release times,
   identifiers, payload bytes, labels, source names as numpy arrays).
-  Traffic sources emit one via ``frames_array(until)``; sources that
-  only implement the scalar iterator are materialised by
+  :func:`build_schedule` emits each run of a bus's periodic senders as
+  one block through the sender bank (:func:`repro.can.node.bank_schedule`);
+  other traffic sources emit one via ``frames_array(until)``, and
+  sources that only implement the scalar iterator are materialised by
   :func:`schedule_from_frames` (the exotic fallback).
 * :func:`standard_wire_bits` — exact CAN 2.0A wire lengths (CRC-15 +
   bit stuffing + trailer) for whole schedules at once.  Duplicate
@@ -259,25 +261,39 @@ def schedule_columns(
     )
 
 
-def release_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """Releases ``start, start + step, ...`` strictly below ``stop``.
+def _grid_count(start: float, stop: float, step: float) -> int:
+    """How many of ``start + step * k`` (k = 0, 1, ...) lie strictly below ``stop``.
 
-    Uses the closed-form grid (``start + k * step``) rather than
-    repeated accumulation; the trailing mask keeps the float boundary
-    exact (never a release at or past ``stop``).  Bounds and step must
-    be finite.
+    The float rule of every release grid (:func:`release_grid` and the
+    sender bank, :func:`repro.can.node.bank_schedule`): the closed-form
+    ceiling, a guard for a ceiling that rounds low, then a trim of the
+    releases whose float ``start + step * k`` reaches ``stop``.  The
+    grid never decreases, so the releases below ``stop`` are a prefix.
+    Bounds and step must be finite, and the step positive.
     """
     if not math.isfinite(step) or step <= 0:
         raise CANError(f"grid step must be positive and finite, got {step}")
     if not math.isfinite(start) or not math.isfinite(stop):
         raise CANError(f"grid bounds must be finite, got ({start}, {stop})")
     if stop <= start:
-        return np.zeros(0, dtype=np.float64)
-    count = max(int(np.ceil((stop - start) / step)), 0)
+        return 0
+    count = max(math.ceil((stop - start) / step), 0)
     while start + count * step < stop:  # float-rounding guard
         count += 1
-    releases = start + step * np.arange(count, dtype=np.float64)
-    return releases[releases < stop]
+    while count and start + step * (count - 1) >= stop:
+        count -= 1
+    return count
+
+
+def release_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """Releases ``start, start + step, ...`` strictly below ``stop``.
+
+    Uses the closed-form grid (``start + k * step``) rather than
+    repeated accumulation; :func:`_grid_count` keeps the float boundary
+    exact (never a release at or past ``stop``).  Bounds and step must
+    be finite.
+    """
+    return start + step * np.arange(_grid_count(start, stop, step), dtype=np.float64)
 
 
 def schedule_from_frames(frames: "Iterable[ScheduledFrame]") -> ScheduleArray:
@@ -339,12 +355,30 @@ def source_schedule(source: "TrafficSource", until: float) -> ScheduleArray:
 def build_schedule(sources: "Sequence[TrafficSource]", until: float) -> ScheduleArray:
     """Merge every source's schedule, sorted as the event engine sorts.
 
-    Sources exposing ``frames_array`` emit columns directly; anything
-    else is materialised from its scalar iterator.  Concatenation in
-    attach order followed by a stable release-time sort reproduces the
-    reference engine's merge exactly (ties keep attach order).
+    Each run of consecutive plain :class:`~repro.can.node.PeriodicSender`
+    sources (exact type) goes to one sender-bank call
+    (:func:`~repro.can.node.bank_schedule`), which emits the whole run
+    as one block.  Any other source (a wrapper, an attacker, a subclass)
+    splits the run and emits through :func:`source_schedule`.  The
+    blocks stay in attach order, so the concatenation followed by a
+    stable release-time sort reproduces the reference engine's merge
+    exactly (ties keep attach order).
     """
-    parts = [source_schedule(source, until) for source in sources]
+    from repro.can.node import PeriodicSender, bank_schedule
+
+    parts: list[ScheduleArray] = []
+    bank: list[PeriodicSender] = []
+    # reprolint: disable=hot-path-purity -- iterates sources to split the sender bank's runs, not frames
+    for source in sources:
+        if type(source) is PeriodicSender:
+            bank.append(source)
+            continue
+        if bank:
+            parts.append(bank_schedule(bank, until))
+            bank = []
+        parts.append(source_schedule(source, until))
+    if bank:
+        parts.append(bank_schedule(bank, until))
     return ScheduleArray.concatenate([part for part in parts if len(part)]).sorted_by_release()
 
 
@@ -479,8 +513,12 @@ def standard_wire_bits(
     n = can_ids.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    if np.any((can_ids < 0) | (can_ids > 0x7FF)):
-        raise CANError("standard_wire_bits models 11-bit identifiers only")
+    out_of_range = (can_ids < 0) | (can_ids > 0x7FF)
+    if np.any(out_of_range):
+        raise CANError(
+            "standard_wire_bits models 11-bit identifiers only, "
+            f"got {int(can_ids[out_of_range][0]):#x}"
+        )
     _check_dlcs(dlcs)
     width = 3 + _PAYLOAD_SLOTS
     rows = np.zeros((n, width), dtype=np.uint8)

@@ -8,35 +8,46 @@ and slowly evolving payloads (counters, ramping sensor readings,
 constant config bytes) — the structure the Car-Hacking dataset exhibits
 and the structure fuzzing attacks violate.
 
-Sources are *columnar-first*: :meth:`PeriodicSender.frames_array`
-emits a whole-horizon :class:`~repro.can.fastbus.ScheduleArray` in a
-handful of numpy calls (the release grid and jitter come from one RNG
-draw; payload models expose a vectorised ``batch`` hook), and the
-scalar :meth:`PeriodicSender.frames` iterator is materialised from it.
-Both the event-driven reference bus and the columnar arbitration
-kernel therefore consume the *same* draws — equivalence between the
-engines is by construction, not by coincidence of draw ordering.
+Sources are *columnar-first*.  One sender bank,
+:func:`bank_schedule`, emits every :class:`PeriodicSender` row: it
+builds the release grids of a run of senders in one vectorised pass,
+and writes their payloads into one ``(N, 8)`` block through the payload
+models' vectorised ``batch`` hooks.  Each sender still draws its jitter
+and then its payloads from its own RNG, in attach order.
+:func:`~repro.can.fastbus.build_schedule` hands each run of a bus's
+plain senders to one bank call; :meth:`PeriodicSender.frames_array` is
+a bank of one (what a suspension or masquerade wrapper reads of its
+victim), and the scalar :meth:`PeriodicSender.frames` iterator is
+materialised from it.  Both the event-driven reference bus and the
+columnar arbitration kernel therefore consume the *same* draws —
+equivalence between the engines is by construction, not by coincidence
+of draw ordering.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Protocol
+from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from repro.can.frame import CANFrame
+from repro.can.fastbus import (
+    _PAYLOAD_SLOTS,
+    WIRE_BITS_UNSET,
+    ScheduleArray,
+    _check_dlcs,
+    _grid_count,
+)
+from repro.can.frame import CANFrame, MAX_STANDARD_ID
 from repro.errors import CANError
 from repro.utils.rng import new_rng
-
-if TYPE_CHECKING:  # pragma: no cover - circular-import guard
-    from repro.can.fastbus import ScheduleArray
 
 __all__ = [
     "ScheduledFrame",
     "TrafficSource",
     "PeriodicSender",
+    "bank_schedule",
     "counter_payload",
     "sensor_payload",
     "constant_payload",
@@ -74,8 +85,13 @@ def counter_payload(dlc: int = 8, counter_byte: int = 0) -> PayloadModel:
     """Payload with a wrapping message counter in one byte, zeros elsewhere.
 
     Many real ECUs embed an alive-counter; its regular increment is a
-    strong normality signal.
+    strong normality signal.  Needs ``0 <= counter_byte < dlc <= 8``.
     """
+    if not 0 <= counter_byte < dlc <= _PAYLOAD_SLOTS:
+        raise CANError(
+            f"counter_payload needs 0 <= counter_byte < dlc <= {_PAYLOAD_SLOTS}, "
+            f"got counter_byte={counter_byte}, dlc={dlc}"
+        )
 
     def model(sequence: int, _rng: np.random.Generator) -> bytes:
         payload = bytearray(dlc)
@@ -95,15 +111,26 @@ def sensor_payload(dlc: int = 8, active_bytes: int = 2, walk_step: int = 3, seed
     """Random-walk sensor value in the first bytes, constants elsewhere.
 
     Models wheel speeds, RPM, temperatures: values drift smoothly rather
-    than jumping, unlike fuzzed payloads.
+    than jumping, unlike fuzzed payloads.  Needs ``0 <= dlc <= 8``,
+    ``0 <= active_bytes <= dlc`` and ``walk_step >= 0``.
     """
+    if not 0 <= dlc <= _PAYLOAD_SLOTS:
+        raise CANError(f"sensor_payload dlc must be in [0, {_PAYLOAD_SLOTS}], got {dlc}")
+    if not 0 <= active_bytes <= dlc:
+        raise CANError(
+            f"sensor_payload active_bytes must be in [0, dlc={dlc}], got {active_bytes}"
+        )
+    if walk_step < 0:
+        raise CANError(f"sensor_payload walk_step must be >= 0, got {walk_step}")
     state = {"value": None}
 
     def _ensure_state() -> None:
         if state["value"] is None:
-            init_rng = new_rng(seed, "sensor-init")
-            state["value"] = [int(init_rng.integers(0, 256)) for _ in range(active_bytes)]
-            state["constants"] = [int(init_rng.integers(0, 256)) for _ in range(dlc - active_bytes)]
+            # One draw for every byte: the walk's start values, then its
+            # constants (the same stream as ``dlc`` scalar draws).
+            initial = new_rng(seed, "sensor-init").integers(0, 256, size=dlc).tolist()
+            state["value"] = initial[:active_bytes]
+            state["constants"] = initial[active_bytes:]
 
     def model(sequence: int, rng: np.random.Generator) -> bytes:
         _ensure_state()
@@ -142,7 +169,11 @@ def sensor_payload(dlc: int = 8, active_bytes: int = 2, walk_step: int = 3, seed
 
 
 def constant_payload(data: bytes) -> PayloadModel:
-    """Fixed payload (status words, configuration echoes)."""
+    """Fixed payload (status words, configuration echoes), at most 8 bytes."""
+    if len(data) > _PAYLOAD_SLOTS:
+        raise CANError(
+            f"constant_payload takes at most {_PAYLOAD_SLOTS} bytes, got {len(data)}"
+        )
 
     def model(_sequence: int, _rng: np.random.Generator) -> bytes:
         return data
@@ -156,25 +187,82 @@ def constant_payload(data: bytes) -> PayloadModel:
 
 
 def payload_batch(
-    model: PayloadModel, sequences: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(payloads (N, 8) uint8, dlcs (N,))`` for N transmissions.
+    model: PayloadModel,
+    sequences: np.ndarray,
+    rng: np.random.Generator,
+    out: np.ndarray,
+) -> int | np.ndarray:
+    """Write N transmissions' payloads into ``out``; return their DLCs.
 
-    Uses the model's vectorised ``batch`` hook when present; models
-    without one (user-supplied callables) fall back to one scalar call
-    per frame, preserving per-frame variable payload lengths.
+    ``out`` is the zeroed ``(N, 8)`` uint8 slice the payloads go to.
+    Uses the model's vectorised ``batch`` hook when present (one DLC for
+    every row); models without one (user-supplied callables) fall back
+    to one scalar call per frame, preserving per-frame variable payload
+    lengths (an ``(N,)`` DLC array).
     """
     batch = getattr(model, "batch", None)
     if batch is not None:
         block = np.asarray(batch(sequences, rng), dtype=np.uint8)
-        padded = np.zeros((block.shape[0], 8), dtype=np.uint8)
-        padded[:, : block.shape[1]] = block
-        return padded, np.full(block.shape[0], block.shape[1], dtype=np.int64)
+        out[:, : block.shape[1]] = block
+        return block.shape[1]
     rows = [model(int(sequence), rng) for sequence in sequences]
-    dlcs = np.array([len(row) for row in rows], dtype=np.int64)
-    packed = b"".join(row + bytes(8 - len(row)) for row in rows)
-    payloads = np.frombuffer(packed, dtype=np.uint8).reshape(len(rows), 8).copy()
-    return payloads, dlcs
+    packed = b"".join(row + bytes(_PAYLOAD_SLOTS - len(row)) for row in rows)
+    out[:] = np.frombuffer(packed, dtype=np.uint8).reshape(len(rows), _PAYLOAD_SLOTS)
+    return np.array([len(row) for row in rows], dtype=np.int64)
+
+
+def bank_schedule(senders: Sequence["PeriodicSender"], until: float) -> ScheduleArray:
+    """The sender bank: every row of ``senders`` up to ``until`` as one block.
+
+    The only code that emits a :class:`PeriodicSender`'s rows.  Rows come
+    out grouped by sender in the given (attach) order, each sender's in
+    nominal release order; the caller sorts the merged bus schedule.
+
+    * Row counts, and the ``phase``/``period`` checks, are
+      :func:`~repro.can.fastbus.release_grid`'s; the nominal grids are
+      one ``phase + period * k`` pass over repeated columns, the same
+      IEEE operations as its ``start + step * arange(count)``.
+    * One loop over the senders, in order, makes each one's jitter draw
+      and then its payload draws from its own RNG, writing the payloads
+      straight into one ``(N, 8)`` block.  A sender listed twice draws
+      twice, as it would when called twice.
+    * Jitter moves a release by ``u * period`` and clips it at 0.0,
+      only for senders that have jitter: a jitter-free sender keeps its
+      nominal grid, a negative ``phase`` included.
+    """
+    counts = [_grid_count(sender.phase, until, sender.period) for sender in senders]
+    emitting = [(sender, n) for sender, n in zip(senders, counts) if n]
+    if not emitting:
+        return ScheduleArray.empty()
+    rows = np.array([n for _, n in emitting], dtype=np.int64)
+    total = int(rows.sum())
+    firsts = np.cumsum(rows) - rows
+    sequences = np.arange(total, dtype=np.int64) - np.repeat(firsts, rows)
+    periods = np.repeat(np.array([s.period for s, _ in emitting], dtype=np.float64), rows)
+    phases = np.repeat(np.array([s.phase for s, _ in emitting], dtype=np.float64), rows)
+    nominal = phases + periods * sequences
+    unit = np.zeros(total, dtype=np.float64)
+    payloads = np.zeros((total, _PAYLOAD_SLOTS), dtype=np.uint8)
+    dlcs = np.empty(total, dtype=np.int64)
+    stop = 0
+    for sender, n in emitting:
+        start, stop = stop, stop + n
+        if sender.jitter:
+            unit[start:stop] = sender._rng.uniform(-sender.jitter, sender.jitter, size=n)
+        dlcs[start:stop] = payload_batch(
+            sender.payload_model, sequences[start:stop], sender._rng, payloads[start:stop]
+        )
+    _check_dlcs(dlcs)
+    jittered = np.repeat(np.array([bool(s.jitter) for s, _ in emitting]), rows)
+    return ScheduleArray(
+        release_times=np.where(jittered, np.maximum(nominal + unit * periods, 0.0), nominal),
+        can_ids=np.repeat(np.array([s.can_id for s, _ in emitting], dtype=np.int64), rows),
+        dlcs=dlcs,
+        payloads=payloads,
+        labels=np.zeros(total, dtype=np.int64),
+        sources=np.repeat(np.array([s.name for s, _ in emitting]), rows),
+        wire_bits=np.full(total, WIRE_BITS_UNSET, dtype=np.int64),
+    )
 
 
 class PeriodicSender:
@@ -183,7 +271,7 @@ class PeriodicSender:
     Parameters
     ----------
     can_id:
-        Identifier to transmit.
+        Standard 11-bit identifier to transmit (0-0x7FF).
     period:
         Nominal seconds between releases (real IDs range ~10 ms-1 s).
     payload_model:
@@ -206,6 +294,8 @@ class PeriodicSender:
         name: str | None = None,
         seed: int = 0,
     ):
+        if not 0 <= can_id <= MAX_STANDARD_ID:
+            raise CANError(f"PeriodicSender can_id must be in [0, 0x7FF], got {can_id:#x}")
         if not math.isfinite(period) or period <= 0:
             raise CANError(f"period must be positive and finite, got {period}")
         if phase is not None and not math.isfinite(phase):
@@ -220,36 +310,17 @@ class PeriodicSender:
         self._rng = new_rng(seed, f"sender-{can_id}-{period}")
         self.phase = float(self._rng.uniform(0, period)) if phase is None else phase
 
-    def frames_array(self, until: float) -> "ScheduleArray":
-        """This sender's whole-horizon schedule as columnar arrays.
+    def frames_array(self, until: float) -> ScheduleArray:
+        """This sender's whole-horizon schedule: a sender bank of one.
 
-        The nominal grid, the jitter draw (one RNG call for every
-        release) and the payload block (the model's ``batch`` hook) are
-        all vectorised; :meth:`frames` materialises the same arrays, so
-        both engines see identical releases and payloads.
+        :func:`bank_schedule` emits every sender row, so a victim that a
+        suspension or masquerade wrapper reads through this method
+        emits exactly as a sender banked by
+        :func:`~repro.can.fastbus.build_schedule`; :meth:`frames`
+        materialises the same arrays, so both engines see identical
+        releases and payloads.
         """
-        from repro.can import fastbus
-
-        nominal = fastbus.release_grid(self.phase, until, self.period)
-        n = nominal.size
-        if n == 0:
-            return fastbus.ScheduleArray.empty()
-        if self.jitter:
-            offsets = self._rng.uniform(-self.jitter, self.jitter, size=n) * self.period
-            releases = np.maximum(nominal + offsets, 0.0)
-        else:
-            releases = nominal
-        payloads, dlcs = payload_batch(
-            self.payload_model, np.arange(n, dtype=np.int64), self._rng
-        )
-        return fastbus.schedule_columns(
-            releases,
-            can_ids=self.can_id,
-            payloads=payloads,
-            dlcs=dlcs,
-            label=0,
-            source=self.name,
-        )
+        return bank_schedule((self,), until)
 
     def frames(self, until: float) -> Iterator[ScheduledFrame]:
         yield from self.frames_array(until).scheduled_frames()

@@ -5,7 +5,13 @@ import pytest
 from repro.can.attacks import DoSAttacker, FuzzyAttacker
 from repro.can.bus import BusSimulator, bus_load
 from repro.can.frame import CANFrame
-from repro.can.node import PeriodicSender, ScheduledFrame, constant_payload
+from repro.can.node import (
+    PeriodicSender,
+    ScheduledFrame,
+    constant_payload,
+    counter_payload,
+    sensor_payload,
+)
 from repro.errors import CANError
 
 
@@ -78,6 +84,32 @@ class TestPeriodicTraffic:
         sender = PeriodicSender(0x1, 0.01, payload_model=constant_payload(b"\xAA" * 8), phase=0.0, seed=1)
         frames = list(sender.frames(0.05))
         assert all(s.frame.data == b"\xAA" * 8 for s in frames)
+
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda: sensor_payload(dlc=2, active_bytes=3), "active_bytes .*got 3"),
+            (lambda: counter_payload(counter_byte=8), "counter_byte=8"),
+            (lambda: counter_payload(counter_byte=-1), "counter_byte=-1"),
+            (lambda: sensor_payload(dlc=9), "dlc .*got 9"),
+            (lambda: counter_payload(dlc=9), "dlc=9"),
+            (lambda: constant_payload(bytes(9)), "got 9"),
+            (lambda: sensor_payload(walk_step=-1), "walk_step .*got -1"),
+        ],
+        ids=[
+            "sensor-active-beyond-dlc",
+            "counter-byte-beyond-dlc",
+            "counter-byte-negative",
+            "sensor-dlc-9",
+            "counter-dlc-9",
+            "constant-9-bytes",
+            "sensor-negative-walk-step",
+        ],
+    )
+    def test_impossible_payload_shape_rejected_at_construction(self, build, named):
+        """Shapes no 8-byte payload block can hold fail when the model is made."""
+        with pytest.raises(CANError, match=named):
+            build()
 
 
 class TestAttackEffects:

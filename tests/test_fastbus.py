@@ -5,7 +5,9 @@ schedule emitters plus the arbitration-replay kernel must reproduce
 ``BusSimulator.run`` *exactly* — same winners, same float timestamps,
 same capture-horizon drops — across mixed periodic/attacker topologies,
 bitrates, horizon clipping and quiet buses; a property test covers small
-hand-built buses with and without wire faults.  Plus the satellites:
+hand-built buses with and without wire faults.  Because both engines read
+the same schedule, a second property test holds the sender bank behind
+``build_schedule`` to a per-sender reference emission.  Plus the satellites:
 the vectorised wire-length kernel vs ``CANFrame.bit_length``, the
 columnar ``bus_load`` overload, ``CaptureArray.from_bus_records``,
 non-finite timing inputs, and the picklable process-pool scenario
@@ -13,10 +15,11 @@ workers.
 """
 
 import pickle
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.can.attacks import (
     BurstDoSAttacker,
@@ -38,12 +41,19 @@ from repro.can.fastbus import (
     schedule_columns,
     schedule_from_frames,
     simulate_arbitration,
+    source_schedule,
     standard_wire_bits,
 )
 from repro.can.faults import TargetedFault, WireFaultModel
 from repro.can.frame import CANFrame, crc15
 from repro.can.log import CaptureArray, records_from_bus
-from repro.can.node import PeriodicSender, ScheduledFrame, sensor_payload
+from repro.can.node import (
+    PeriodicSender,
+    ScheduledFrame,
+    constant_payload,
+    counter_payload,
+    sensor_payload,
+)
 from repro.datasets.carhacking import build_vehicle_bus
 from repro.errors import CANError
 from repro.experiments.campaigns import (
@@ -53,6 +63,7 @@ from repro.experiments.campaigns import (
 )
 from repro.fleet import ExecOptions
 from repro.soc.gateway import build_campaign_gateway
+from repro.utils.rng import new_rng
 
 
 class _OneShot:
@@ -138,6 +149,18 @@ class TestWireBits:
                 np.array([0x800]), np.array([0]), np.zeros((1, 8), dtype=np.uint8)
             )
 
+    @pytest.mark.parametrize("can_id", [0x800, -1])
+    def test_out_of_range_ids_rejected_naming_the_id(self, can_id):
+        named = re.escape(f"{can_id:#x}")
+        with pytest.raises(CANError, match=named):
+            PeriodicSender(can_id, 0.01)
+        with pytest.raises(CANError, match=f"11-bit.*{named}"):
+            standard_wire_bits(
+                np.array([0x100, can_id]),
+                np.array([0, 0]),
+                np.zeros((2, 8), dtype=np.uint8),
+            )
+
     @pytest.mark.parametrize("dlc", [-1, 9, 15])
     def test_out_of_range_dlcs_rejected(self, dlc):
         payloads = np.zeros((1, 8), dtype=np.uint8)
@@ -156,6 +179,36 @@ class TestReleaseGrid:
     def test_empty_when_degenerate(self):
         assert release_grid(1.0, 1.0, 0.1).size == 0
         assert release_grid(2.0, 1.0, 0.1).size == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(-1.0, 1.0),
+        st.floats(1e-4, 0.5),
+        st.integers(0, 400),
+        st.sampled_from((0.0, 1e-12, -1e-12, 0.37)),
+    )
+    def test_matches_the_masked_closed_form(self, start, step, steps, nudge):
+        """Stops on (or a rounding error off) a grid point are the hard case."""
+        stop = start + step * steps + nudge
+        grid = release_grid(start, stop, step)
+        reference = _masked_grid(start, stop, step)
+        assert grid.dtype == reference.dtype and grid.tobytes() == reference.tobytes()
+
+
+def _masked_grid(start, stop, step):
+    """``start + step * k`` strictly below ``stop``: ceiling, guard, then a mask.
+
+    The grid rule every sender used on its own before the sender bank,
+    written as a mask over the guarded grid rather than the count that
+    ``release_grid`` and the bank now share.
+    """
+    if stop <= start:
+        return np.zeros(0, dtype=np.float64)
+    count = max(int(np.ceil((stop - start) / step)), 0)
+    while start + count * step < stop:
+        count += 1
+    grid = start + step * np.arange(count, dtype=np.float64)
+    return grid[grid < stop]
 
 
 def _mixed_topology(seed: int, duration: float):
@@ -463,7 +516,229 @@ def test_non_finite_timing_rejected_naming_the_value(case):
         build()
 
 
+#: Every ScheduleArray column, compared by dtype, shape and bytes.
+_SCHEDULE_COLUMNS = (
+    "release_times", "can_ids", "dlcs", "payloads", "labels", "sources", "wire_bits"
+)
+
+
+def _assert_same_schedule(got, want):
+    for name in _SCHEDULE_COLUMNS:
+        left, right = getattr(got, name), getattr(want, name)
+        assert (left.dtype, left.shape) == (right.dtype, right.shape), name
+        assert left.tobytes() == right.tobytes(), name
+
+
+def _per_sender_rows(sender, until):
+    """One sender's rows, emitted on its own: the sender bank's reference.
+
+    The masked nominal grid, one ``uniform`` jitter draw clipped at 0.0,
+    the model's ``batch`` block padded to 8 bytes (or one scalar call
+    per frame) and ``schedule_columns``.
+    """
+    nominal = _masked_grid(sender.phase, until, sender.period)
+    n = nominal.size
+    if n == 0:
+        return ScheduleArray.empty()
+    rng = sender._rng
+    releases = nominal
+    if sender.jitter:
+        offsets = rng.uniform(-sender.jitter, sender.jitter, size=n) * sender.period
+        releases = np.maximum(nominal + offsets, 0.0)
+    model = sender.payload_model
+    if hasattr(model, "batch"):
+        block = np.asarray(model.batch(np.arange(n, dtype=np.int64), rng), dtype=np.uint8)
+        payloads = np.zeros((n, 8), dtype=np.uint8)
+        payloads[:, : block.shape[1]] = block
+        dlcs = np.full(n, block.shape[1], dtype=np.int64)
+    else:
+        rows = [model(k, rng) for k in range(n)]
+        payloads = np.array([list(row.ljust(8, b"\0")) for row in rows], dtype=np.uint8)
+        dlcs = np.array([len(row) for row in rows], dtype=np.int64)
+    return schedule_columns(
+        releases, sender.can_id, payloads, label=0, source=sender.name, dlcs=dlcs
+    )
+
+
+def _reference_schedule(sources, until):
+    """``build_schedule`` without the bank: every source alone, then one sort.
+
+    Wrapped victims emit through the reference too.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PeriodicSender, "frames_array", _per_sender_rows)
+        parts = [source_schedule(source, until) for source in sources]
+    return ScheduleArray.concatenate([part for part in parts if len(part)]).sorted_by_release()
+
+
+def _scalar_payload(sequence, rng):
+    """A payload callable with no ``batch`` hook: variable lengths, RNG draws."""
+    return bytes(rng.integers(0, 256, size=sequence % 9, dtype=np.int64).astype(np.uint8))
+
+
+#: Phases of drawn senders; "past" starts after the horizon (no rows).
+#: At 0.019 a 1 ms grid's second release rounds onto a 20 ms horizon.
+_PHASES = (None, -0.013, -0.0021, 0.0, 0.0049, 0.019, "past")
+_PAYLOADS = ("counter", "sensor", "constant", "scalar", "shared-sensor")
+_NAMES = (None, "a", "a-much-longer-sender-name")
+
+
+def _sources_from(slots, until):
+    """Fresh sources for drawn slots (called once per side of a comparison)."""
+    shared = sensor_payload(dlc=5, active_bytes=2, seed=99)
+    senders = []
+    sources = []
+
+    def sender(can_id, period, jitter, phase, payload, seed, name=None):
+        width = seed % 9
+        slot = seed % max(width, 1)
+        model = {
+            "counter": lambda: counter_payload(dlc=max(width, 1), counter_byte=slot),
+            "sensor": lambda: sensor_payload(dlc=width, active_bytes=width // 2, seed=seed),
+            "constant": lambda: constant_payload(bytes(range(width))),
+            "scalar": lambda: _scalar_payload,
+            "shared-sensor": lambda: shared,
+        }[payload]()
+        return PeriodicSender(
+            can_id,
+            period,
+            payload_model=model,
+            jitter=jitter,
+            phase=until + 0.01 if phase == "past" else phase,
+            name=name,
+            seed=seed,
+        )
+
+    for kind, *args in slots:
+        if kind == "sender":
+            senders.append(sender(*args))
+            sources.append(senders[-1])
+        elif kind == "again" and senders:
+            sources.append(senders[args[0] % len(senders)])
+        elif kind == "suspend":
+            mode, *victim = args
+            sources.append(
+                SuspensionAttacker(
+                    sender(*victim), [(0.2 * until, 0.7 * until)], mode=mode, delay=0.002
+                )
+            )
+        elif kind == "masquerade":
+            sources.append(
+                MasqueradeAttacker(sender(*args), [(0.1 * until, 0.6 * until)], seed=3)
+            )
+        elif kind == "dos":
+            sources.append(DoSAttacker([(0.1 * until, 0.4 * until)], interval=0.0007))
+        elif kind == "fuzzy":
+            sources.append(
+                FuzzyAttacker([(0.3 * until, 0.6 * until)], interval=0.0011, seed=args[0])
+            )
+        elif kind == "scalar-only":
+            frames = [(0.0, CANFrame(0x0A0, b"\x01")), (0.5 * until, CANFrame(0x0A0))]
+            sources.append(_OneShot(frames))
+    return sources
+
+
+#: A sender's can_id, period, jitter, phase, payload kind and seed.
+_SENDER_FIELDS = (
+    st.sampled_from((0x000, 0x100, 0x316, 0x7FF)),
+    st.sampled_from((0.001, 0.0037, 0.01, 0.05)),
+    st.sampled_from((0.0, 0.02, 0.5, 0.9)),
+    st.sampled_from(_PHASES),
+    st.sampled_from(_PAYLOADS),
+    st.integers(0, 50),
+)
+
+_SLOTS = st.one_of(
+    st.tuples(st.just("sender"), *_SENDER_FIELDS, st.sampled_from(_NAMES)),
+    st.tuples(st.just("again"), st.integers(0, 7)),
+    st.tuples(st.just("suspend"), st.sampled_from(("drop", "delay")), *_SENDER_FIELDS),
+    st.tuples(st.just("masquerade"), *_SENDER_FIELDS),
+    st.tuples(st.sampled_from(("dos", "fuzzy", "scalar-only")), st.integers(0, 50)),
+)
+
+#: Slots of senders, repeats, wrappers and attackers, plus a horizon.
+_SENDER_BUSES = st.tuples(
+    st.lists(_SLOTS, min_size=1, max_size=8), st.sampled_from((0.02, 0.1, 0.25))
+)
+
+
 class TestScheduleLayer:
+    @settings(max_examples=80, deadline=None)
+    @given(_SENDER_BUSES)
+    @example(  # a sender attached twice
+        ([("sender", 0x100, 0.01, 0.02, None, "sensor", 1, None), ("again", 0)], 0.1)
+    )
+    @example(  # zero jitter keeps a negative phase
+        ([("sender", 0x100, 0.001, 0.0, -0.0021, "counter", 2, None)], 0.02)
+    )
+    @example(  # a release that rounds onto the horizon is not emitted
+        ([("sender", 0x100, 0.001, 0.0, 0.019, "counter", 2, None)], 0.02)
+    )
+    @example(  # jitter clipped to 0.0: ties within and across senders
+        (
+            [
+                ("sender", 0x316, 0.001, 0.9, -0.013, "counter", 3, "a"),
+                ("sender", 0x100, 0.001, 0.9, -0.013, "constant", 4, None),
+            ],
+            0.02,
+        )
+    )
+    @example(  # a zero-row sender with the longest name
+        (
+            [
+                ("sender", 0x100, 0.01, 0.02, 0.0, "counter", 5, "a"),
+                ("sender", 0x7FF, 0.01, 0.02, "past", "sensor", 6, _NAMES[-1]),
+            ],
+            0.1,
+        )
+    )
+    @example(  # payload callables with no batch hook
+        (
+            [
+                ("sender", 0x100, 0.0037, 0.02, None, "scalar", 7, None),
+                ("sender", 0x316, 0.01, 0.5, 0.0, "scalar", 8, "a"),
+            ],
+            0.1,
+        )
+    )
+    @example(  # wrappers and attackers between senders sharing one payload model
+        (
+            [
+                ("sender", 0x100, 0.01, 0.02, None, "shared-sensor", 9, None),
+                ("suspend", "delay", 0x316, 0.01, 0.02, None, "sensor", 10),
+                ("sender", 0x316, 0.0037, 0.5, -0.0021, "shared-sensor", 11, "a"),
+                ("masquerade", 0x100, 0.0037, 0.02, 0.0, "counter", 12),
+                ("dos", 0),
+                ("sender", 0x7FF, 0.001, 0.0, 0.0, "counter", 13, None),
+                ("fuzzy", 14),
+                ("scalar-only", 0),
+                ("sender", 0x000, 0.01, 0.02, None, "shared-sensor", 15, None),
+            ],
+            0.25,
+        )
+    )
+    def test_bank_matches_every_sender_emitted_alone(self, case):
+        """The sender bank vs the per-sender reference, on all seven columns."""
+        slots, until = case
+        banked, alone = _sources_from(slots, until), _sources_from(slots, until)
+        # A second call on the same sources carries on every sender's stream.
+        for _ in range(2):
+            _assert_same_schedule(
+                build_schedule(banked, until), _reference_schedule(alone, until)
+            )
+
+    def test_sensor_initialisation_matches_scalar_draws(self):
+        """One ``integers(0, 256, size=dlc)`` call == ``dlc`` scalar draws."""
+        for seed in range(300):
+            for dlc in range(9):
+                scalar = new_rng(seed, "sensor-init")
+                expected = bytes(int(scalar.integers(0, 256)) for _ in range(dlc))
+                for active_bytes in {0, dlc // 2, dlc}:
+                    model = sensor_payload(
+                        dlc=dlc, active_bytes=active_bytes, walk_step=0, seed=seed
+                    )
+                    assert model(0, np.random.default_rng(0)) == expected, (seed, dlc)
+
     def test_wrapper_columnar_schedule_matches_scalar_iteration(self):
         """Suspension/masquerade arrays == their scalar streams."""
         until = 0.6
