@@ -115,8 +115,6 @@ def test_bench_compiled_engine_speedup(bench_ip):
             "min_speedup_required": MIN_SPEEDUP,
             "bit_exact": True,
             "engine_chunk": engine.chunk_size,
-            "compute_dtypes": engine.compute_dtypes,
-            "threshold_kernels": engine.threshold_kernels,
         },
         # Deterministic pipeline rates: these gate the regression check.
         "core_throughput_fps": round(bench_ip.throughput_fps, 1),

@@ -86,6 +86,16 @@ def _validate_windows(windows: Sequence[Window]) -> list[Window]:
     return sorted(windows)
 
 
+def _check_id(role: str, can_id: int) -> None:
+    if not 0 <= can_id <= MAX_STANDARD_ID:
+        raise CANError(f"{role} must be in [0, 0x7FF], got {can_id:#x}")
+
+
+def _check_payload(role: str, payload: bytes) -> None:
+    if len(payload) > 8:
+        raise CANError(f"{role} takes at most 8 bytes, got {len(payload)}")
+
+
 class _WindowedSource:
     """Shared logic: frame emission restricted to active windows.
 
@@ -171,6 +181,8 @@ class DoSAttacker(_WindowedInjector):
         seed: int = 0,
         name: str = "dos-attacker",
     ):
+        _check_id("DoS can_id", can_id)
+        _check_payload("DoS payload", payload)
         super().__init__(interval, windows, name, seed)
         self.can_id = can_id
         self.payload = payload
@@ -296,6 +308,8 @@ class FuzzyAttacker(_WindowedInjector):
         super().__init__(interval, windows, name, seed)
         if not 0 <= id_range[0] <= id_range[1] <= MAX_STANDARD_ID:
             raise CANError(f"invalid fuzzing id range {id_range}")
+        if not 0 <= dlc <= 8:
+            raise CANError(f"fuzzing dlc must be in [0, 8], got {dlc}")
         self.id_range = id_range
         self.dlc = dlc
 
@@ -322,9 +336,12 @@ class SpoofingAttacker(_WindowedInjector):
         seed: int = 0,
         name: str | None = None,
     ):
+        _check_id("target_id", target_id)
+        self.payload_pool = list(payload_pool) if payload_pool else [bytes([0xFF, 0x00] * 4)]
+        for entry in self.payload_pool:
+            _check_payload("payload_pool entry", entry)
         super().__init__(interval, windows, name or f"spoof-0x{target_id:03X}", seed)
         self.target_id = target_id
-        self.payload_pool = list(payload_pool) if payload_pool else [bytes([0xFF, 0x00] * 4)]
         self._pool_payloads = np.frombuffer(
             b"".join(entry + bytes(8 - len(entry)) for entry in self.payload_pool),
             dtype=np.uint8,

@@ -603,11 +603,6 @@ class ArbitrationResult:
         """Fraction of wire time occupied by the surviving frames."""
         return min(float(self.wire_bits.sum()) / (self.bitrate * self.duration), 1.0)
 
-    @property
-    def queueing_delays(self) -> np.ndarray:
-        """Per-frame arbitration wait (started - queued)."""
-        return self.started_at - self.queued_at
-
     def to_bus_records(self) -> "list[BusRecord]":
         """Materialise event-engine records (A/B comparisons, debugging)."""
         from repro.can.bus import BusRecord

@@ -152,20 +152,6 @@ class FaultPlan:
         """True when the plan perturbs nothing (fast-path eligible)."""
         return self.total_attempts == 0 and bool(self.queued.all())
 
-    def receiver_error_count(self) -> int:
-        """Final REC of an always-listening monitor node.
-
-        The ISO receive counter walks +1 per observed error frame and
-        −1 per successful reception, clamped at zero — a Lindley
-        recursion, evaluated here in closed form over release order.
-        """
-        if len(self) == 0:
-            return 0
-        deltas = self.attempts - self.transmit.astype(np.int64)
-        prefix = np.cumsum(deltas, dtype=np.int64)
-        running_min = np.minimum.accumulate(np.minimum(prefix, 0))
-        return int(prefix[-1] - running_min[-1])
-
 
 @dataclass(frozen=True)
 class WireFaultModel:

@@ -238,10 +238,6 @@ class CarHackingCapture:
     def num_attack(self) -> int:
         return int(self.capture.labels.sum())
 
-    @property
-    def num_normal(self) -> int:
-        return len(self.capture) - self.num_attack
-
     def save_csv(self, path: str | Path) -> Path:
         """Persist in the Car-Hacking CSV schema."""
         return write_car_hacking_csv(self.capture, path)

@@ -44,10 +44,6 @@ class BitwidthPoint:
         """Mean F1 across attacks — the sweep's accuracy axis."""
         return sum(m["f1"] for m in self.metrics.values()) / len(self.metrics)
 
-    @property
-    def worst_fnr(self) -> float:
-        return max(m["fnr"] for m in self.metrics.values())
-
 
 def run_bitwidth_sweep(
     bit_widths: tuple[int, ...] = DSE_BIT_WIDTHS,

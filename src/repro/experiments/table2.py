@@ -30,10 +30,6 @@ class Table2Result:
     throughput_fps: float
     speedup_vs_mth: float  # the paper's headline 4.8x over MTH-IDS
 
-    @property
-    def measured_latency_s(self) -> float:
-        return self.measured_latency_ms * 1e-3
-
 
 def run_table2(context: ExperimentContext, eval_frames: int = 4000) -> Table2Result:
     """Measure our per-message latency through the ECU pipeline."""

@@ -66,11 +66,6 @@ class ThroughputResult:
     def meets_paper_claim(self) -> bool:
         return self.ecu_throughput_fps >= self.paper_claim_fps
 
-    @property
-    def inverse_latency_meets_paper_claim(self) -> bool:
-        """The claim under the paper's own (inverse-latency) convention."""
-        return self.ecu_inverse_latency_fps >= self.paper_claim_fps
-
 
 def _monitor_gateway(
     context: ExperimentContext,

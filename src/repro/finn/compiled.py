@@ -11,25 +11,17 @@ bit-exact against ``DataflowGraph.execute`` but built from flat kernels:
 * **Pads folded away.**  FINN pads matmul inputs with zero columns;
   the engine slices those columns off the weight matrix instead of
   materialising padded activations (zero columns never contribute).
-* **Integer weights, exact operands.**  Weights are held as ``int8``
-  (the hardware's view).  For the matmul itself the engine picks, per
-  layer, the cheapest *provably exact* operand type from the layer's
-  worst-case accumulator magnitude ``B = max_c sum_k |w[c, k]| *
-  max|x|``: ``float32`` SGEMM when ``B < 2**24`` (every partial sum is
-  an integer below the mantissa limit, so BLAS is exact — and ~15x
-  faster than numpy's integer matmul), ``float64`` DGEMM below
-  ``2**53``, and a true ``int64`` matmul beyond that.
+* **Float32 SGEMM on integers.**  Weights and activations are small
+  integers, and every partial sum is bounded by the layer's worst-case
+  accumulator magnitude ``B = max_c sum_k |w[c, k]| * max|x|`` (BLAS may
+  reorder the reduction; any subset of products is still bounded by
+  the sum of absolute products).  With ``B < 2**24`` float32 BLAS is
+  exact — and ~15x faster than numpy's integer matmul.
 * **Shift-and-clamp thresholds.**  Power-of-two quantiser scales give
-  every deployed detector's MultiThreshold layers per-channel
-  thresholds ``T0 + k*D`` with ``D`` a power of two, so the staircase
-  is ``clamp(floor((acc - (T0 - D)) / D), 0, steps)``: five in-place
-  passes over the accumulators, whatever the step count, instead of
-  the dense ``>=``-broadcast.  Other layers count steps with a
-  stepped-compare kernel (one vectorised ``>=`` pass per step,
-  accumulated into a uint8 buffer) up to ``STEPPED_KERNEL_MAX_STEPS``
-  steps, and with per-channel :func:`np.searchsorted` — O(log steps)
-  per value — above; that crossover was measured.  All three kernels
-  are bit-exact.
+  every MultiThreshold channel thresholds ``T0 + k*D`` with ``D`` a
+  power of two, so the staircase is ``clamp(floor((acc - (T0 - D)) /
+  D), 0, steps)``: five in-place passes over the accumulators, whatever
+  the step count, instead of the dense ``>=`` broadcast.
 * **Preallocated chunk buffers.**  Batches stream through fixed
   per-layer scratch buffers (thread-local, so one engine can serve
   several gateway channels or campaign-sweep workers concurrently)
@@ -39,6 +31,12 @@ bit-exact against ``DataflowGraph.execute`` but built from flat kernels:
   preserves order and ties (uniform power-of-two scale, zero bias);
   otherwise the exact float64 affine of :class:`ScaleBiasNode` is
   applied to the (tiny) logit matrix first.
+
+A graph outside that shape — thresholds not evenly spaced by a power of
+two (float quantiser scales), or accumulators reaching ``2**24`` —
+raises :class:`~repro.errors.CompileError`, and
+:meth:`~repro.soc.accelerator.MemoryMappedAccelerator.run_batch` serves
+it from the float graph instead: one fast path, one reference.
 
 ``engine_for`` memoises compilation per export, so a multi-channel
 gateway and all campaign-sweep scenarios carrying the same
@@ -79,27 +77,17 @@ __all__ = [
     "engine_cache_info",
 ]
 
-#: Threshold-step count at or below which a layer the shift kernel
-#: cannot take uses the stepped-compare kernel instead of per-channel
-#: searchsorted.  Measured crossover: the stepped kernel's T sequential
-#: passes beat binary search up to a few dozen steps (4-bit activations'
-#: 15 steps sit well inside), while 6-bit+ activations (63+ steps) want
-#: the O(log T) path.
-STEPPED_KERNEL_MAX_STEPS = 32
-
-#: Largest integer magnitude float32 SGEMM reproduces exactly.
+#: Integer magnitudes below this are exact in float32 (24-bit mantissa).
 _F32_EXACT = 2**24
-#: Largest integer magnitude float64 DGEMM reproduces exactly.
-_F64_EXACT = 2**53
-#: Per compute lane, the integer magnitude the shift kernel's
-#: intermediates must stay below (int64: no overflow).
-_SHIFT_EXACT = {"float32": _F32_EXACT, "float64": _F64_EXACT, "int64": 2**63}
 
-_COMPUTE_DTYPES = {
-    "float32": np.float32,
-    "float64": np.float64,
-    "int64": np.int64,
-}
+
+@dataclass(frozen=True)
+class _Staircase:
+    """A MultiThreshold layer as ``clamp(floor((acc - offset) * factor), 0, steps)``."""
+
+    offset: np.ndarray  #: per-channel ``T0 - D`` (``T0`` clipped), float32
+    factor: np.ndarray  #: per-channel ``1/D``, float32 (exact: ``D`` is a power of two)
+    steps: int
 
 
 @dataclass(frozen=True)
@@ -107,16 +95,9 @@ class _LayerPlan:
     """One fused MatMul(+MultiThreshold) stage of the engine."""
 
     name: str
-    weight_i8: np.ndarray  #: canonical (out, in) int8 weights (int16 if >8 bits)
-    operand: np.ndarray  #: (in, out) contiguous matmul operand, compute dtype
-    thresholds: np.ndarray | None  #: (out, steps) ascending, compute dtype
-    kernel: str  #: "shift" | "stepped" | "searchsorted" | "" (final layer)
-    compute_dtype: np.dtype
-    count_dtype: np.dtype  #: uint8/uint16 activation-count accumulator
-    abs_bound: int  #: worst-case |accumulator| (drives dtype choice)
-    #: "shift" kernel only: per-channel offsets ``T0 - D`` and factors
-    #: ``1/D`` (``D`` itself on the int64 lane), compute dtype.
-    shift: tuple[np.ndarray, np.ndarray] | None = None
+    operand: np.ndarray  #: (in, out) contiguous float32 matmul operand
+    abs_bound: int  #: worst-case |accumulator|
+    staircase: _Staircase | None  #: None on the final (ScaleBias) layer
 
     @property
     def in_features(self) -> int:
@@ -131,40 +112,11 @@ class _Scratch:
     """Per-thread preallocated chunk buffers for one engine."""
 
     def __init__(self, layers: list[_LayerPlan], rows: int) -> None:
-        self.rows = rows
         self.quant = np.empty((rows, layers[0].in_features), dtype=np.float64)
-        self.inputs = [np.empty((rows, layer.in_features), dtype=layer.compute_dtype) for layer in layers]
-        self.accs = [np.empty((rows, layer.out_features), dtype=layer.compute_dtype) for layer in layers]
-        # The shift kernel rewrites its accumulators in place, so only
-        # the step-counting kernels need flag/count buffers.
-        self.bools = [
-            np.empty((rows, layer.out_features), dtype=bool) if layer.kernel == "stepped" else None
-            for layer in layers
-        ]
-        self.counts = [
-            np.empty((rows, layer.out_features), dtype=layer.count_dtype)
-            if layer.kernel in ("stepped", "searchsorted")
-            else None
-            for layer in layers
-        ]
-
-
-def _exact_dtype_for(abs_bound: int, steps_bound: int) -> np.dtype:
-    """Cheapest operand dtype that reproduces integer arithmetic exactly.
-
-    ``abs_bound`` bounds every partial sum of the matmul (BLAS may
-    reorder the reduction arbitrarily; any subset of products is still
-    bounded by the sum of absolute products), and ``steps_bound`` the
-    clipped threshold magnitudes compared against the accumulators.
-    """
-    bound = max(abs_bound, steps_bound)
-    if bound < _F32_EXACT - 1:
-        return np.dtype(np.float32)
-    if bound < _F64_EXACT - 1:
-        return np.dtype(np.float64)
-    if bound < 2**62:
-        return np.dtype(np.int64)
-    raise CompileError(f"accumulator bound {bound} exceeds exact int64 arithmetic")
+        self.inputs = np.empty((rows, layers[0].in_features), dtype=np.float32)
+        # Each layer's accumulators become its activation counts in place
+        # and feed the next matmul directly.
+        self.accs = [np.empty((rows, layer.out_features), dtype=np.float32) for layer in layers]
 
 
 class CompiledEngine:
@@ -176,6 +128,10 @@ class CompiledEngine:
     concurrent sessions.
     """
 
+    #: Rows per internal chunk: 2048 keeps every per-layer buffer in
+    #: cache (measured ~20% faster than 8192 on the canonical net).
+    chunk_size = 2048
+
     def __init__(
         self,
         layers: list[_LayerPlan],
@@ -184,7 +140,6 @@ class CompiledEngine:
         has_argmax: bool,
         input_features: int,
         input_quant: "ActQuantExport | None",
-        chunk_size: int,
         source_graph: DataflowGraph,
     ) -> None:
         self._layers = layers
@@ -195,15 +150,9 @@ class CompiledEngine:
         self.input_quant = input_quant
         if input_quant is not None:
             self._qmin, self._qmax = input_quant_range(input_quant)
-        self.chunk_size = int(chunk_size)
         self.source_graph = source_graph
         input_dtype = source_graph.input_info.dtype
         self._input_range = (input_dtype.min, input_dtype.max)
-        # Float compute lanes reproduce the graph's IEEE NaN semantics
-        # bit-exactly (see the threshold kernels); an int64 lane cannot
-        # (the NaN->int cast is unspecified), so non-finite inputs are
-        # rejected up front when any layer computes in integers.
-        self._rejects_nan = any(layer.compute_dtype.kind != "f" for layer in layers)
         self.num_classes = layers[-1].out_features
         # Integer argmax is exact only when the final affine provably
         # preserves order *and ties*: a uniform power-of-two scale is an
@@ -216,34 +165,11 @@ class CompiledEngine:
             has_argmax
             and np.all(self._final_bias == 0.0)
             and np.all(scale == scale[0])
-            and scale[0] > 0
             and _is_po2(float(scale[0]))
         )
         self._local = threading.local()
 
     # -- public API -------------------------------------------------------
-    @property
-    def num_layers(self) -> int:
-        return len(self._layers)
-
-    @property
-    def compute_dtypes(self) -> list[str]:
-        """Per-layer matmul operand dtype (exactness-driven)."""
-        return [str(layer.compute_dtype) for layer in self._layers]
-
-    @property
-    def threshold_kernels(self) -> list[str]:
-        return [layer.kernel for layer in self._layers if layer.thresholds is not None]
-
-    @property
-    def canonical_weights(self) -> list[np.ndarray]:
-        """Per-layer integer weight matrices, hardware view (int8/int16).
-
-        The matmul operands are derived, wider casts of these; this is
-        the compact form a deployment would ship to the device.
-        """
-        return [layer.weight_i8 for layer in self._layers]
-
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Classify raw feature vectors; returns predicted labels (N,).
 
@@ -272,7 +198,7 @@ class CompiledEngine:
         """Classify already-quantised integer inputs (graph input domain).
 
         Inputs must lie in the graph's declared input range: the
-        compiled threshold tables are clipped to the accumulator bounds
+        compiled staircases are clipped to the accumulator bounds
         reachable from that range, so out-of-domain integers would
         silently diverge from the graph — they raise instead.
         """
@@ -288,26 +214,17 @@ class CompiledEngine:
 
     def _check_input_domain(self, x_int: np.ndarray) -> np.ndarray:
         x_int = np.atleast_2d(np.asarray(x_int, dtype=np.float64))
-        if x_int.size:
-            low, high = self._input_range
-            # NaN compares false on both sides: on the float compute
-            # lanes non-finite garbage is admitted and handled
-            # bit-exactly (see the NaN kernels); an integer lane cannot
-            # reproduce NaN propagation and refuses it instead.
-            if x_int.min() < low or x_int.max() > high:
-                raise ShapeError(
-                    f"quantised inputs must lie in [{low}, {high}] "
-                    f"(the graph's {self.source_graph.input_info.dtype} input domain)"
-                )
-            self._check_finite(x_int)
-        return x_int
-
-    def _check_finite(self, values: np.ndarray) -> None:
-        if self._rejects_nan and np.isnan(values).any():
+        low, high = self._input_range
+        # NaN compares false on both sides, so non-finite garbage is
+        # admitted and follows the graph's IEEE semantics bit-exactly.
+        # (min()/max() would return NaN and hide an out-of-domain value
+        # in the same batch.)
+        if np.any((x_int < low) | (x_int > high)):
             raise ShapeError(
-                "non-finite inputs are not supported on the int64 compute path "
-                "(NaN cannot be cast to integers bit-exactly)"
+                f"quantised inputs must lie in [{low}, {high}] "
+                f"(the graph's {self.source_graph.input_info.dtype} input domain)"
             )
+        return x_int
 
     def summary(self) -> str:
         lines = [
@@ -316,10 +233,10 @@ class CompiledEngine:
             + (" -> argmax" if self.has_argmax else " (logits)")
         ]
         for layer in self._layers:
-            kernel = layer.kernel or "scale-bias"
+            kernel = "scale-bias" if layer.staircase is None else "shift"
             lines.append(
                 f"  {layer.name:<16} {layer.in_features}x{layer.out_features} "
-                f"{layer.compute_dtype} |acc|<={layer.abs_bound} [{kernel}]"
+                f"float32 |acc|<={layer.abs_bound} [{kernel}]"
             )
         lines.append(f"  chunk={self.chunk_size}, int-argmax={self._int_argmax}")
         return "\n".join(lines)
@@ -351,15 +268,12 @@ class CompiledEngine:
 
     def _quantize_chunk(self, chunk: np.ndarray, scratch: _Scratch) -> np.ndarray:
         """In-place replay of :func:`quantize_features` on one chunk."""
-        rows = chunk.shape[0]
-        quantized = scratch.quant[:rows]
+        quantized = scratch.quant[: chunk.shape[0]]
         assert self.input_quant is not None  # guarded by the predict() entry check
         np.divide(chunk, self.input_quant.scale, out=quantized)
         quantized += 0.5
         np.floor(quantized, out=quantized)
         np.clip(quantized, self._qmin, self._qmax, out=quantized)
-        if self._rejects_nan:
-            self._check_finite(quantized)  # clip passes NaN through
         return quantized
 
     def _forward_chunk(
@@ -373,41 +287,16 @@ class CompiledEngine:
         rows = chunk.shape[0]
         if quantize:
             chunk = self._quantize_chunk(chunk, scratch)
-        values: np.ndarray | None = None  # previous layer's activation counts
-        for index, layer in enumerate(self._layers):
-            x = scratch.inputs[index][:rows]
-            # Quantised inputs / activation counts are small integers;
-            # the cast into the layer's exact operand dtype is lossless.
-            np.copyto(x, values if values is not None else chunk, casting="unsafe")
-            acc = scratch.accs[index][:rows]
+        x = scratch.inputs[:rows]
+        # Quantised inputs are small integers: the float32 cast is lossless.
+        np.copyto(x, chunk, casting="unsafe")
+        for layer, buffer in zip(self._layers, scratch.accs):
+            acc = buffer[:rows]
             np.matmul(x, layer.operand, out=acc)
-            if layer.thresholds is None:
+            if layer.staircase is None:
                 self._finish(acc, labels_out, logits_out)
                 return
-            if layer.kernel == "shift":
-                values = _shift_staircase(acc, layer)
-                continue
-            counts = scratch.counts[index][:rows]
-            if layer.kernel == "stepped":
-                flags = scratch.bools[index][:rows]
-                counts[:] = 0
-                for step in range(layer.thresholds.shape[1]):
-                    np.greater_equal(acc, layer.thresholds[:, step], out=flags)
-                    counts += flags
-            else:  # searchsorted: count of thresholds <= acc, per channel
-                for channel in range(layer.out_features):
-                    counts[:, channel] = np.searchsorted(
-                        layer.thresholds[channel], acc[:, channel], side="right"
-                    )
-                if layer.compute_dtype.kind == "f":
-                    # searchsorted sorts NaN above every threshold; the
-                    # graph's `>=` broadcast (and the stepped kernel)
-                    # yield 0 steps for NaN accumulators.  Keep garbage
-                    # inputs bit-exact too.
-                    invalid = np.isnan(acc)
-                    if invalid.any():
-                        counts[invalid] = 0
-            values = counts
+            x = _shift_staircase(acc, layer.staircase)
 
     def _finish(self, acc: np.ndarray, labels_out: np.ndarray, logits_out: np.ndarray | None) -> None:
         if logits_out is None and self._int_argmax:
@@ -422,44 +311,41 @@ class CompiledEngine:
         np.argmax(logits, axis=1, out=labels_out)
 
 
-def _shift_staircase(acc: np.ndarray, layer: _LayerPlan) -> np.ndarray:
-    """Apply a ``"shift"`` MultiThreshold layer to ``acc`` in place.
+def _shift_staircase(acc: np.ndarray, staircase: _Staircase) -> np.ndarray:
+    """Apply one MultiThreshold layer to float32 ``acc`` in place.
 
     Returns ``acc`` holding ``clamp(floor((acc - (T0 - D)) / D), 0,
     steps)``: the number of thresholds ``T0 + k*D`` at or below each
-    accumulator.  :func:`_shift_plan` admitted the layer only if every
-    intermediate is an integer below the lane's exact limit, and ``1/D``
-    is a power of two, so no step rounds.  ``fmax`` maps NaN to 0 steps
-    (``NaN >= t`` is False in the graph, as in the stepped kernel) and
-    -0.0 to +0.0.  ``np.floor_divide`` gives the same counts on float
-    lanes but measured ~15x slower (2.0 vs 0.13 µs per 64-channel
-    float32 row), so it only serves the int64 lane.
+    accumulator.  :func:`_shift_plan` keeps every intermediate an
+    integer below ``2**24``, and ``1/D`` is a power of two, so no step
+    rounds.  ``fmax`` maps NaN to 0 steps (``NaN >= t`` is False in the
+    graph) and -0.0 to +0.0.  ``np.floor_divide`` gives the same counts
+    but measured ~15x slower (2.0 vs 0.13 µs per 64-channel row).
     """
-    assert layer.shift is not None and layer.thresholds is not None  # kernel == "shift"
-    offset, factor = layer.shift
-    steps = layer.thresholds.shape[1]
-    np.subtract(acc, offset, out=acc)
-    if acc.dtype.kind == "f":
-        np.multiply(acc, factor, out=acc)
-        np.floor(acc, out=acc)
-        np.fmax(acc, 0, out=acc)
-        np.fmin(acc, steps, out=acc)
-    else:
-        np.floor_divide(acc, factor, out=acc)
-        np.clip(acc, 0, steps, out=acc)
+    np.subtract(acc, staircase.offset, out=acc)
+    np.multiply(acc, staircase.factor, out=acc)
+    np.floor(acc, out=acc)
+    np.fmax(acc, 0, out=acc)
+    np.fmin(acc, staircase.steps, out=acc)
     return acc
 
 
-def _shift_plan(
-    thresholds: np.ndarray, abs_bound: int, dtype: np.dtype
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """The shift kernel's per-channel ``(T0 - D, 1/D)``, or None if it cannot apply.
+def _shift_plan(thresholds: np.ndarray, abs_bound: int) -> _Staircase:
+    """The shift kernel for one layer's (channels, steps) int64 thresholds.
 
-    ``thresholds`` are one layer's clipped int64 thresholds.  The
-    kernel applies when every channel's row is ``T0 + k*D`` with ``D`` a
-    power of two (a single threshold has ``D = 1``) and ``abs_bound +
-    max|T0 - D|`` is below the ``dtype`` lane's exact-integer limit.
-    On the int64 lane the factor is ``D`` itself (floor-divided).
+    Every channel's row must be ``T0 + k*D`` with ``D`` a power of two
+    (a single threshold has ``D = 1``), judged on the thresholds as the
+    graph holds them.  Only ``T0`` is then clipped, into ``[-B -
+    (steps-1)*D, B + 1]`` with ``B = abs_bound``: a staircase wholly
+    above every reachable accumulator counts 0 there, as one starting at
+    ``B + 1`` does; one wholly at or below ``-B`` counts ``steps``, as
+    one ending at ``-B`` does; any other is left alone.  So every count
+    over ``[-B, B]`` is unchanged, while ``T0 - D`` stays small enough
+    that ``acc - (T0 - D)`` is an exact float32 integer.
+
+    Raises :class:`~repro.errors.CompileError` for uneven spacing,
+    spacing below one step, and ``B + max|T0 - D|`` at or above
+    ``2**24``.
     """
     channels, steps = thresholds.shape
     if steps == 1:
@@ -468,65 +354,40 @@ def _shift_plan(
         gaps = np.diff(thresholds, axis=1)
         spacing = gaps[:, 0]
         if np.any(gaps != spacing[:, None]):
-            return None
+            raise CompileError("thresholds are not evenly spaced")
     if np.any(spacing < 1) or np.any(spacing & (spacing - 1)):
-        return None
-    # Python ints: near the int64 lane's bound, T0 - D can overflow int64.
-    offsets = [first - gap for first, gap in zip(thresholds[:, 0].tolist(), spacing.tolist())]
-    if abs_bound + max(map(abs, offsets), default=0) >= _SHIFT_EXACT[dtype.name]:
-        return None
-    factor = spacing if dtype.kind != "f" else 1.0 / spacing
-    return np.asarray(offsets, dtype=dtype), factor.astype(dtype)
+        raise CompileError("threshold spacing is not a power of two >= 1")
+    # Above 2**24 the offset bound below fails anyway; checking first
+    # keeps (steps - 1) * spacing inside int64.
+    if spacing.max(initial=0) > _F32_EXACT:
+        raise CompileError(f"threshold spacing {spacing.max()} exceeds the float32 range")
+    first = np.clip(thresholds[:, 0], -abs_bound - (steps - 1) * spacing, abs_bound + 1)
+    offset = first - spacing
+    reach = int(np.abs(offset).max(initial=0))
+    if abs_bound + reach >= _F32_EXACT:
+        raise CompileError(
+            f"|acc| <= {abs_bound} against threshold offsets up to {reach} "
+            "is not exact in float32"
+        )
+    return _Staircase(offset.astype(np.float32), (1.0 / spacing).astype(np.float32), steps)
 
 
 def compile_engine(
     graph: DataflowGraph,
     input_quant: "ActQuantExport | None" = None,
-    chunk_size: int = 2048,
-    threshold_kernel: str = "auto",
-    compute_dtype: str | None = None,
-    self_check_samples: int = 16,
     name: str | None = None,
 ) -> CompiledEngine:
     """Lower a streamlined :class:`DataflowGraph` to a :class:`CompiledEngine`.
 
-    Parameters
-    ----------
-    input_quant:
-        The export's input quantiser (:class:`~repro.quant.export.ActQuantExport`);
-        required for :meth:`CompiledEngine.predict` on raw features
-        (``run_quantized`` works without it).
-    chunk_size:
-        Rows per internal chunk.  2048 keeps every per-layer buffer in
-        cache (measured ~20% faster than 8192 on the canonical net).
-    threshold_kernel:
-        ``"auto"`` (default) picks per MultiThreshold layer: ``shift``
-        when every channel's clipped thresholds are ``T0 + k*D`` with
-        ``D`` a power of two (``D = 1`` for a single threshold) and
-        ``|acc| + max|T0 - D|`` stays below the compute lane's exact
-        limit (2**24 float32, 2**53 float64); otherwise ``stepped`` up
-        to :data:`STEPPED_KERNEL_MAX_STEPS` steps and ``searchsorted``
-        above.  ``"stepped"`` / ``"searchsorted"`` force that reference
-        kernel on every layer (A/B).
-    compute_dtype:
-        Override the per-layer operand dtype (``"float32"``,
-        ``"float64"`` or ``"int64"``).  Rejected when the requested
-        type cannot represent the layer's accumulators exactly —
-        exactness is never negotiable.
-    self_check_samples:
-        Random integer inputs replayed through both the engine and the
-        graph after compilation; any mismatch raises
-        :class:`~repro.errors.VerificationError`.  0 disables.
+    ``input_quant`` is the export's input quantiser
+    (:class:`~repro.quant.export.ActQuantExport`), required for
+    :meth:`CompiledEngine.predict` on raw features (``run_quantized``
+    works without it).  After lowering, 16 random integer inputs are
+    replayed through both the engine and the graph; any mismatch raises
+    :class:`~repro.errors.VerificationError`.  A graph the engine cannot
+    reproduce exactly (see the module docstring) raises
+    :class:`~repro.errors.CompileError`.
     """
-    if chunk_size < 1:
-        raise CompileError(f"chunk_size must be >= 1, got {chunk_size}")
-    if threshold_kernel not in ("auto", "stepped", "searchsorted"):
-        raise CompileError(f"unknown threshold kernel {threshold_kernel!r}")
-    if compute_dtype is not None and compute_dtype not in _COMPUTE_DTYPES:
-        raise CompileError(
-            f"compute_dtype must be one of {sorted(_COMPUTE_DTYPES)}, got {compute_dtype!r}"
-        )
-
     infos = graph.edge_infos()  # validates shapes/dtypes along the way
     layers: list[_LayerPlan] = []
     final_scale: np.ndarray | None = None
@@ -550,21 +411,18 @@ def compile_engine(
         weight = node.weight_int[:, :current_features]
         max_abs_in = max(abs(input_dtype.min), abs(input_dtype.max))
         abs_bound = int(np.abs(weight).sum(axis=1).max()) * max_abs_in if weight.size else 0
+        if abs_bound >= _F32_EXACT:
+            raise CompileError(f"{node.name}: |acc| <= {abs_bound} is not exact in float32")
 
         follower = nodes[index + 1] if index + 1 < len(nodes) else None
+        staircase: _Staircase | None = None
         if isinstance(follower, MultiThresholdNode):
-            # Thresholds outside the reachable accumulator range never
-            # change the staircase; clipping them in keeps every value
-            # below the exactness bound of narrow float dtypes.
-            thresholds_int = np.clip(follower.thresholds, -abs_bound - 1, abs_bound + 1)
-            steps = int(follower.steps)
-            steps_bound = abs_bound + 1
-            count_dtype = np.dtype(np.uint8 if steps <= 255 else np.uint16)
+            try:
+                staircase = _shift_plan(follower.thresholds, abs_bound)
+            except CompileError as error:
+                raise CompileError(f"{follower.name}: {error}") from None
             index += 2
         elif isinstance(follower, ScaleBiasNode):
-            thresholds_int = None
-            steps_bound = 0
-            count_dtype = np.dtype(np.uint8)
             final_scale = follower.scale.astype(np.float64)
             final_bias = follower.bias.astype(np.float64)
             index += 2
@@ -577,44 +435,12 @@ def compile_engine(
             raise CompileError(
                 f"matmul {node.name} must be followed by MultiThreshold or ScaleBias"
             )
-
-        if compute_dtype is not None:
-            dtype = np.dtype(_COMPUTE_DTYPES[compute_dtype])
-            exact = _exact_dtype_for(abs_bound, steps_bound)
-            # A requested dtype is only legal when at least as wide as
-            # the exactness analysis demands (int64 is always exact).
-            widths = {"float32": 0, "float64": 1, "int64": 2}
-            if widths[dtype.name] < widths[exact.name]:
-                raise CompileError(
-                    f"{node.name}: compute_dtype {compute_dtype} cannot hold "
-                    f"|acc| <= {abs_bound} exactly (needs {exact.name})"
-                )
-        else:
-            dtype = _exact_dtype_for(abs_bound, steps_bound)
-
-        kernel = "" if thresholds_int is None else threshold_kernel
-        shift: tuple[np.ndarray, np.ndarray] | None = None
-        if thresholds_int is not None and kernel == "auto":
-            shift = _shift_plan(thresholds_int, abs_bound, dtype)
-            if shift is not None:
-                kernel = "shift"
-            elif thresholds_int.shape[1] <= STEPPED_KERNEL_MAX_STEPS:
-                kernel = "stepped"
-            else:
-                kernel = "searchsorted"
-
-        weight_store = np.int8 if int(np.abs(weight).max(initial=0)) <= 127 else np.int16
         layers.append(
             _LayerPlan(
                 name=node.name,
-                weight_i8=weight.astype(weight_store),
-                operand=np.ascontiguousarray(weight.T, dtype=dtype),
-                thresholds=None if thresholds_int is None else thresholds_int.astype(dtype),
-                kernel=kernel,
-                compute_dtype=dtype,
-                count_dtype=count_dtype,
+                operand=np.ascontiguousarray(weight.T, dtype=np.float32),
                 abs_bound=abs_bound,
-                shift=shift,
+                staircase=staircase,
             )
         )
         current_features = layers[-1].out_features
@@ -633,11 +459,9 @@ def compile_engine(
         has_argmax=has_argmax,
         input_features=graph.input_info.features,
         input_quant=input_quant,
-        chunk_size=chunk_size,
         source_graph=graph,
     )
-    if self_check_samples:
-        _self_check(engine, graph, self_check_samples, name or graph.name)
+    _self_check(engine, graph, 16, name or graph.name)
     return engine
 
 
@@ -682,7 +506,8 @@ def engine_for(ip: "AcceleratorIP") -> CompiledEngine:
     Keyed on the IP's export, so every ECU, gateway channel and
     campaign-sweep scenario carrying the same compiled model shares one
     engine.  Thread-safe; scratch state inside the engine is per
-    thread.
+    thread.  Raises :class:`~repro.errors.CompileError` (uncached) for
+    a graph the engine cannot reproduce exactly.
     """
     global _CACHE_HITS, _CACHE_MISSES
     export, graph = ip.export, ip.graph
@@ -706,7 +531,8 @@ def engine_cache_info() -> EngineCacheInfo:
 
 
 def _is_po2(value: float) -> bool:
+    """True for a positive power of two (any exponent, including negative)."""
     if value <= 0:
         return False
     mantissa, _ = np.frexp(value)
-    return mantissa == 0.5
+    return bool(mantissa == 0.5)

@@ -48,16 +48,6 @@ class SimReport:
         """Steady-state samples/second (gated by the slowest stage)."""
         return self.clock_hz / self.steady_ii
 
-    @property
-    def measured_fps(self) -> float:
-        """End-to-end rate of this run (includes pipeline fill)."""
-        return self.num_samples / (self.total_cycles / self.clock_hz)
-
-    def bottleneck(self) -> str:
-        """Name of the stage limiting throughput."""
-        index = int(np.argmax(self.stage_iis))
-        return self.stage_names[index]
-
     def to_dict(self) -> dict:
         return {
             "num_samples": self.num_samples,

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.autograd.module import Module
 from repro.finn.build import build_frontend_graph, quantize_input
+from repro.finn.compiled import _is_po2
 from repro.finn.cyclesim import CycleSimulator, SimReport
 from repro.finn.folding import FoldingConfig, fold_for_target
 from repro.finn.graph import DataflowGraph
@@ -216,10 +217,3 @@ def compile_model(
         verification=verification,
         metadata={"target_fps": target_fps, "pad_multiple": pad_multiple},
     )
-
-
-def _is_po2(value: float) -> bool:
-    if value <= 0:
-        return False
-    mantissa, _ = np.frexp(value)
-    return mantissa == 0.5

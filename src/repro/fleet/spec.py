@@ -144,6 +144,12 @@ class ExecOptions:
         }
 
 
+def _check_duration(duration: float | None) -> None:
+    """A scenario rescale is ``None`` (the scenario's own) or finite and positive."""
+    if duration is not None and not 0 < duration < math.inf:
+        raise ConfigError(f"duration must be finite and positive, got {duration}")
+
+
 @dataclass(frozen=True)
 class VehicleSpec:
     """One fleet member: topology, scenario, seed scope, attack onset.
@@ -184,10 +190,9 @@ class VehicleSpec:
             raise ConfigError(
                 f"unknown deployment {self.deployment!r}; choose from {DEPLOYMENTS}"
             )
-        if self.onset_offset < 0:
-            raise ConfigError(f"onset_offset must be >= 0, got {self.onset_offset}")
-        if self.duration is not None and self.duration <= 0:
-            raise ConfigError(f"duration must be positive, got {self.duration}")
+        if not 0 <= self.onset_offset < math.inf:
+            raise ConfigError(f"onset_offset must be finite and >= 0, got {self.onset_offset}")
+        _check_duration(self.duration)
         if self.wire_faults is not None and not isinstance(
             self.wire_faults, WireFaultModel
         ):
@@ -251,10 +256,9 @@ class FleetSpec:
             raise ConfigError("sampled fleet needs at least one profile")
         if not self.deployments:
             raise ConfigError("sampled fleet needs at least one deployment")
-        if self.onset_jitter < 0:
-            raise ConfigError(f"onset_jitter must be >= 0, got {self.onset_jitter}")
-        if self.duration is not None and self.duration <= 0:
-            raise ConfigError(f"duration must be positive, got {self.duration}")
+        if not 0 <= self.onset_jitter < math.inf:
+            raise ConfigError(f"onset_jitter must be finite and >= 0, got {self.onset_jitter}")
+        _check_duration(self.duration)
         if self.wire_faults is not None and not isinstance(
             self.wire_faults, WireFaultModel
         ):

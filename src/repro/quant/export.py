@@ -96,10 +96,6 @@ class QNNExport:
         return self.layers[0].in_features
 
     @property
-    def output_features(self) -> int:
-        return self.layers[-1].out_features
-
-    @property
     def topology(self) -> list[int]:
         """Layer widths, e.g. ``[79, 64, 64, 32, 2]``."""
         return [self.layers[0].in_features] + [layer.out_features for layer in self.layers]

@@ -172,14 +172,16 @@ class MemoryMappedAccelerator:
         (:func:`repro.finn.compiled.engine_for`) — bit-exact against the
         dataflow graph and several times faster; the engine is cached on
         the export, so every ECU sharing this IP shares one compiled
-        model.  ``compiled=False`` replays the node-by-node float graph
-        (the golden reference, kept for A/B benchmarking).
+        model.  A graph the engine refuses (not streamlined, or not
+        exactly reproducible, e.g. float quantiser scales) runs on the
+        node-by-node float graph, as ``compiled=False`` does (the golden
+        reference, kept for A/B benchmarking).
         """
         if compiled:
             try:
                 return engine_for(self.ip).predict(features)
             except CompileError:
-                pass  # non-streamlined custom graph: reference path below
+                pass  # refused graph: reference path below
         return self.ip.run(features)
 
     def reference_trace(self) -> HWInferenceTrace:

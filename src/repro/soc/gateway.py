@@ -444,10 +444,6 @@ class IDSGateway:
             raise SoCError(f"channel {name!r} already attached")
         self._channels[name] = (bus, ecu)
 
-    @property
-    def channel_names(self) -> list[str]:
-        return list(self._channels)
-
     def monitor(
         self,
         duration: float,

@@ -81,11 +81,6 @@ class PowerReport:
     num_samples: int
     duration_s: float
 
-    @property
-    def energy_j(self) -> float:
-        """Total energy over the measurement window."""
-        return self.mean_w * self.duration_s
-
 
 @dataclass
 class PMBusSampler:

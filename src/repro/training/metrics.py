@@ -55,11 +55,6 @@ class ConfusionMatrix:
         denominator = self.true_positive + self.false_negative
         return self.false_negative / denominator if denominator else 0.0
 
-    @property
-    def false_positive_rate(self) -> float:
-        denominator = self.true_negative + self.false_positive
-        return self.false_positive / denominator if denominator else 0.0
-
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionMatrix:
     """Binary confusion matrix; labels must be 0 (normal) / 1 (attack)."""

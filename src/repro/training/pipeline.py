@@ -36,10 +36,6 @@ class IDSModelResult:
     splits: DatasetSplits
     capture: CarHackingCapture
 
-    @property
-    def test_f1(self) -> float:
-        return self.metrics["f1"]
-
     def summary(self) -> str:
         """One-line result summary for logs and examples."""
         m = self.metrics

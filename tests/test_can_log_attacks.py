@@ -3,13 +3,22 @@
 import numpy as np
 import pytest
 
-from repro.can.attacks import ReplayAttacker, SpoofingAttacker
+from repro.can.attacks import (
+    BurstDoSAttacker,
+    DoSAttacker,
+    FuzzyAttacker,
+    MasqueradeAttacker,
+    RampDoSAttacker,
+    ReplayAttacker,
+    SpoofingAttacker,
+)
 from repro.can.frame import CANFrame
 from repro.can.log import (
     CANLogRecord,
     read_car_hacking_csv,
     write_car_hacking_csv,
 )
+from repro.can.node import PeriodicSender
 from repro.errors import CANError, DatasetError
 
 
@@ -110,3 +119,44 @@ class TestSpoofReplay:
             ReplayAttacker([CANFrame(0x100)], offsets=[0.0], windows=windows)
         with pytest.raises(CANError, match=r"\(start, end\) pairs"):
             SpoofingAttacker(windows=windows, target_id=0x316)
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: DoSAttacker([(0.0, 1.0)], can_id=0x800), "0x800"),
+            (lambda: DoSAttacker([(0.0, 1.0)], can_id=-1), "-0x1"),
+            (lambda: DoSAttacker([(0.0, 1.0)], payload=bytes(9)), "got 9"),
+            (lambda: BurstDoSAttacker([(0.0, 1.0)], can_id=0x800), "0x800"),
+            (lambda: BurstDoSAttacker([(0.0, 1.0)], payload=bytes(9)), "got 9"),
+            (lambda: RampDoSAttacker([(0.0, 1.0)], can_id=-1), "-0x1"),
+            (lambda: RampDoSAttacker([(0.0, 1.0)], payload=bytes(12)), "got 12"),
+            (lambda: SpoofingAttacker([(0.0, 1.0)], target_id=0x800), "0x800"),
+            (lambda: SpoofingAttacker([(0.0, 1.0)], target_id=-1), "-0x1"),
+            (lambda: SpoofingAttacker([(0.0, 1.0)], payload_pool=[bytes(2), bytes(9)]), "got 9"),
+            (
+                lambda: MasqueradeAttacker(
+                    PeriodicSender(0x316, 0.01), [(0.0, 1.0)], target_id=0x800
+                ),
+                "0x800",
+            ),
+            (
+                lambda: MasqueradeAttacker(
+                    PeriodicSender(0x316, 0.01), [(0.0, 1.0)], payload_pool=[bytes(10)]
+                ),
+                "got 10",
+            ),
+            (lambda: FuzzyAttacker([(0.0, 1.0)], dlc=-1), "got -1"),
+            (lambda: FuzzyAttacker([(0.0, 1.0)], dlc=9), "got 9"),
+        ],
+        ids=[
+            "dos-id-high", "dos-id-negative", "dos-payload", "burst-id", "burst-payload",
+            "ramp-id", "ramp-payload", "spoof-id-high", "spoof-id-negative", "spoof-pool",
+            "masquerade-id", "masquerade-pool", "fuzzy-dlc-negative", "fuzzy-dlc-high",
+        ],
+    )
+    def test_impossible_frames_rejected_at_construction(self, build, match):
+        """An id outside 0-0x7FF, a payload over 8 bytes or a DLC outside
+        0-8 is a CANError naming the value when the attacker is built,
+        not when a bus first sizes or schedules its frames."""
+        with pytest.raises(CANError, match=match):
+            build()

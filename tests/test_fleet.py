@@ -15,6 +15,7 @@ The load-bearing claims, each pinned here:
   without training detectors or spinning up a pool.
 """
 
+import math
 import pickle
 
 import pytest
@@ -131,6 +132,31 @@ class TestSpecs:
             VehicleSpec(
                 index=0, scenario="baseline-dos", vehicle_seed=1, onset_offset=-0.1
             )
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: VehicleSpec(0, "baseline-dos", 1, onset_offset=math.inf), "onset_offset.*inf"),
+            (lambda: VehicleSpec(0, "baseline-dos", 1, onset_offset=math.nan), "onset_offset.*nan"),
+            (lambda: VehicleSpec(0, "baseline-dos", 1, duration=math.nan), "duration.*nan"),
+            (lambda: VehicleSpec(0, "baseline-dos", 1, duration=math.inf), "duration.*inf"),
+            (lambda: FleetSpec(size=2, duration=math.nan), "duration.*nan"),
+            (lambda: FleetSpec(size=2, duration=math.inf), "duration.*inf"),
+            (lambda: FleetSpec(size=2, onset_jitter=math.nan), "onset_jitter.*nan"),
+            (lambda: FleetSpec(size=2, onset_jitter=math.inf), "onset_jitter.*inf"),
+        ],
+        ids=[
+            "vehicle-onset-inf", "vehicle-onset-nan", "vehicle-duration-nan",
+            "vehicle-duration-inf", "fleet-duration-nan", "fleet-duration-inf",
+            "fleet-jitter-nan", "fleet-jitter-inf",
+        ],
+    )
+    def test_non_finite_specs_rejected_at_construction(self, build, match):
+        """A non-finite onset, duration or jitter is a ConfigError naming
+        the value when the spec is built, not a failed shard (retried
+        with backoff) inside a fleet worker."""
+        with pytest.raises(ConfigError, match=match):
+            build()
 
     def test_sampled_fleet_is_index_deterministic(self):
         spec = FleetSpec(

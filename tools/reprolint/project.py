@@ -76,8 +76,8 @@ class LintConfig:
                 "src/repro/can/log.py": frozenset(
                     {"to_frame", "write_car_hacking_csv", "read_car_hacking_csv", "iter_windows"}
                 ),
-                # Chunk / per-layer / per-threshold-step loops iterate
-                # layers and steps, never frames; summary() is reporting.
+                # The chunk loop and the per-layer loop iterate chunks
+                # and layers, never frames; summary() is reporting.
                 "src/repro/finn/compiled.py": frozenset(
                     {"_forward", "_forward_chunk", "summary"}
                 ),
