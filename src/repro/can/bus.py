@@ -339,13 +339,11 @@ def bus_load(
     >>> bus_load([], 1.0, 500_000)
     0.0
     """
-    if duration <= 0 or bitrate <= 0:
-        raise CANError("duration and bitrate must be positive")
+    from repro.can.fastbus import _check_timing, standard_wire_bits
     from repro.can.log import CaptureArray
 
+    _check_timing(bitrate, duration)
     if isinstance(records, CaptureArray):
-        from repro.can.fastbus import standard_wire_bits
-
         busy_bits = int(
             standard_wire_bits(records.can_ids, records.dlcs, records.payloads).sum()
         )

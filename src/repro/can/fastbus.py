@@ -16,11 +16,13 @@ This module is the *compute* engine for the same physics:
   sources that only implement the scalar iterator are materialised by
   :func:`schedule_from_frames` (the exotic fallback).
 * :func:`standard_wire_bits` — exact CAN 2.0A wire lengths (CRC-15 +
-  bit stuffing + trailer) for whole schedules at once.  Duplicate
-  ``(id, dlc, payload)`` rows collapse first, so a DoS flood costs one
-  CRC instead of tens of thousands; the unique rows step a byte at a
-  time through a 256-entry CRC-15 table and a 9-state stuffing
-  automaton (~150 numpy calls per DLC width, whatever the row count).
+  bit stuffing + trailer) for whole schedules at once.  Every row is
+  computed: measured floods repeat too few frames for a dedup sort to
+  pay (39-66% of a flooded bus's rows are unique).  Each DLC width's
+  messages lie column-major as byte planes, and each byte step reads
+  one plane through a 256-entry CRC-15 table, then through one packed
+  table of a 9-state stuffing automaton (~120 numpy calls for 8-byte
+  frames, whatever the row count).
 * :func:`simulate_arbitration` — arbitration replay as one scalar
   sweep over the release-sorted rows, on plain Python floats and ints.
   A frame alone when it starts skips the heap; contended frames go
@@ -398,8 +400,10 @@ def _crc15_byte_table() -> np.ndarray:
 
     Eight bit steps of :func:`repro.can.frame.crc15` collapse into one
     byte step: ``crc = ((crc << 8) & 0x7FFF) ^ table[(crc >> 7) ^ byte]``.
+    The register stays below 2**15, so uint16 holds it; the mask drops
+    the bits the 8-bit shift carries past bit 14 (or out of the word).
     """
-    table = np.zeros(256, dtype=np.int64)
+    table = np.zeros(256, dtype=np.uint16)
     for byte in range(256):
         crc = byte << 7
         for _ in range(8):
@@ -446,54 +450,79 @@ def _stuff_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return next_state, stuff_count, tail_count
 
 
-_CRC15_TABLE = _crc15_byte_table()
-_STUFF_NEXT, _STUFF_COUNT, _STUFF_TAIL = _stuff_tables()
+def _packed_stuff_tables() -> tuple[np.ndarray, np.ndarray]:
+    """One byte step of the stuffing automaton as one uint8 lookup.
 
-
-def _wire_bits_for_rows(rows: np.ndarray) -> np.ndarray:
-    """Exact wire bits for unique packed rows ``[id_hi, id_lo, dlc, 8 bytes]``.
-
-    Steps byte columns through the tables above, one DLC width at a
-    time.  Left-padding the 19 header bits (SOF, id, RTR/IDE/r0, DLC)
-    with 5 zero bits, which a zero-initialised CRC ignores, makes header
-    plus payload ``3 + dlc`` whole bytes for the CRC.  Without the pad
-    and followed by the CRC, the same bits are the stuffed region (SOF
-    .. CRC, ``34 + 8 * dlc`` bits): ``4 + dlc`` whole bytes for the
-    stuffing automaton, then a 2-bit tail.
+    ``step[state * 256 + byte]`` packs ``next_state * 8 + stuff_bits``;
+    ``tail[state * 4 + bits]`` is the final 2-bit tail's stuff count.
     """
-    out = np.zeros(rows.shape[0], dtype=np.int64)
-    dlcs = rows[:, 2].astype(np.int64)
-    # reprolint: disable=hot-path-purity -- loops over the <=9 distinct DLC widths, not frames
-    for dlc in np.unique(dlcs):
-        group = np.flatnonzero(dlcs == dlc)
-        sub = rows[group]
-        m = sub.shape[0]
-        width = int(dlc)
-        ids = (sub[:, 0].astype(np.int64) << 8) | sub[:, 1]
-        # Padded header, payload, CRC (15 bits + 1 pad bit), zero byte.
-        message = np.zeros((m, width + 6), dtype=np.uint8)
-        message[:, 0] = ids >> 9  # 5 pad bits, SOF, id[10:9]
-        message[:, 1] = (ids >> 1) & 0xFF  # id[8:1]
-        message[:, 2] = ((ids & 1) << 7) | width  # id[0], RTR/IDE/r0 = 0, DLC
-        message[:, 3 : 3 + width] = sub[:, 3 : 3 + width]
-        crc = np.zeros(m, dtype=np.int64)
-        # reprolint: disable=hot-path-purity -- per-byte-column CRC table steps, O(frame bytes) not O(frames)
-        for column in range(3 + width):
-            crc = ((crc << 8) & 0x7FFF) ^ _CRC15_TABLE[(crc >> 7) ^ message[:, column]]
-        message[:, 3 + width] = crc >> 7
-        message[:, 4 + width] = (crc << 1) & 0xFF
-        # Drop the 5 pad bits: stream[:, k] holds stuffed-region bits 8k..8k+7.
-        stream = ((message[:, :-1] & 0x07) << 5) | (message[:, 1:] >> 3)
-        state = np.zeros(m, dtype=np.int64)
-        stuffed = np.zeros(m, dtype=np.int64)
-        # reprolint: disable=hot-path-purity -- per-byte-column stuffing automaton, O(frame bytes) not O(frames)
-        for column in range(4 + width):
-            index = state * 256 + stream[:, column]
-            stuffed += _STUFF_COUNT[index]
-            state = _STUFF_NEXT[index]
-        stuffed += _STUFF_TAIL[state * 4 + (stream[:, 4 + width] >> 6)]
-        out[group] = _HEADER_BITS + 8 * width + _CRC_BITS + stuffed + _TRAILER_BITS
-    return out
+    next_state, stuff_count, tail_count = _stuff_tables()
+    # A byte carries at most two stuff bits; the packing needs under eight.
+    assert int(stuff_count.max()) < 8
+    return (next_state * 8 + stuff_count).astype(np.uint8), tail_count.astype(np.uint8)
+
+
+_CRC15_TABLE = _crc15_byte_table()
+_STUFF_STEP, _STUFF_TAIL = _packed_stuff_tables()
+
+
+def _wire_bits_for_width(can_ids: np.ndarray, payloads: np.ndarray, width: int) -> np.ndarray:
+    """Exact wire bits for frames that all carry ``width`` payload bytes.
+
+    Lays the messages out column-major: row ``k`` of ``planes`` holds
+    byte ``k`` of every message, so each table step reads one contiguous
+    plane.  Left-padding the 19 header bits (SOF, id, RTR/IDE/r0, DLC)
+    with 5 zero bits, which a zero-initialised CRC ignores, makes header
+    plus payload ``3 + width`` whole bytes for the CRC.  Without the pad
+    and followed by the CRC, the same bits are the stuffed region (SOF
+    .. CRC, ``34 + 8 * width`` bits): ``4 + width`` whole bytes for the
+    stuffing automaton, then a 2-bit tail.  Payload bytes past
+    ``width`` are never read.
+    """
+    m = can_ids.shape[0]
+    # Padded header, payload, CRC (15 bits + 1 pad bit), zero byte.
+    planes = np.empty((width + 6, m), dtype=np.uint8)
+    planes[0] = can_ids >> 9  # 5 pad bits, SOF, id[10:9]
+    planes[1] = (can_ids >> 1) & 0xFF  # id[8:1]
+    planes[2] = ((can_ids & 1) << 7) | width  # id[0], RTR/IDE/r0 = 0, DLC
+    planes[3 : 3 + width] = payloads[:, :width].T
+    crc = np.zeros(m, dtype=np.uint16)
+    index = np.empty(m, dtype=np.uint16)
+    # reprolint: disable=hot-path-purity -- per-byte-plane CRC table steps, O(frame bytes) not O(frames)
+    for plane in planes[: 3 + width]:
+        np.right_shift(crc, 7, out=index)
+        index ^= plane
+        crc <<= 8
+        crc &= 0x7FFF
+        crc ^= _CRC15_TABLE.take(index)
+    planes[3 + width] = crc >> 7
+    planes[4 + width] = (crc << 1) & 0xFF
+    planes[5 + width] = 0
+    # Drop the 5 pad bits: stream[k] holds stuffed-region bits 8k..8k+7.
+    stream = ((planes[:-1] & 0x07) << 5) | (planes[1:] >> 3)
+    # steps[k] is the packed (next_state, stuff_bits) after stream byte k;
+    # the automaton starts in state 0, so the first index is the byte.
+    steps = np.empty((4 + width, m), dtype=np.uint8)
+    _STUFF_STEP.take(stream[0], out=steps[0])
+    # reprolint: disable=hot-path-purity -- per-byte-plane stuffing automaton, O(frame bytes) not O(frames)
+    for column in range(1, 4 + width):
+        np.right_shift(steps[column - 1], 3, out=index, dtype=np.uint16)
+        index <<= 8
+        index |= stream[column]
+        _STUFF_STEP.take(index, out=steps[column])
+    stuffed = (steps & 7).sum(axis=0, dtype=np.int64)
+    stuffed += _STUFF_TAIL[(steps[-1] >> 3) * 4 + (stream[4 + width] >> 6)]
+    return stuffed + (_HEADER_BITS + 8 * width + _CRC_BITS + _TRAILER_BITS)
+
+
+def _check_wire_columns(can_ids: np.ndarray, dlcs: np.ndarray, payloads: np.ndarray) -> None:
+    """Reject id, DLC and payload columns that do not line up row for row."""
+    n = can_ids.shape[0] if can_ids.ndim == 1 else -1
+    if dlcs.shape != (n,) or payloads.shape != (n, _PAYLOAD_SLOTS):
+        raise CANError(
+            f"standard_wire_bits needs can_ids (N,), dlcs (N,) and payloads "
+            f"(N, {_PAYLOAD_SLOTS}); got {can_ids.shape}, {dlcs.shape} and {payloads.shape}"
+        )
 
 
 def standard_wire_bits(
@@ -502,14 +531,16 @@ def standard_wire_bits(
     """Stuffed wire bits (incl. trailer) of standard data frames, batched.
 
     Bit-exact against ``CANFrame(id, data).bit_length()`` for every
-    standard (11-bit, non-RTR) data frame.  Duplicate ``(id, dlc,
-    payload)`` rows are collapsed first — a DoS flood of identical
-    frames costs one CRC/stuffing pass, not one per frame.  Identifiers
-    beyond 11 bits and DLCs outside 0-8 raise :class:`CANError`.
+    standard (11-bit, non-RTR) data frame.  Every row is computed, one
+    DLC width at a time (a batch of one width runs as one group);
+    payload bytes past a row's DLC are ignored.  Columns that do not
+    line up (``payloads`` not ``(N, 8)``), identifiers beyond 11 bits
+    and DLCs outside 0-8 raise :class:`CANError`.
     """
     can_ids = np.asarray(can_ids, dtype=np.int64)
     dlcs = np.asarray(dlcs, dtype=np.int64)
     payloads = np.asarray(payloads, dtype=np.uint8)
+    _check_wire_columns(can_ids, dlcs, payloads)
     n = can_ids.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64)
@@ -520,22 +551,15 @@ def standard_wire_bits(
             f"got {int(can_ids[out_of_range][0]):#x}"
         )
     _check_dlcs(dlcs)
-    width = 3 + _PAYLOAD_SLOTS
-    rows = np.zeros((n, width), dtype=np.uint8)
-    rows[:, 0] = can_ids >> 8
-    rows[:, 1] = can_ids & 0xFF
-    rows[:, 2] = dlcs
-    rows[:, 3:] = payloads
-    # Zero bytes beyond the DLC so padding never perturbs uniqueness.
-    rows[:, 3:][np.arange(_PAYLOAD_SLOTS, dtype=np.int64) >= dlcs[:, None]] = 0
-    # Dedup via a fixed-width bytes view: unique on |S11 sorts with
-    # memcmp, an order of magnitude faster than axis-0 unique's
-    # void-compare path on flood-scale schedules.
-    keys = np.ascontiguousarray(rows).view(f"|S{width}").ravel()
-    unique_keys, first_index, inverse = np.unique(
-        keys, return_index=True, return_inverse=True
-    )
-    return _wire_bits_for_rows(rows[first_index])[inverse]
+    first = int(dlcs[0])
+    if not np.any(dlcs != first):
+        return _wire_bits_for_width(can_ids, payloads, first)
+    out = np.empty(n, dtype=np.int64)
+    # reprolint: disable=hot-path-purity -- loops over the <=9 distinct DLC widths, not frames
+    for width in np.flatnonzero(np.bincount(dlcs)).tolist():
+        group = np.flatnonzero(dlcs == width)
+        out[group] = _wire_bits_for_width(can_ids[group], payloads[group], width)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Any, Iterator
 
 from repro.can.faults import WireFaultModel
@@ -99,6 +100,8 @@ class ExecOptions:
             )
         if self.max_workers is not None and self.max_workers < 1:
             raise ConfigError(f"max_workers must be >= 1, got {self.max_workers}")
+        if isinstance(self.fifo_capacity, bool) or not isinstance(self.fifo_capacity, Integral):
+            raise ConfigError(f"fifo_capacity must be an integer, got {self.fifo_capacity!r}")
         if self.fifo_capacity < 1:
             raise ConfigError(f"fifo_capacity must be >= 1, got {self.fifo_capacity}")
         if self.timeout_s is not None and (

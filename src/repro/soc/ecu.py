@@ -34,8 +34,8 @@ modification.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -66,6 +66,14 @@ __all__ = [
 CHUNK_ROWS = 4096
 
 
+def _check_fifo_capacity(capacity: int) -> None:
+    """A FIFO depth is a whole number of frames, at least one."""
+    if isinstance(capacity, bool) or not isinstance(capacity, Integral):
+        raise SoCError(f"FIFO capacity must be an integer, got {capacity!r}")
+    if capacity < 1:
+        raise SoCError(f"FIFO capacity must be >= 1, got {capacity}")
+
+
 def simulate_fifo_admission(
     timestamps: np.ndarray,
     service_seconds: float,
@@ -86,16 +94,20 @@ def simulate_fifo_admission(
 
     The common drop-free case is fully vectorised (the completion-time
     recurrence ``f[n] = max(t[n], f[n-1]) + s`` is a prefix-maximum);
-    the exact per-frame drop-oldest simulation only runs when the
-    vectorised occupancy check shows the buffer would overflow.  Every
-    eviction there happens at an arrival instant, so overflow onset and
-    recovery are exact, not sampled.
+    the exact per-frame drop-oldest replay only runs when the
+    vectorised occupancy check shows the buffer would overflow.  Service
+    and eviction both take the head of the queue and arrivals join at
+    the tail, so the queue is always the contiguous row range
+    ``[head, i]``: the replay walks one ``head`` index over the
+    timestamps as plain floats.  Every eviction happens at an arrival
+    instant, so overflow onset and recovery are exact, not sampled.
     """
     if not math.isfinite(service_seconds) or service_seconds <= 0:
         raise SoCError(f"service time must be finite and positive, got {service_seconds}")
-    if capacity < 1:
-        raise SoCError(f"FIFO capacity must be >= 1, got {capacity}")
+    _check_fifo_capacity(capacity)
     timestamps = np.asarray(timestamps, dtype=np.float64)
+    if timestamps.ndim != 1:
+        raise SoCError(f"stream timestamps must be 1-D, got shape {timestamps.shape}")
     n = timestamps.shape[0]
     if n == 0:
         return np.zeros(0, dtype=bool), 0, np.zeros(0, dtype=np.float64)
@@ -118,34 +130,39 @@ def simulate_fifo_admission(
     if peak <= capacity:
         return np.ones(n, dtype=bool), peak, starts - timestamps
 
-    # Overflow: exact drop-oldest replay (only under floods).
-    kept = np.ones(n, dtype=bool)
-    waits = np.zeros(n, dtype=np.float64)
-    queue: deque[int] = deque()
-    t_free = -np.inf
+    # Overflow: exact drop-oldest replay (only under floods).  Rows are
+    # served or dropped in arrival order, so the service begins line up
+    # with the kept rows and the dropped rows come out sorted.
+    times = timestamps.tolist()
+    begins: list[float] = []
+    dropped: list[int] = []
+    serve, drop = begins.append, dropped.append
+    head = 0
+    t_free = -math.inf
     max_occupancy = 0
-
-    def serve(head: int, begin: float) -> float:
-        waits[head] = begin - timestamps[head]
-        return begin + service_seconds
-
-    for i in range(n):
-        t_arrival = timestamps[i]
-        while queue:
-            head_arrival = timestamps[queue[0]]
-            begin = t_free if t_free > head_arrival else head_arrival
+    for i, t_arrival in enumerate(times):
+        while head < i:
+            t_head = times[head]
+            begin = t_free if t_free > t_head else t_head
             if begin >= t_arrival:
                 break
-            t_free = serve(queue.popleft(), begin)
-        if len(queue) >= capacity:
-            kept[queue.popleft()] = False
-        queue.append(i)
-        if len(queue) > max_occupancy:
-            max_occupancy = len(queue)
-    while queue:  # end of capture: the ECU finishes its backlog
-        head = queue.popleft()
-        begin = t_free if t_free > timestamps[head] else timestamps[head]
-        t_free = serve(head, begin)
+            serve(begin)
+            t_free = begin + service_seconds
+            head += 1
+        if i - head >= capacity:
+            drop(head)
+            head += 1
+        # An eviction leaves the queue at a fill an earlier push reached.
+        elif i - head >= max_occupancy:
+            max_occupancy = i - head + 1
+    for t_head in times[head:]:  # end of capture: the ECU finishes its backlog
+        begin = t_free if t_free > t_head else t_head
+        serve(begin)
+        t_free = begin + service_seconds
+    kept = np.ones(n, dtype=bool)
+    kept[dropped] = False
+    waits = np.zeros(n, dtype=np.float64)
+    waits[kept] = np.array(begins, dtype=np.float64) - timestamps[kept]
     return kept, max_occupancy, waits
 
 
@@ -258,8 +275,7 @@ class IDSEnabledECU:
         power_model: PowerModel | None = None,
         seed: int = 0,
     ):
-        if fifo_capacity < 1:
-            raise SoCError(f"FIFO capacity must be >= 1, got {fifo_capacity}")
+        _check_fifo_capacity(fifo_capacity)
         self.name = name
         self.encoder = encoder
         self.accelerator = MemoryMappedAccelerator(ip, bus=bus)

@@ -10,8 +10,11 @@ full size.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.datasets.carhacking import CarHackingCapture, generate_capture
 from repro.experiments.context import ExperimentContext, ExperimentSettings
@@ -19,6 +22,15 @@ from repro.finn.ipgen import AcceleratorIP, compile_model
 from repro.models.qmlp import QMLPConfig
 from repro.training.pipeline import IDSModelResult, train_ids_model
 from repro.training.trainer import TrainConfig
+
+# CI runners discard the .hypothesis/ example database after each job, so
+# a failing property test must print the blob that replays it
+# (@reproduce_failure).  The profile inherits the active settings (under
+# CI, recent hypothesis releases have already loaded their own "ci"
+# profile), so example counts, deadlines and seeds do not change.
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,8 @@ from repro.can.node import (
 )
 from repro.errors import CANError
 
+NAN, INF = float("nan"), float("inf")
+
 
 class _OneShot:
     """Emit fixed frames at fixed release times (test helper)."""
@@ -205,6 +207,19 @@ class TestBusLoad:
     def test_invalid_args(self):
         with pytest.raises(CANError):
             bus_load([], 0.0, 500_000)
+
+    @pytest.mark.parametrize(
+        "duration, bitrate, named",
+        [
+            (NAN, 500_000, "duration.*got nan"),
+            (INF, 500_000, "duration.*got inf"),
+            (1.0, NAN, "bitrate.*got nan"),
+            (1.0, INF, "bitrate.*got inf"),
+        ],
+    )
+    def test_non_finite_timing_rejected(self, duration, bitrate, named):
+        with pytest.raises(CANError, match=named):
+            bus_load([], duration, bitrate)
 
     def test_run_duration_validated(self):
         with pytest.raises(CANError):

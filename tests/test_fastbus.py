@@ -35,7 +35,10 @@ from repro.can.bus import BusSimulator, bus_load
 from repro.can.campaign import SCENARIOS, scenario_detector
 from repro.can.fastbus import (
     _CRC15_TABLE,
+    _STUFF_STEP,
+    _STUFF_TAIL,
     ScheduleArray,
+    _stuff_step,
     build_schedule,
     release_grid,
     schedule_columns,
@@ -127,16 +130,38 @@ class TestWireBits:
         ).astype(np.uint8)
         cols = np.arange(8)
         payloads[cols >= dlcs[:, None]] = 0
-        got = standard_wire_bits(ids, dlcs, payloads)
-        for k in range(len(ids)):
-            frame = CANFrame(int(ids[k]), payloads[k, : int(dlcs[k])].tobytes())
-            assert got[k] == frame.bit_length(), (ids[k], dlcs[k])
+        expected = np.array(
+            [
+                CANFrame(int(ids[k]), payloads[k, : int(dlcs[k])].tobytes()).bit_length()
+                for k in range(len(ids))
+            ]
+        )
+        np.testing.assert_array_equal(standard_wire_bits(ids, dlcs, payloads), expected)
+        # Bytes past each DLC are never read: random padding changes nothing.
+        padded = payloads.copy()
+        noise = rng.integers(0, 256, size=payloads.shape).astype(np.uint8)
+        padded[cols >= dlcs[:, None]] = noise[cols >= dlcs[:, None]]
+        assert np.any(padded != payloads)
+        np.testing.assert_array_equal(standard_wire_bits(ids, dlcs, padded), expected)
+        # One DLC for the whole batch runs as one group.
+        eights = dlcs == 8
+        np.testing.assert_array_equal(
+            standard_wire_bits(ids[eights], dlcs[eights], padded[eights]), expected[eights]
+        )
         # Every byte-table entry is eight bit-serial CRC-15 steps.
         for byte in range(256):
             bits = np.unpackbits(np.array([byte], dtype=np.uint8))
             assert _CRC15_TABLE[byte] == crc15(bits), byte
 
-    def test_duplicate_rows_collapse_to_one_computation(self):
+    def test_packed_stuffing_tables_match_the_bit_serial_rule(self):
+        for state in range(9):
+            for byte in range(256):
+                next_state, stuffed = _stuff_step(state, byte, 8)
+                assert _STUFF_STEP[state * 256 + byte] == next_state * 8 + stuffed
+            for bits in range(4):
+                assert _STUFF_TAIL[state * 4 + bits] == _stuff_step(state, bits, 2)[1]
+
+    def test_identical_flood_rows_share_one_length(self):
         ids = np.full(10_000, 0x000, dtype=np.int64)
         dlcs = np.full(10_000, 8, dtype=np.int64)
         payloads = np.zeros((10_000, 8), dtype=np.uint8)
@@ -159,6 +184,24 @@ class TestWireBits:
                 np.array([0x100, can_id]),
                 np.array([0, 0]),
                 np.zeros((2, 8), dtype=np.uint8),
+            )
+
+    @pytest.mark.parametrize(
+        "ids, dlcs, payloads",
+        [
+            ((2,), (2,), (2, 4)),  # short payload block
+            ((2,), (1,), (2, 8)),  # one DLC for two ids
+            ((3,), (3,), (2, 8)),  # three ids, two payload rows
+            ((2,), (2,), (2, 9)),  # wider than a classic frame
+            ((), (), (8,)),  # scalars are not columns
+        ],
+    )
+    def test_mismatched_columns_rejected_naming_the_shapes(self, ids, dlcs, payloads):
+        with pytest.raises(CANError, match=re.escape(f"got {ids}, {dlcs} and {payloads}")):
+            standard_wire_bits(
+                np.zeros(ids, dtype=np.int64),
+                np.zeros(dlcs, dtype=np.int64),
+                np.zeros(payloads, dtype=np.uint8),
             )
 
     @pytest.mark.parametrize("dlc", [-1, 9, 15])

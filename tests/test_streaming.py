@@ -9,6 +9,8 @@ Pins the three contracts the streaming PR introduced:
   drop-free traffic, and drops the oldest frames under floods.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,8 @@ from repro.can.attacks import DoSAttacker
 from repro.can.log import CaptureArray
 from repro.datasets.carhacking import build_vehicle_bus
 from repro.datasets.features import BitFeatureEncoder, ByteFeatureEncoder, WindowFeatureEncoder
-from repro.errors import DatasetError, SoCError
+from repro.errors import ConfigError, DatasetError, SoCError
+from repro.fleet import ExecOptions
 from repro.soc.arbiter import SharedAcceleratorArbiter
 from repro.soc.ecu import CHUNK_ROWS, IDSEnabledECU, simulate_fifo_admission
 from repro.soc.gateway import IDSGateway
@@ -216,12 +219,24 @@ class TestFifoAdmission:
 
     @pytest.mark.parametrize("capacity", [1, 2, 8, 64])
     def test_matches_naive_reference(self, rng, capacity):
+        """Kept mask, peak and waits equal the reference on non-dyadic times.
+
+        Uniform arrival times and a service of 1/250 s make the sums
+        round (unlike the dyadic grid below), and against a mean gap of
+        1/400 s every capacity overflows, so the drop-oldest replay
+        runs: its waits must come out of the same float operations, in
+        the same order, bit for bit.
+        """
         timestamps = np.sort(rng.uniform(0.0, 1.0, size=400))
-        service = 1.0 / 600.0  # drain slower than the 400/s offered rate
-        kept, peak, _ = simulate_fifo_admission(timestamps, service, capacity)
-        naive_kept, naive_peak, _ = self._naive(timestamps.tolist(), service, capacity)
+        service = 1.0 / 250.0  # drain slower than the 400/s offered rate
+        kept, peak, waits = simulate_fifo_admission(timestamps, service, capacity)
+        naive_kept, naive_peak, naive_waits = self._naive(
+            timestamps.tolist(), service, capacity
+        )
+        assert not kept.all()
         np.testing.assert_array_equal(kept, naive_kept)
         assert peak == naive_peak
+        assert waits.tobytes() == naive_waits.tobytes()
 
     @given(
         gaps=st.lists(st.integers(min_value=0, max_value=8), min_size=8, max_size=80),
@@ -256,6 +271,27 @@ class TestFifoAdmission:
     def test_service_time_validated(self):
         with pytest.raises(SoCError):
             simulate_fifo_admission(np.array([0.0]), 0.0, 4)
+
+    @pytest.mark.parametrize("capacity", [2.5, 3.0, True, np.float64(4.0), "4"])
+    def test_non_integer_depth_rejected(self, dos_ip, capacity):
+        named = re.escape(repr(capacity))
+        with pytest.raises(SoCError, match=f"integer, got {named}"):
+            simulate_fifo_admission(np.arange(4.0), 0.1, capacity)
+        with pytest.raises(SoCError, match=f"integer, got {named}"):
+            IDSEnabledECU(dos_ip, BitFeatureEncoder(), fifo_capacity=capacity)
+        with pytest.raises(ConfigError, match=f"fifo_capacity must be an integer, got {named}"):
+            ExecOptions(fifo_capacity=capacity)
+
+    def test_numpy_integer_depth_accepted(self, dos_ip):
+        depth = np.int64(2)
+        kept, peak, _ = simulate_fifo_admission(np.zeros(3), 1.0, depth)
+        assert kept.tolist() == [False, True, True] and peak == 2
+        assert IDSEnabledECU(dos_ip, BitFeatureEncoder(), fifo_capacity=depth).fifo_capacity == 2
+        assert ExecOptions(fifo_capacity=depth).fifo_capacity == 2
+
+    def test_timestamps_must_be_one_dimensional(self):
+        with pytest.raises(SoCError, match=r"1-D, got shape \(2, 2\)"):
+            simulate_fifo_admission(np.zeros((2, 2)), 0.1, 4)
 
 
 class TestProcessStream:
