@@ -60,16 +60,12 @@ def _best_of(fn, repeats):
 
 def _lane(build_bus, repeats):
     """Time both engines on fresh same-seeded buses; verify bit-exactness."""
-    event_s, records = _best_of(lambda: build_bus().run(DURATION), repeats)
+    event_s, event = _best_of(lambda: build_bus().run(DURATION), repeats)
     columnar_s, result = _best_of(lambda: build_bus().capture(DURATION), repeats)
     capture = result.capture
-    assert len(records) == len(capture)
-    np.testing.assert_array_equal(
-        np.array([r.timestamp for r in records]), capture.timestamps
-    )
-    np.testing.assert_array_equal(
-        np.array([r.frame.can_id for r in records]), capture.can_ids
-    )
+    assert len(event) == len(capture)
+    np.testing.assert_array_equal(event.capture.timestamps, capture.timestamps)
+    np.testing.assert_array_equal(event.capture.can_ids, capture.can_ids)
     frames = len(capture)
     return {
         "frames": frames,

@@ -122,13 +122,11 @@ def _saturated_flood_lane(repeats):
         bus.attach(DoSAttacker([(0.0, DURATION)], interval=0.0001, seed=_SEED))
         return bus
 
-    event_s, records = _best_of(lambda: build_bus().run(DURATION), repeats)
+    event_s, event = _best_of(lambda: build_bus().run(DURATION), repeats)
     columnar_s, result = _best_of(lambda: build_bus().capture(DURATION), repeats)
     capture = result.capture
-    assert len(records) == len(capture)
-    np.testing.assert_array_equal(
-        np.array([r.timestamp for r in records]), capture.timestamps
-    )
+    assert len(event) == len(capture)
+    np.testing.assert_array_equal(event.capture.timestamps, capture.timestamps)
     frames = len(capture)
     return {
         "frames": frames,

@@ -298,23 +298,6 @@ class Tensor:
         )
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
-    def max(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: np.ndarray) -> None:
-            expanded = grad
-            out_full = out_data
-            if axis is not None and not keepdims:
-                expanded = np.expand_dims(grad, axis=axis)
-                out_full = np.expand_dims(out_data, axis=axis)
-            mask = (self.data == out_full).astype(np.float64)
-            # Split gradient equally between ties, as PyTorch's amax does not;
-            # exact tie handling is irrelevant for training, stability is not.
-            mask /= np.maximum(mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum(), 1.0)
-            self._accumulate(mask * expanded)
-
-        return Tensor._make(out_data, (self,), backward, "max")
-
     # ------------------------------------------------------------------
     # Shape ops
     # ------------------------------------------------------------------
@@ -399,20 +382,6 @@ class Tensor:
 
         return Tensor._make(out_data, (self,), backward, "relu")
 
-    def clamp(self, low: float | None = None, high: float | None = None) -> "Tensor":
-        """Clip values; gradient is zero outside the clamp range."""
-        out_data = np.clip(self.data, low, high)
-        inside = np.ones_like(self.data, dtype=bool)
-        if low is not None:
-            inside &= self.data >= low
-        if high is not None:
-            inside &= self.data <= high
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * inside)
-
-        return Tensor._make(out_data, (self,), backward, "clamp")
-
     # ------------------------------------------------------------------
     # Straight-through estimators (quantisation-aware training)
     # ------------------------------------------------------------------
@@ -437,20 +406,6 @@ class Tensor:
             self._accumulate(grad)
 
         return Tensor._make(out_data, (self,), backward, "clamp_ste")
-
-    # ------------------------------------------------------------------
-    # Comparisons (no gradient; return plain arrays)
-    # ------------------------------------------------------------------
-    def argmax(self, axis: int | None = None) -> np.ndarray:
-        return self.data.argmax(axis=axis)
-
-    def __gt__(self, other: Any) -> np.ndarray:
-        other_data = other.data if isinstance(other, Tensor) else other
-        return self.data > other_data
-
-    def __lt__(self, other: Any) -> np.ndarray:
-        other_data = other.data if isinstance(other, Tensor) else other
-        return self.data < other_data
 
 
 def _raise_item() -> float:

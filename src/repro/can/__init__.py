@@ -26,7 +26,7 @@ from repro.can.attacks import (
     SpoofingAttacker,
     SuspensionAttacker,
 )
-from repro.can.bus import BusRecord, BusSimulator
+from repro.can.bus import BusSimulator
 from repro.can.fastbus import (
     ArbitrationResult,
     ScheduleArray,
@@ -53,7 +53,6 @@ __all__ = [
     "AttackPhase",
     "BurstDoSAttacker",
     "BusOffAttacker",
-    "BusRecord",
     "BusSimulator",
     "CANFrame",
     "CANLogRecord",

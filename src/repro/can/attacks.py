@@ -361,7 +361,10 @@ class ReplayAttacker(_WindowedSource):
     frames whose offset overruns a window are clipped at its end.  The
     window/clipping semantics are those of every other windowed injector
     (multiple windows, horizon clipping), so campaigns can schedule a
-    replay phase exactly like a flood phase.
+    replay phase exactly like a flood phase.  The capture must hold
+    standard data frames: a captured frame that is extended or RTR
+    raises :class:`~repro.errors.CANError`, because a
+    :class:`~repro.can.log.CaptureArray` has no column for either flag.
     """
 
     def __init__(
@@ -374,6 +377,13 @@ class ReplayAttacker(_WindowedSource):
     ):
         if len(capture) != len(offsets):
             raise CANError("capture and offsets must have matching lengths")
+        for index, frame in enumerate(capture):
+            if frame.extended or frame.rtr:
+                kind = "an extended" if frame.extended else "an RTR"
+                raise CANError(
+                    f"replay capture frame {index} ({frame!r}) is {kind} frame; "
+                    "captures record standard data frames only"
+                )
         super().__init__(windows, name, seed)
         self.capture = list(capture)
         self.offsets = list(offsets)
@@ -389,13 +399,6 @@ class ReplayAttacker(_WindowedSource):
             ).reshape(len(self.capture), 8).copy()
             if self.capture
             else np.zeros((0, 8), dtype=np.uint8)
-        )
-        self._wire_bits = np.array(
-            [
-                frame.bit_length() if (frame.extended or frame.rtr) else -1
-                for frame in self.capture
-            ],
-            dtype=np.int64,
         )
 
     def _window_schedule(self, start: float, end: float, until: float) -> "ScheduleArray":
@@ -416,7 +419,6 @@ class ReplayAttacker(_WindowedSource):
             payloads=self._payloads[:cut],
             labels=np.ones(cut, dtype=np.int64),
             sources=np.full(cut, self.name),  # reprolint: disable=dtype-discipline -- unicode width inferred from the attacker name
-            wire_bits=self._wire_bits[:cut],
         )
 
 
@@ -529,14 +531,13 @@ class SuspensionAttacker:
     def frames_array(self, until: float) -> "ScheduleArray":
         """Columnar transform of the victim's schedule (drop or delay).
 
-        The victim's columns come from its own ``frames_array`` (or the
-        scalar fallback), masks select the targeted in-window frames,
-        and the stable release re-sort reproduces the scalar path's
-        ordering exactly.
+        The victim's columns come from its own ``frames_array``, masks
+        select the targeted in-window frames, and the stable release
+        re-sort reproduces the scalar path's ordering exactly.
         """
         from repro.can import fastbus
 
-        schedule = fastbus.source_schedule(self.victim, until)
+        schedule = self.victim.frames_array(until)
         releases = schedule.release_times
         hit = np.zeros(len(schedule), dtype=bool)
         for start, end in self.windows:
@@ -558,7 +559,6 @@ class SuspensionAttacker:
             payloads=schedule.payloads,
             labels=labels,
             sources=sources.astype(str),
-            wire_bits=schedule.wire_bits,
         )
         keep = ~(hit & (shifted >= until))
         return tampered.take(np.flatnonzero(keep)).sorted_by_release()

@@ -12,8 +12,12 @@ This is what turns a 0.3 ms DoS injection stream into the observable
 dataset phenomenon: 0x000 frames always win, and legitimate frames pile
 up behind them with growing queueing latency.
 
-Records carry both the release time and the reception-complete
-timestamp, so downstream code can study attack-induced delay as well as
+:meth:`BusSimulator.capture` runs a window on the columnar kernel
+(:mod:`repro.can.fastbus`); :meth:`BusSimulator.run` is the event-driven
+reference the kernel is held to.  Both return one
+:class:`~repro.can.fastbus.ArbitrationResult`: the captured frames plus
+each frame's release and arbitration-win instants, source and wire
+length, so downstream code can study attack-induced delay as well as
 message content.
 """
 
@@ -21,60 +25,21 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from repro.can.fastbus import ArbitrationResult, ScheduleArray
 from repro.can.faults import FaultPlan, WireFaultModel, resolve_bus_faults
-from repro.can.frame import CANFrame
+from repro.can.log import MAX_PAYLOAD_BYTES, CaptureArray
 from repro.can.node import ScheduledFrame, TrafficSource
 from repro.errors import CANError
 
-if TYPE_CHECKING:  # pragma: no cover - circular-import guard
-    from repro.can.fastbus import ArbitrationResult
-    from repro.can.log import CaptureArray
-
-__all__ = ["BusRecord", "BusSimulator", "bus_load"]
+__all__ = ["BusSimulator"]
 
 #: Classic high-speed CAN bitrates (bit/s).
 BITRATE_HS_CAN = 500_000
 BITRATE_HS_CAN_MAX = 1_000_000
-
-
-@dataclass(frozen=True)
-class BusRecord:
-    """One frame as observed on the bus by a monitoring node.
-
-    Attributes
-    ----------
-    timestamp:
-        Reception-complete time (what a CAN controller timestamps).
-    queued_at:
-        When the sender released the frame for transmission.
-    started_at:
-        When the frame actually won arbitration and started transmitting.
-    """
-
-    timestamp: float
-    frame: CANFrame
-    label: str
-    source: str
-    queued_at: float
-    started_at: float
-    #: Wire-fault attribution (see :mod:`repro.can.faults`): this record
-    #: is a corrupted attempt (ends in an error frame, not an ACK)...
-    corrupted: bool = False
-    #: ...preceded by this many earlier attempts of the same frame...
-    retries: int = 0
-    #: ...and, for a corrupted attempt, whether it drove its sender into
-    #: bus-off (the frame is never retransmitted afterwards).
-    bus_off: bool = False
-
-    @property
-    def queueing_delay(self) -> float:
-        """Time spent waiting for the bus (arbitration losses)."""
-        return self.started_at - self.queued_at
 
 
 class BusSimulator:
@@ -100,21 +65,30 @@ class BusSimulator:
 
     def run(
         self, duration: float, faults: WireFaultModel | None = None
-    ) -> list[BusRecord]:
-        """Simulate ``duration`` seconds and return observed frames in order.
+    ) -> ArbitrationResult:
+        """Simulate ``duration`` seconds on the event-driven reference loop.
+
+        Merges every source's scalar ``frames()`` stream by release time
+        and arbitrates through a heap of pending frames, with one
+        CRC-15/stuffing pass (``CANFrame.bit_length``) per frame.  The
+        result has the same columns as :meth:`capture`; ``started_at``
+        is what this loop records and ``wire_bits`` what ``bit_length``
+        returns, so A/B tests hold the kernel to every column.  Extended
+        and RTR frames raise :class:`CANError`: the capture columns
+        record standard data frames only.
 
         Frames still queued or in flight at the horizon are dropped (the
         capture simply ends), matching a real logging session: every
-        returned record has ``timestamp <= duration`` (reception
+        returned frame has ``timestamp <= duration`` (reception
         completed within the window).
 
         ``faults`` enables the wire-level fault layer
         (:mod:`repro.can.faults`): corrupted attempts appear as extra
-        records flagged ``corrupted`` (each charging an error frame of
-        wire time before the retransmission re-arbitrates), successful
-        frames carry their ``retries`` count, and bus-off nodes fall
-        silent.  Attached sources exposing ``targeted_faults()`` (the
-        bus-off attacker) contribute hooks even when ``faults`` is None.
+        rows flagged ``corrupted`` (each charging an error frame of wire
+        time before the retransmission re-arbitrates), successful frames
+        carry their ``retries`` count, and bus-off nodes fall silent.
+        Attached sources exposing ``targeted_faults()`` (the bus-off
+        attacker) contribute hooks even when ``faults`` is None.
         """
         if not math.isfinite(duration) or duration <= 0:
             raise CANError(f"duration must be positive and finite, got {duration}")
@@ -123,16 +97,27 @@ class BusSimulator:
         for source in self.sources:
             releases.extend(source.frames(duration))
         releases.sort(key=lambda s: s.release_time)
+        schedule = _release_columns(releases)
         if effective is not None:
-            plan = _fault_plan_for_releases(releases, self.bitrate, effective)
+            wire = [scheduled.frame.bit_length() for scheduled in releases]
+            plan = effective.plan(
+                schedule.release_times,
+                schedule.can_ids,
+                np.array(wire, dtype=np.int64),
+                schedule.sources,
+                self.bitrate,
+            )
             if not plan.clean:
-                return _run_faulted(releases, duration, self.bitrate, plan)
+                return _run_faulted(releases, schedule, wire, duration, self.bitrate, plan)
             # A clean plan (zero-rate model, no targets drawn) changes
             # nothing: fall through to the clean loop.
 
-        records: list[BusRecord] = []
-        # Arbitration pool: (can_id, release_time, sequence) -> scheduled frame.
-        pending: list[tuple[int, float, int, ScheduledFrame]] = []
+        rows: list[int] = []
+        starts: list[float] = []
+        ends: list[float] = []
+        bits: list[int] = []
+        # Arbitration pool: (can_id, release_time, sequence, row).
+        pending: list[tuple[int, float, int, int]] = []
         index = 0
         sequence = 0
         bus_free_at = 0.0
@@ -143,55 +128,49 @@ class BusSimulator:
                 next_release = releases[index].release_time
                 start_candidate = max(bus_free_at, next_release)
             else:
-                start_candidate = max(bus_free_at, pending[0][3].release_time)
+                start_candidate = max(bus_free_at, pending[0][1])
             # Everyone released by the idle point participates in arbitration.
             while index < len(releases) and releases[index].release_time <= start_candidate:
                 scheduled = releases[index]
                 heapq.heappush(
                     pending,
-                    (scheduled.frame.can_id, scheduled.release_time, sequence, scheduled),
+                    (scheduled.frame.can_id, scheduled.release_time, sequence, index),
                 )
                 sequence += 1
                 index += 1
             if not pending:
                 continue
-            _, _, _, winner = heapq.heappop(pending)
-            start = max(bus_free_at, winner.release_time)
-            end = start + winner.frame.duration(self.bitrate)
+            _, release, _, row = heapq.heappop(pending)
+            frame_bits = releases[row].frame.bit_length()
+            start = max(bus_free_at, release)
+            end = start + frame_bits / self.bitrate
             if end > duration:
                 # The capture horizon falls while this frame is (or
                 # would be) on the wire: it never completes within the
                 # window, and the serialised bus stays busy past the
                 # horizon, so nothing behind it can complete either.
                 break
-            records.append(
-                BusRecord(
-                    timestamp=end,
-                    frame=winner.frame,
-                    label=winner.label,
-                    source=winner.source,
-                    queued_at=winner.release_time,
-                    started_at=start,
-                )
-            )
+            rows.append(row)
+            starts.append(start)
+            ends.append(end)
+            bits.append(frame_bits)
             bus_free_at = end
-        return records
+        return _window(schedule, rows, starts, ends, bits, self.bitrate, duration)
 
     def capture(
         self, duration: float, faults: WireFaultModel | None = None
-    ) -> "ArbitrationResult":
+    ) -> ArbitrationResult:
         """Simulate ``duration`` seconds on the columnar fast path.
 
         Bit-exact against :meth:`run` (same winners, same timestamps,
         same horizon drops — see :mod:`repro.can.fastbus`), but the
-        schedule is emitted and recorded as numpy columns, and
-        arbitrated by one sweep over plain floats and ints: no
-        per-frame generator yields, CRC passes or record objects, and
-        no heap for a frame that is alone when it starts.  Returns the
-        columnar :class:`~repro.can.fastbus.ArbitrationResult`; :meth:`run`
-        remains the event-driven reference for A/B verification.
-        ``faults`` mirrors :meth:`run` exactly, corruption draws and
-        bus-off times included.
+        schedule is emitted and recorded as numpy columns, wire lengths
+        come from one vectorised call, and arbitration is one sweep over
+        plain floats and ints: no per-frame generator yields, CRC passes
+        or frame objects, and no heap for a frame that is alone when it
+        starts.  :meth:`run` remains the event-driven reference for A/B
+        verification.  ``faults`` mirrors :meth:`run` exactly,
+        corruption draws and bus-off times included.
         """
         from repro.can.fastbus import build_schedule, simulate_arbitration
 
@@ -205,34 +184,82 @@ class BusSimulator:
         )
 
 
-def _fault_plan_for_releases(
-    releases: Sequence[ScheduledFrame], bitrate: float, faults: WireFaultModel
-) -> FaultPlan:
-    """The event engine's side of the shared fault plan.
+def _release_columns(releases: Sequence[ScheduledFrame]) -> ScheduleArray:
+    """The merged releases as schedule columns, row for row.
 
-    Builds the release-sorted schedule columns the plan is defined
-    over; the values are identical to the columnar engine's
-    (``standard_wire_bits`` is bit-exact against ``bit_length()``), so
-    both engines draw the same corruptions.
+    The rows the event engine's results gather from, and the columns
+    its side of the shared fault plan is defined over (the same values
+    the columnar engine's merged schedule holds).  A frame the capture
+    columns cannot record (extended or RTR) raises :class:`CANError`.
     """
+    ids: list[int] = []
+    chunks: list[bytes] = []
+    for scheduled in releases:
+        frame = scheduled.frame
+        if frame.extended or frame.rtr:
+            kind = "an extended" if frame.extended else "an RTR"
+            raise CANError(
+                f"{scheduled.source} released {kind} frame ({frame!r}); "
+                "captures record standard data frames only"
+            )
+        ids.append(frame.can_id)
+        chunks.append(frame.data.ljust(MAX_PAYLOAD_BYTES, b"\0"))
     n = len(releases)
-    release_times = np.fromiter(
-        (s.release_time for s in releases), dtype=np.float64, count=n
+    return ScheduleArray(
+        release_times=np.array([s.release_time for s in releases], dtype=np.float64),
+        can_ids=np.array(ids, dtype=np.int64),
+        dlcs=np.array([s.frame.dlc for s in releases], dtype=np.int64),
+        payloads=np.frombuffer(b"".join(chunks), dtype=np.uint8)
+        .reshape(n, MAX_PAYLOAD_BYTES)
+        .copy(),
+        labels=np.array([1 if s.label == "T" else 0 for s in releases], dtype=np.int64),
+        sources=np.array([s.source for s in releases], dtype=np.str_),
     )
-    can_ids = np.fromiter((s.frame.can_id for s in releases), dtype=np.int64, count=n)
-    wire_bits = np.fromiter(
-        (s.frame.bit_length() for s in releases), dtype=np.int64, count=n
+
+
+def _window(
+    schedule: ScheduleArray,
+    rows: list[int],
+    starts: list[float],
+    ends: list[float],
+    bits: list[int],
+    bitrate: float,
+    duration: float,
+    **faults: np.ndarray,
+) -> ArbitrationResult:
+    """The records an event loop served, in service order, as columns.
+
+    ``faults`` carries the faulted loop's ``corrupted``/``retries``/
+    ``bus_off`` columns.
+    """
+    served = np.array(rows, dtype=np.int64)
+    return ArbitrationResult(
+        capture=CaptureArray(
+            timestamps=np.array(ends, dtype=np.float64),
+            can_ids=schedule.can_ids[served],
+            dlcs=schedule.dlcs[served],
+            payloads=schedule.payloads[served],
+            labels=schedule.labels[served],
+        ),
+        sources=schedule.sources[served],
+        queued_at=schedule.release_times[served],
+        started_at=np.array(starts, dtype=np.float64),
+        wire_bits=np.array(bits, dtype=np.int64),
+        schedule_indices=served,
+        bitrate=float(bitrate),
+        duration=float(duration),
+        **faults,
     )
-    sources = np.asarray([s.source for s in releases], dtype=np.str_)
-    return faults.plan(release_times, can_ids, wire_bits, sources, bitrate)
 
 
 def _run_faulted(
     releases: list[ScheduledFrame],
+    schedule: ScheduleArray,
+    wire: list[int],
     duration: float,
     bitrate: float,
     plan: FaultPlan,
-) -> list[BusRecord]:
+) -> ArbitrationResult:
     """The faulted event loop: error frames, retransmission, bus-off.
 
     Same arbitration semantics as the clean loop, with three additions
@@ -245,14 +272,19 @@ def _run_faulted(
     """
     n = len(releases)
     release_f = [s.release_time for s in releases]
-    durations = [s.frame.bit_length() / bitrate for s in releases]
+    durations = [bits / bitrate for bits in wire]
     error_s = plan.error_s
     left = plan.attempts.tolist()
     attempts_total = plan.attempts.tolist()
     queued = plan.queued.tolist()
     transmit = plan.transmit.tolist()
 
-    records: list[BusRecord] = []
+    rows: list[int] = []
+    starts: list[float] = []
+    ends: list[float] = []
+    corrupted: list[bool] = []
+    retries: list[int] = []
+    bus_off: list[bool] = []
     # Arbitration pool: (can_id, entry release, push sequence, row).
     pending: list[tuple[int, float, int, int]] = []
     index = 0
@@ -287,66 +319,32 @@ def _run_faulted(
             end = start + durations[winner]
         if end > duration:
             break  # horizon falls while this (attempt) is on the wire
-        scheduled = releases[winner]
+        rows.append(winner)
+        starts.append(start)
+        ends.append(end)
         if left[winner] > 0:
             left[winner] -= 1
             dead = left[winner] == 0 and not transmit[winner]
-            records.append(
-                BusRecord(
-                    timestamp=end,
-                    frame=scheduled.frame,
-                    label=scheduled.label,
-                    source=scheduled.source,
-                    queued_at=release_f[winner],
-                    started_at=start,
-                    corrupted=True,
-                    retries=attempts_total[winner] - 1 - left[winner],
-                    bus_off=dead,
-                )
-            )
+            corrupted.append(True)
+            retries.append(attempts_total[winner] - 1 - left[winner])
+            bus_off.append(dead)
             if not dead:
                 heapq.heappush(pending, (can_id, end, sequence, winner))
                 sequence += 1
         else:
-            records.append(
-                BusRecord(
-                    timestamp=end,
-                    frame=scheduled.frame,
-                    label=scheduled.label,
-                    source=scheduled.source,
-                    queued_at=release_f[winner],
-                    started_at=start,
-                    retries=attempts_total[winner],
-                )
-            )
+            corrupted.append(False)
+            retries.append(attempts_total[winner])
+            bus_off.append(False)
         bus_free_at = end
-    return records
-
-
-def bus_load(
-    records: "Sequence[BusRecord] | Iterable[BusRecord] | CaptureArray",
-    duration: float,
-    bitrate: float,
-) -> float:
-    """Fraction of bus time occupied by the recorded frames.
-
-    Accepts either event-engine :class:`BusRecord` sequences (exact for
-    any frame format, one Python CRC pass per record) or a columnar
-    :class:`~repro.can.log.CaptureArray` — vectorised over the id/DLC/
-    payload columns via :func:`repro.can.fastbus.standard_wire_bits`,
-    identical occupancy for the standard data frames captures contain.
-
-    >>> bus_load([], 1.0, 500_000)
-    0.0
-    """
-    from repro.can.fastbus import _check_timing, standard_wire_bits
-    from repro.can.log import CaptureArray
-
-    _check_timing(bitrate, duration)
-    if isinstance(records, CaptureArray):
-        busy_bits = int(
-            standard_wire_bits(records.can_ids, records.dlcs, records.payloads).sum()
-        )
-    else:
-        busy_bits = sum(record.frame.bit_length() for record in records)
-    return min(busy_bits / (bitrate * duration), 1.0)
+    return _window(
+        schedule,
+        rows,
+        starts,
+        ends,
+        [wire[row] for row in rows],
+        bitrate,
+        duration,
+        corrupted=np.array(corrupted, dtype=bool),
+        retries=np.array(retries, dtype=np.int64),
+        bus_off=np.array(bus_off, dtype=bool),
+    )

@@ -79,11 +79,11 @@ ATTACK_KINDS = (
 #: removes frames instead — its evidence is absence).
 INJECTING_KINDS = ("dos", "fuzzy", "spoof", "replay", "burst-dos", "ramp-dos", "masquerade")
 
-#: One per-channel ground-truth window: (phase name, start, end, injects).
-#: ``injects`` tells the gateway whether the phase puts labelled frames
-#: on the wire, so attribution never falls back to window containment
-#: for campaign phases (see :func:`repro.soc.gateway._phase_outcomes`).
-PhaseWindow = tuple[str, float, float, bool]
+#: One per-channel ground-truth window: (phase name, start, end).  The
+#: gateway attributes attack frames to the phase whose attacker sent
+#: them and counts alerts inside the window (see
+#: :func:`repro.soc.gateway._phase_outcomes`).
+PhaseWindow = tuple[str, float, float]
 
 
 @dataclass(frozen=True)
@@ -192,25 +192,17 @@ class Campaign:
         return [phase for phase in self.phases if phase.channel == channel]
 
     def truth_windows(self) -> dict[str, list[PhaseWindow]]:
-        """Per-channel ground truth: ``{channel: [(name, start, end, injects)]}``.
+        """Per-channel ground truth: ``{channel: [(name, start, end)]}``.
 
         Window ends include each phase's :attr:`~AttackPhase.label_slack`
         so delayed (tampered) frames released just past the window still
-        attribute to their phase; ``injects`` flags whether the phase
-        puts labelled frames on the wire (drop-mode suspension does
-        not — its evidence is absence).  Channels without phases map to
+        count in their phase's window.  Channels without phases map to
         ``[]``.
         """
         windows: dict[str, list[PhaseWindow]] = {channel: [] for channel in self.channels}
         for name, phase in self.named_phases():
-            windows[phase.channel].append(
-                (name, phase.start, phase.end + phase.label_slack, phase.injects)
-            )
+            windows[phase.channel].append((name, phase.start, phase.end + phase.label_slack))
         return windows
-
-    def attack_windows(self, channel: str) -> list[tuple[float, float]]:
-        """Plain (start, end+slack) windows of the phases on ``channel``."""
-        return [(start, end) for _, start, end, _ in self.truth_windows()[channel]]
 
     def shifted(self, offset: float) -> "Campaign":
         """The same campaign with every attack onset delayed by ``offset``.

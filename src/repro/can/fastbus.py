@@ -1,20 +1,20 @@
 """Columnar bus engine: vectorised schedules and arbitration replay.
 
-The event-driven :class:`~repro.can.bus.BusSimulator` is the *reference*
-engine: per-frame generator yields, a heapq pop per frame, a CRC-15 /
-bit-stuffing pass per frame, and a :class:`~repro.can.bus.BusRecord`
-object per frame.  That is faithful but slow — once inference is
-compiled (PR 4), campaign and gateway runs are dominated by the bus.
+The event-driven :meth:`~repro.can.bus.BusSimulator.run` is the
+*reference* engine: per-frame generator yields, a heapq pop per frame
+and a CRC-15 / bit-stuffing pass per frame.  That is faithful but slow:
+once inference is compiled, campaign and gateway runs are dominated by
+the bus.  Both engines return the same :class:`ArbitrationResult`
+columns, so callers never branch on the engine.
 
 This module is the *compute* engine for the same physics:
 
 * :class:`ScheduleArray` — a columnar frame schedule (release times,
-  identifiers, payload bytes, labels, source names as numpy arrays).
-  :func:`build_schedule` emits each run of a bus's periodic senders as
-  one block through the sender bank (:func:`repro.can.node.bank_schedule`);
-  other traffic sources emit one via ``frames_array(until)``, and
-  sources that only implement the scalar iterator are materialised by
-  :func:`schedule_from_frames` (the exotic fallback).
+  identifiers, payload bytes, labels, source names as numpy arrays) of
+  standard CAN 2.0A data frames.  :func:`build_schedule` emits each run
+  of a bus's periodic senders as one block through the sender bank
+  (:func:`repro.can.node.bank_schedule`); every other traffic source
+  emits its own through ``frames_array(until)``.
 * :func:`standard_wire_bits` — exact CAN 2.0A wire lengths (CRC-15 +
   bit stuffing + trailer) for whole schedules at once.  Every row is
   computed: measured floods repeat too few frames for a dedup sort to
@@ -24,20 +24,21 @@ This module is the *compute* engine for the same physics:
   table of a 9-state stuffing automaton (~120 numpy calls for 8-byte
   frames, whatever the row count).
 * :func:`simulate_arbitration` — arbitration replay as one scalar
-  sweep over the release-sorted rows, on plain Python floats and ints.
-  A frame alone when it starts skips the heap; contended frames go
-  through a heap of ints packing ``(can_id, row)``.  Measured traffic
-  has no long same-id runs to vectorise (a flood's served runs average
-  ~4 frames), so the sweep has no vectorised path beside it.  Records
-  are gathered into columns once, after the sweep.
+  sweep over the release-sorted rows, on plain Python floats and ints,
+  after one wire-length call for the window.  A frame alone when it
+  starts skips the heap; contended frames go through a heap of ints
+  packing ``(can_id, row)``.  Measured traffic has no long same-id runs
+  to vectorise (a flood's served runs average ~4 frames), so the sweep
+  has no vectorised path beside it.  Records are gathered into columns
+  once, after the sweep.
 
 **Bit-exactness.**  The kernel reproduces ``BusSimulator.run`` exactly:
 same winners, same timestamps (the same IEEE operations in the same
 order, not merely close), same capture-horizon drop semantics.  The
 CI equivalence tests (``tests/test_fastbus.py``, with a property test
-over small hand-built buses, and ``tests/test_faults.py``) hold both
-engines to that contract across mixed periodic/attacker topologies,
-bitrates, wire faults and horizon clipping.
+over small hand-built buses, and ``tests/test_faults.py``) compare the
+two engines' results column for column across mixed periodic/attacker
+topologies, bitrates, wire faults and horizon clipping.
 """
 
 from __future__ import annotations
@@ -53,9 +54,8 @@ import numpy as np
 from repro.can.frame import _CRC15_POLY, _TRAILER_BITS
 from repro.errors import CANError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (log -> bus -> node)
-    from repro.can.bus import BusRecord
-    from repro.can.faults import WireFaultModel
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (bus -> node -> fastbus)
+    from repro.can.faults import FaultPlan, WireFaultModel
     from repro.can.log import CaptureArray
     from repro.can.node import ScheduledFrame, TrafficSource
 
@@ -65,7 +65,6 @@ __all__ = [
     "build_schedule",
     "release_grid",
     "schedule_columns",
-    "schedule_from_frames",
     "simulate_arbitration",
     "standard_wire_bits",
 ]
@@ -79,9 +78,6 @@ _PAYLOAD_SLOTS = 8
 _HEADER_BITS = 19
 _CRC_BITS = 15
 
-#: Sentinel in :attr:`ScheduleArray.wire_bits`: compute vectorised.
-WIRE_BITS_UNSET = -1
-
 
 # ---------------------------------------------------------------------------
 # Columnar schedules
@@ -92,15 +88,14 @@ WIRE_BITS_UNSET = -1
 class ScheduleArray:
     """A columnar frame schedule: what a traffic source will release.
 
-    One row per scheduled frame.  ``payloads`` rows are zero-padded to
-    eight bytes (``dlcs`` keeps the true lengths); ``labels`` uses the
-    capture convention (1 = attack/tampered ``"T"``, 0 = regular
-    ``"R"``); ``sources`` carries the emitting node's name for phase
-    attribution.  ``wire_bits`` is the exact stuffed wire length
-    including the trailer, or :data:`WIRE_BITS_UNSET` for standard data
-    frames whose length the kernel computes vectorised (the scalar
-    fallback pre-fills it for extended/RTR frames, which the columnar
-    length kernel does not model).
+    One row per scheduled standard (11-bit, non-RTR) data frame, the
+    only format a :class:`~repro.can.log.CaptureArray` records.
+    ``payloads`` rows are zero-padded to eight bytes (``dlcs`` keeps
+    the true lengths); ``labels`` uses the capture convention (1 =
+    attack/tampered ``"T"``, 0 = regular ``"R"``); ``sources`` carries
+    the emitting node's name for phase attribution.  Wire lengths are
+    not a column: :func:`simulate_arbitration` computes them once per
+    window with :func:`standard_wire_bits`.
     """
 
     release_times: np.ndarray  #: (N,) float64 release instants
@@ -109,12 +104,11 @@ class ScheduleArray:
     payloads: np.ndarray  #: (N, 8) uint8 zero-padded payload bytes
     labels: np.ndarray  #: (N,) int64, 1 for attack ("T") frames
     sources: np.ndarray  #: (N,) unicode source names
-    wire_bits: np.ndarray  #: (N,) int64 exact wire bits, -1 = compute
 
     def __post_init__(self) -> None:
         n = self.release_times.shape[0]
         # reprolint: disable=hot-path-purity -- iterates field names for shape validation, not frames
-        for name in ("can_ids", "dlcs", "labels", "sources", "wire_bits"):
+        for name in ("can_ids", "dlcs", "labels", "sources"):
             if getattr(self, name).shape != (n,):
                 raise CANError(f"ScheduleArray field {name} must have shape ({n},)")
         if self.payloads.shape != (n, _PAYLOAD_SLOTS):
@@ -137,7 +131,6 @@ class ScheduleArray:
             payloads=np.zeros((0, _PAYLOAD_SLOTS), dtype=np.uint8),
             labels=np.zeros(0, dtype=np.int64),
             sources=np.zeros(0, dtype="<U1"),
-            wire_bits=np.zeros(0, dtype=np.int64),
         )
 
     def take(self, indices: np.ndarray) -> "ScheduleArray":
@@ -149,7 +142,6 @@ class ScheduleArray:
             payloads=self.payloads[indices],
             labels=self.labels[indices],
             sources=self.sources[indices],
-            wire_bits=self.wire_bits[indices],
         )
 
     @classmethod
@@ -166,30 +158,18 @@ class ScheduleArray:
             payloads=np.concatenate([p.payloads for p in parts], axis=0),
             labels=np.concatenate([p.labels for p in parts]),
             sources=np.concatenate([p.sources for p in parts]),
-            wire_bits=np.concatenate([p.wire_bits for p in parts]),
         )
 
     def sorted_by_release(self) -> "ScheduleArray":
         """Stable sort by release time (= the event engine's merge order)."""
         return self.take(np.argsort(self.release_times, kind="stable"))
 
-    def resolved_wire_bits(self) -> np.ndarray:
-        """Exact wire bits per frame, computing unset rows vectorised."""
-        unset = self.wire_bits == WIRE_BITS_UNSET
-        if not np.any(unset):
-            return self.wire_bits
-        bits = self.wire_bits.copy()
-        bits[unset] = standard_wire_bits(
-            self.can_ids[unset], self.dlcs[unset], self.payloads[unset]
-        )
-        return bits
-
     def scheduled_frames(self) -> "Iterable[ScheduledFrame]":
         """Materialise the scalar :class:`ScheduledFrame` stream.
 
-        This is how the scalar ``frames()`` iterators are implemented on
-        top of the columnar emitters, so both engines consume one draw
-        path by construction.
+        This is how the scalar ``frames()`` iterators the event engine
+        merges are implemented on top of the columnar emitters, so both
+        engines consume one draw path by construction.
         """
         from repro.can.frame import CANFrame
         from repro.can.node import ScheduledFrame
@@ -224,7 +204,6 @@ def schedule_columns(
     label: int,
     source: str,
     dlcs: int | np.ndarray | None = None,
-    wire_bits: np.ndarray | None = None,
 ) -> ScheduleArray:
     """Assemble a :class:`ScheduleArray` from emitter columns.
 
@@ -257,9 +236,6 @@ def schedule_columns(
         payloads=payloads,
         labels=np.full(n, int(label), dtype=np.int64),
         sources=np.full(n, source),  # reprolint: disable=dtype-discipline -- unicode width inferred from the source name
-        wire_bits=np.full(n, WIRE_BITS_UNSET, dtype=np.int64)
-        if wire_bits is None
-        else np.asarray(wire_bits, dtype=np.int64),
     )
 
 
@@ -298,62 +274,6 @@ def release_grid(start: float, stop: float, step: float) -> np.ndarray:
     return start + step * np.arange(_grid_count(start, stop, step), dtype=np.float64)
 
 
-def schedule_from_frames(frames: "Iterable[ScheduledFrame]") -> ScheduleArray:
-    """Materialise a scalar frame iterator (the exotic-source fallback).
-
-    Extended/RTR frames get their exact wire length computed here (the
-    vectorised length kernel models standard data frames only); their
-    columnar capture rows carry identifier, DLC and payload exactly as
-    :func:`repro.can.log.records_from_bus` would record them.
-    """
-    releases: list[float] = []
-    ids: list[int] = []
-    dlcs: list[int] = []
-    chunks: list[bytes] = []
-    labels: list[int] = []
-    sources: list[str] = []
-    wire: list[int] = []
-    for scheduled in frames:
-        frame = scheduled.frame
-        releases.append(scheduled.release_time)
-        ids.append(frame.can_id)
-        dlcs.append(frame.dlc)
-        chunks.append(frame.data + bytes(_PAYLOAD_SLOTS - frame.dlc))
-        labels.append(1 if scheduled.label == "T" else 0)
-        sources.append(scheduled.source)
-        wire.append(
-            frame.bit_length() if (frame.extended or frame.rtr) else WIRE_BITS_UNSET
-        )
-    n = len(releases)
-    if n == 0:
-        return ScheduleArray.empty()
-    return ScheduleArray(
-        release_times=np.array(releases, dtype=np.float64),
-        can_ids=np.array(ids, dtype=np.int64),
-        dlcs=np.array(dlcs, dtype=np.int64),
-        payloads=np.frombuffer(b"".join(chunks), dtype=np.uint8).reshape(
-            n, _PAYLOAD_SLOTS
-        ).copy(),
-        labels=np.array(labels, dtype=np.int64),
-        sources=np.array(sources),
-        wire_bits=np.array(wire, dtype=np.int64),
-    )
-
-
-def source_schedule(source: "TrafficSource", until: float) -> ScheduleArray:
-    """One source's schedule in its own emission order (no re-sort).
-
-    Columnar sources emit directly; scalar-only sources are
-    materialised.  Wrappers use this to transform a victim's stream
-    while preserving its yield order, exactly as the scalar wrappers
-    iterate it.
-    """
-    emitter = getattr(source, "frames_array", None)
-    if emitter is not None:
-        return emitter(until)
-    return schedule_from_frames(source.frames(until))
-
-
 def build_schedule(sources: "Sequence[TrafficSource]", until: float) -> ScheduleArray:
     """Merge every source's schedule, sorted as the event engine sorts.
 
@@ -361,10 +281,11 @@ def build_schedule(sources: "Sequence[TrafficSource]", until: float) -> Schedule
     sources (exact type) goes to one sender-bank call
     (:func:`~repro.can.node.bank_schedule`), which emits the whole run
     as one block.  Any other source (a wrapper, an attacker, a subclass)
-    splits the run and emits through :func:`source_schedule`.  The
-    blocks stay in attach order, so the concatenation followed by a
-    stable release-time sort reproduces the reference engine's merge
-    exactly (ties keep attach order).
+    splits the run and emits through its own ``frames_array``, part of
+    the :class:`~repro.can.node.TrafficSource` contract.  The blocks
+    stay in attach order, so the concatenation followed by a stable
+    release-time sort reproduces the reference engine's merge exactly
+    (ties keep attach order).
     """
     from repro.can.node import PeriodicSender, bank_schedule
 
@@ -378,7 +299,7 @@ def build_schedule(sources: "Sequence[TrafficSource]", until: float) -> Schedule
         if bank:
             parts.append(bank_schedule(bank, until))
             bank = []
-        parts.append(source_schedule(source, until))
+        parts.append(source.frames_array(until))
     if bank:
         parts.append(bank_schedule(bank, until))
     return ScheduleArray.concatenate([part for part in parts if len(part)]).sorted_by_release()
@@ -571,14 +492,18 @@ def standard_wire_bits(
 class ArbitrationResult:
     """Everything one simulated capture window produced, in columns.
 
-    ``capture`` timestamps are reception-complete times (what the event
-    engine's :class:`~repro.can.bus.BusRecord` records); ``queued_at``
-    and ``started_at`` carry the release and arbitration-win instants,
-    ``sources`` the emitting node per surviving frame, ``wire_bits``
-    the exact occupancy used for bus-load accounting, and
-    ``schedule_indices`` each survivor's row in the merged schedule.
+    The one result of both bus engines:
+    :meth:`~repro.can.bus.BusSimulator.capture` (this module's sweep)
+    and the event-driven reference
+    :meth:`~repro.can.bus.BusSimulator.run` fill the same columns.
+    ``capture`` timestamps are reception-complete times (what a CAN
+    controller timestamps); ``queued_at`` and ``started_at`` carry the
+    release and arbitration-win instants, ``sources`` the emitting node
+    per surviving frame, ``wire_bits`` the exact occupancy used for
+    bus-load accounting, and ``schedule_indices`` each survivor's row
+    in the merged, release-sorted schedule.
 
-    Faulted runs (``faults=`` on :func:`simulate_arbitration`) add the
+    Faulted runs (``faults=`` on either engine) add the
     wire-fault attribution columns: ``corrupted`` flags records that
     are corrupted attempts (one capture row per attempt — schedule rows
     may repeat), ``retries`` counts a record's earlier attempts, and
@@ -627,33 +552,6 @@ class ArbitrationResult:
         """Fraction of wire time occupied by the surviving frames."""
         return min(float(self.wire_bits.sum()) / (self.bitrate * self.duration), 1.0)
 
-    def to_bus_records(self) -> "list[BusRecord]":
-        """Materialise event-engine records (A/B comparisons, debugging)."""
-        from repro.can.bus import BusRecord
-        from repro.can.frame import CANFrame
-
-        capture = self.capture
-        corrupted = self.corrupted_mask
-        retries = self.retry_counts
-        bus_off = self.bus_off_mask
-        records = []
-        for k in range(len(capture)):
-            dlc = int(capture.dlcs[k])
-            records.append(
-                BusRecord(
-                    timestamp=float(capture.timestamps[k]),
-                    frame=CANFrame(int(capture.can_ids[k]), capture.payloads[k, :dlc].tobytes()),
-                    label="T" if capture.labels[k] else "R",
-                    source=str(self.sources[k]),
-                    queued_at=float(self.queued_at[k]),
-                    started_at=float(self.started_at[k]),
-                    corrupted=bool(corrupted[k]),
-                    retries=int(retries[k]),
-                    bus_off=bool(bus_off[k]),
-                )
-            )
-        return records
-
 
 def _check_timing(bitrate: float, duration: float) -> None:
     """Reject a bitrate or capture horizon that is not positive and finite."""
@@ -690,21 +588,36 @@ def simulate_arbitration(
     order.  Each completion is the event loop's own float addition, so
     winners, timestamps and horizon drops are bit-exact, not merely
     close.  The sweep stops at the first completion past ``duration``,
-    as the event loop does.
+    as the event loop does.  Wire lengths come from one
+    :func:`standard_wire_bits` call per window.
 
     ``faults`` enables the wire-fault layer (:mod:`repro.can.faults`),
-    bit-exact against ``BusSimulator.run(..., faults=)``; see
-    :func:`_simulate_arbitration_faulted`.
+    bit-exact against ``BusSimulator.run(..., faults=)``.  The shared
+    :class:`~repro.can.faults.FaultPlan` is resolved over the
+    release-sorted columns first, so corruption draws and bus-off times
+    are identical to the event engine's; a plan that perturbs nothing
+    hands the wire lengths it was resolved over to the clean sweep, so
+    a zero-rate model costs only the plan.  Otherwise
+    :func:`_sweep_faulted` runs.
     """
     _check_timing(bitrate, duration)
-    if faults is not None:
-        return _simulate_arbitration_faulted(schedule, bitrate, duration, faults)
     releases = schedule.release_times
     _check_releases(releases)
+    wire_bits = standard_wire_bits(schedule.can_ids, schedule.dlcs, schedule.payloads)
+    if faults is not None:
+        plan = faults.plan(releases, schedule.can_ids, wire_bits, schedule.sources, bitrate)
+        if not plan.clean:
+            return _sweep_faulted(schedule, wire_bits, plan, bitrate, duration)
+    return _sweep_clean(schedule, wire_bits, bitrate, duration)
+
+
+def _sweep_clean(
+    schedule: ScheduleArray, wire_bits: np.ndarray, bitrate: float, duration: float
+) -> ArbitrationResult:
+    """The clean sweep of :func:`simulate_arbitration`."""
     n = len(schedule)
-    wire_bits = schedule.resolved_wire_bits()
     # A +inf sentinel release ends every admission scan without a bound check.
-    rel = releases.tolist() + [math.inf]
+    rel = schedule.release_times.tolist() + [math.inf]
     dur = (wire_bits / float(bitrate)).tolist()
     # One int per row packs (can_id, row): ints compare faster than tuples.
     shift = max(n, 1).bit_length()
@@ -755,40 +668,27 @@ def simulate_arbitration(
     return _arbitration_result(schedule, wire_bits, order, ends, bitrate, duration)
 
 
-def _simulate_arbitration_faulted(
+def _sweep_faulted(
     schedule: ScheduleArray,
+    wire_bits: np.ndarray,
+    plan: "FaultPlan",
     bitrate: float,
     duration: float,
-    faults: "WireFaultModel",
 ) -> ArbitrationResult:
     """The faulted sweep: error frames, retransmission, bus-off.
 
-    The shared :class:`~repro.can.faults.FaultPlan` is resolved over the
-    release-sorted columns first, so corruption draws and bus-off times
-    are identical to the event engine's; a plan that perturbs nothing
-    hands over to the clean sweep.  Otherwise the same single sweep runs
-    with the faulted event loop's additions: rows of a bus-off node are
-    never offered, a corrupted attempt occupies the wire for the frame
-    plus an error frame, and its retransmission re-enters arbitration at
-    the error frame's end.  Heap keys stay ``(can_id, entry_release,
+    The clean sweep with the faulted event loop's additions, driven by
+    ``plan``: rows of a bus-off node are never offered, a corrupted
+    attempt occupies the wire for the frame plus an error frame, and its
+    retransmission re-enters arbitration at the error frame's end.  Heap
+    keys stay ``(can_id, entry_release,
     sequence, row)``: a same-id frame released before that re-entry
     must still win.  A schedule row emits one record per attempt;
     completions still never decrease, so the sweep stops at the first
     one past ``duration``.
     """
-    releases = schedule.release_times
-    _check_releases(releases)
-    wire_bits = schedule.resolved_wire_bits()
-    plan = faults.plan(releases, schedule.can_ids, wire_bits, schedule.sources, bitrate)
-    if plan.clean:
-        # The model drew nothing over this window: the clean sweep is
-        # bit-identical, so a zero-rate model costs only the plan.  The
-        # resolved wire bits ride along so the length kernel runs once.
-        return simulate_arbitration(
-            dataclasses.replace(schedule, wire_bits=wire_bits), bitrate, duration
-        )
     n = len(schedule)
-    rel = releases.tolist() + [math.inf]
+    rel = schedule.release_times.tolist() + [math.inf]
     dur = (wire_bits / float(bitrate)).tolist()
     ids = schedule.can_ids.tolist()
     queued = plan.queued.tolist()

@@ -16,14 +16,13 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, cast
+from typing import TYPE_CHECKING, Iterator, Sequence, cast
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.can.fastbus import ArbitrationResult
 
 import numpy as np
 
-from repro.can.bus import BusRecord
 from repro.can.frame import CANFrame
 from repro.errors import DatasetError
 
@@ -32,7 +31,6 @@ __all__ = [
     "CaptureArray",
     "read_car_hacking_csv",
     "write_car_hacking_csv",
-    "records_from_bus",
 ]
 
 LABEL_NORMAL = "R"
@@ -125,9 +123,9 @@ class CaptureArray:
         """Pass through a CaptureArray, convert a record list.
 
         Also unwraps anything carrying a ``capture`` CaptureArray
-        attribute — e.g. the columnar bus engine's
-        :class:`~repro.can.fastbus.ArbitrationResult` — so simulated
-        windows feed the ECU/gateway paths without a conversion step.
+        attribute — e.g. the :class:`~repro.can.fastbus.ArbitrationResult`
+        both bus engines return — so simulated windows feed the
+        ECU/gateway paths without a conversion step.
         """
         if isinstance(records, CaptureArray):
             return records
@@ -135,29 +133,6 @@ class CaptureArray:
         if isinstance(inner, CaptureArray):
             return inner
         return cls.from_records(cast("Sequence[CANLogRecord]", records))
-
-    @classmethod
-    def from_bus_records(cls, bus_records: Iterable[BusRecord]) -> "CaptureArray":
-        """Columnar capture straight from simulator output.
-
-        One pass over the :class:`~repro.can.bus.BusRecord` list — no
-        intermediate :class:`CANLogRecord` allocation per frame, unlike
-        ``from_records(records_from_bus(...))``; field-identical to
-        that composition.
-        """
-        records = bus_records if isinstance(bus_records, list) else list(bus_records)
-        n = len(records)
-        timestamps = np.fromiter((r.timestamp for r in records), dtype=np.float64, count=n)
-        can_ids = np.fromiter((r.frame.can_id for r in records), dtype=np.int64, count=n)
-        dlcs = np.fromiter((r.frame.dlc for r in records), dtype=np.int64, count=n)
-        padded = b"".join(
-            r.frame.data + bytes(MAX_PAYLOAD_BYTES - r.frame.dlc) for r in records
-        )
-        payloads = np.frombuffer(padded, dtype=np.uint8).reshape(n, MAX_PAYLOAD_BYTES).copy()
-        labels = np.fromiter(
-            (1 if r.label == LABEL_ATTACK else 0 for r in records), dtype=np.int64, count=n
-        )
-        return cls(timestamps, can_ids, dlcs, payloads, labels)
 
     @classmethod
     def from_records(cls, records: Sequence[CANLogRecord]) -> "CaptureArray":
@@ -222,20 +197,6 @@ class CaptureArray:
         bounds = np.searchsorted(self.timestamps, edges, side="left")
         for k in range(count):
             yield self[int(bounds[k]) : int(bounds[k + 1])]
-
-
-def records_from_bus(bus_records: Iterable[BusRecord]) -> list[CANLogRecord]:
-    """Convert simulator output into capture records."""
-    return [
-        CANLogRecord(
-            timestamp=record.timestamp,
-            can_id=record.frame.can_id,
-            dlc=record.frame.dlc,
-            data=record.frame.data,
-            label=record.label,
-        )
-        for record in bus_records
-    ]
 
 
 def write_car_hacking_csv(

@@ -1,7 +1,10 @@
 """Traffic sources: the ECUs that populate a CAN bus.
 
-A :class:`TrafficSource` yields :class:`ScheduledFrame` release events;
-the bus simulator merges all sources and resolves arbitration.  The
+A :class:`TrafficSource` emits its frame releases two ways: as one
+columnar :class:`~repro.can.fastbus.ScheduleArray` (``frames_array``,
+what the columnar engine merges) and as :class:`ScheduledFrame` release
+events (``frames``, what the event-driven reference engine merges); the
+bus simulator merges all sources and resolves arbitration.  The
 periodic sender models the dominant pattern of real in-vehicle traffic:
 fixed-period broadcast of sensor/actuator state with small clock jitter
 and slowly evolving payloads (counters, ramping sensor readings,
@@ -18,10 +21,11 @@ and then its payloads from its own RNG, in attach order.
 plain senders to one bank call; :meth:`PeriodicSender.frames_array` is
 a bank of one (what a suspension or masquerade wrapper reads of its
 victim), and the scalar :meth:`PeriodicSender.frames` iterator is
-materialised from it.  Both the event-driven reference bus and the
-columnar arbitration kernel therefore consume the *same* draws —
-equivalence between the engines is by construction, not by coincidence
-of draw ordering.
+materialised from it.  Every other source's ``frames`` is materialised
+from its own ``frames_array`` the same way, so the event-driven
+reference bus and the columnar arbitration kernel consume the *same*
+draws — equivalence between the engines is by construction, not by
+coincidence of draw ordering.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import numpy as np
 
 from repro.can.fastbus import (
     _PAYLOAD_SLOTS,
-    WIRE_BITS_UNSET,
     ScheduleArray,
     _check_dlcs,
     _grid_count,
@@ -66,7 +69,16 @@ class ScheduledFrame:
 
 
 class TrafficSource(Protocol):
-    """Anything that can enumerate its frame releases up to a horizon."""
+    """Anything that can enumerate its frame releases up to a horizon.
+
+    Both methods describe the same releases of standard data frames:
+    ``frames_array`` as columns in the source's emission order,
+    ``frames`` as scheduled frames in release order.
+    """
+
+    def frames_array(self, until: float) -> ScheduleArray:
+        """Every release with ``release_time < until``, as columns."""
+        ...
 
     def frames(self, until: float) -> Iterator[ScheduledFrame]:
         """Yield scheduled frames with ``release_time < until``, in order."""
@@ -261,7 +273,6 @@ def bank_schedule(senders: Sequence["PeriodicSender"], until: float) -> Schedule
         payloads=payloads,
         labels=np.zeros(total, dtype=np.int64),
         sources=np.repeat(np.array([s.name for s, _ in emitting]), rows),
-        wire_bits=np.full(total, WIRE_BITS_UNSET, dtype=np.int64),
     )
 
 

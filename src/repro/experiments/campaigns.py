@@ -36,7 +36,7 @@ The resolved options are recorded on the result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -57,6 +57,11 @@ from repro.soc.arbiter import SharedAcceleratorArbiter
 from repro.soc.gateway import GatewayReport, gateway_from_buses
 from repro.utils.rng import derive_seed
 from repro.utils.tables import Table
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.can.bus import BusSimulator
+    from repro.can.fastbus import ArbitrationResult
+    from repro.can.faults import WireFaultModel
 
 __all__ = [
     "ScenarioRun",
@@ -161,29 +166,32 @@ class _CachedBus:
     traffic by construction — only the drain rates differ — so the
     expensive arbitration-accurate simulation runs once per scenario
     and this wrapper hands the recorded window to each monitor call.
-    Both engines are cached: ``capture`` (columnar) and ``run``
-    (event-driven reference).
+    Either engine's window is one
+    :class:`~repro.can.fastbus.ArbitrationResult`, cached under the
+    engine that made it.
     """
 
-    def __init__(self, bus):
+    def __init__(self, bus: BusSimulator):
         self._bus = bus
-        self.bitrate = bus.bitrate
-        self._runs: dict[tuple, list] = {}
-        self._captures: dict[tuple, object] = {}
+        self._windows: dict[tuple, ArbitrationResult] = {}
 
-    def run(self, duration: float, faults=None) -> list:
-        # WireFaultModel is frozen/hashable, so (duration, faults) keys
-        # one simulated window per fault configuration.
-        key = (duration, faults)
-        if key not in self._runs:
-            self._runs[key] = self._bus.run(duration, faults=faults)
-        return self._runs[key]
+    def run(self, duration: float, faults: WireFaultModel | None = None) -> ArbitrationResult:
+        return self._window("run", duration, faults)
 
-    def capture(self, duration: float, faults=None):
-        key = (duration, faults)
-        if key not in self._captures:
-            self._captures[key] = self._bus.capture(duration, faults=faults)
-        return self._captures[key]
+    def capture(
+        self, duration: float, faults: WireFaultModel | None = None
+    ) -> ArbitrationResult:
+        return self._window("capture", duration, faults)
+
+    def _window(
+        self, engine: str, duration: float, faults: WireFaultModel | None
+    ) -> ArbitrationResult:
+        # WireFaultModel is frozen/hashable, so (engine, duration, faults)
+        # keys one simulated window per engine and fault configuration.
+        key = (engine, duration, faults)
+        if key not in self._windows:
+            self._windows[key] = getattr(self._bus, engine)(duration, faults=faults)
+        return self._windows[key]
 
 
 @dataclass(frozen=True)

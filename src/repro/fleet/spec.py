@@ -98,20 +98,16 @@ class ExecOptions:
             raise ConfigError(
                 f"unknown engine {self.engine!r}; choose from {ENGINES}"
             )
-        if self.max_workers is not None and self.max_workers < 1:
-            raise ConfigError(f"max_workers must be >= 1, got {self.max_workers}")
-        if isinstance(self.fifo_capacity, bool) or not isinstance(self.fifo_capacity, Integral):
-            raise ConfigError(f"fifo_capacity must be an integer, got {self.fifo_capacity!r}")
-        if self.fifo_capacity < 1:
-            raise ConfigError(f"fifo_capacity must be >= 1, got {self.fifo_capacity}")
+        if self.max_workers is not None:
+            _check_count("max_workers", self.max_workers, minimum=1)
+        _check_count("fifo_capacity", self.fifo_capacity, minimum=1)
         if self.timeout_s is not None and (
             not math.isfinite(self.timeout_s) or self.timeout_s <= 0
         ):
             raise ConfigError(
                 f"timeout_s must be finite and positive, got {self.timeout_s}"
             )
-        if self.max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {self.max_retries}")
+        _check_count("max_retries", self.max_retries, minimum=0)
 
     def resolve_backend(self) -> str:
         """The concrete backend this host runs: never ``"auto"``."""
@@ -145,6 +141,14 @@ class ExecOptions:
             "max_retries": self.max_retries,
             "strict": self.strict,
         }
+
+
+def _check_count(name: str, value: object, minimum: int) -> None:
+    """An integer setting (numpy integers too, not bools) at or above ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value}")
 
 
 def _check_duration(duration: float | None) -> None:

@@ -22,8 +22,8 @@ __all__ = ["EMAObserver"]
 class _Observer:
     """Common state: the currently observed absolute range."""
 
-    def __init__(self, initial: float = 0.0):
-        self.range = float(initial)
+    def __init__(self) -> None:
+        self.range = 0.0
         self.frozen = False
         self.num_batches = 0
 
@@ -68,8 +68,8 @@ class EMAObserver(_Observer):
     first batch initialising the range directly.
     """
 
-    def __init__(self, momentum: float = 0.1, initial: float = 0.0):
-        super().__init__(initial)
+    def __init__(self, momentum: float = 0.1):
+        super().__init__()
         if not 0.0 < momentum <= 1.0:
             raise QuantError(f"EMA momentum must be in (0, 1], got {momentum}")
         self.momentum = momentum

@@ -45,7 +45,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.can.attacks import DoSAttacker
-from repro.can.bus import BusSimulator, bus_load
+from repro.can.bus import BusSimulator
 from repro.can.faults import WireFaultModel
 from repro.can.log import CaptureArray
 from repro.errors import SoCError
@@ -65,9 +65,10 @@ __all__ = [
 
 #: Supported bus-simulation engines for :meth:`IDSGateway.monitor`.
 #: ``"columnar"`` runs each channel's window through the vectorised
-#: arbitration-replay kernel (:mod:`repro.can.fastbus`), which is
-#: bit-exact against the event engine; ``"event"`` keeps the reference
-#: per-frame simulator for A/B verification.
+#: arbitration-replay kernel (:meth:`~repro.can.bus.BusSimulator.capture`),
+#: which is bit-exact against the event engine; ``"event"`` keeps the
+#: reference per-frame simulator (:meth:`~repro.can.bus.BusSimulator.run`)
+#: for A/B verification.  Both return the same result columns.
 ENGINES = ("columnar", "event")
 
 
@@ -76,13 +77,12 @@ class PhaseOutcome:
     """One attack phase's verdict on one channel: did the IDS catch it?
 
     The gateway computes these when :meth:`IDSGateway.monitor` is given
-    per-channel ground-truth windows (``truth=``, e.g. from
-    :meth:`repro.can.campaign.Campaign.truth_windows`): each serviced
-    frame's verdict is attributed to the phase window it falls in —
-    and, when the traffic's frame sources name the phase (campaign
-    compilation names every attacker after its phase), to the phase
-    that actually *produced* the frame, so overlapping phases never
-    credit each other's detections.
+    per-channel ground-truth windows (``truth=``, from
+    :meth:`repro.can.campaign.Campaign.truth_windows`): each attack
+    frame's verdict is attributed to the phase that actually *produced*
+    it (campaign compilation names every attacker after its phase), so
+    overlapping phases never credit each other's detections, while
+    ``alerts`` counts every flagged frame inside the phase window.
     """
 
     phase: str  #: phase label (campaign phase name)
@@ -356,15 +356,14 @@ def _phase_outcomes(
 ) -> tuple[PhaseOutcome, ...]:
     """Attribute one channel's verdicts to its ground-truth phase windows.
 
-    Campaign truth windows carry an ``injects`` flag (4-tuples), and
-    campaign-compiled traffic names every attacker after its phase, so
-    attack frames attribute purely by *source*: overlapping phases
-    never credit each other's detections, and a phase that puts no
-    frames on the wire (drop-mode suspension) honestly reports zero —
-    never a neighbour's flood.  Hand-written 3-tuple windows (free-form
-    labels, no compiled sources) fall back to window containment.
-    ``alerts`` stays window-based either way — it counts IDS firings
-    during the phase, whatever provoked them.
+    Campaign-compiled traffic names every attacker after its phase, so
+    attack frames attribute purely by *source*, wherever arbitration
+    queueing made them *complete* (under a flood, frames released inside
+    the window routinely finish past its end): overlapping phases never
+    credit each other's detections, and a phase that puts no frames on
+    the wire (drop-mode suspension) honestly reports zero — never a
+    neighbour's flood.  ``alerts`` is window-based — it counts IDS
+    firings during the phase, whatever provoked them.
 
     Serviced frames are located via ``report.kept_indices`` (identity
     when the FIFO never dropped), so a phase whose attack frames were
@@ -381,22 +380,11 @@ def _phase_outcomes(
     serviced_sources = sources[kept]
     predictions = report.predictions
     outcomes = []
-    for window in windows:
-        phase_name, start, end = window[0], window[1], window[2]
-        from_campaign = len(window) > 3
+    for phase_name, start, end in windows:
         observed = (capture.timestamps >= start) & (capture.timestamps < end)
         in_window = (serviced_ts >= start) & (serviced_ts < end)
-        if from_campaign:
-            # Source attribution: the frames this phase actually put on
-            # the wire, wherever arbitration queueing made them
-            # *complete* — under a flood, frames released inside the
-            # window routinely finish past its end.  A phase without
-            # sourced frames (drop-mode suspension) counts zero.
-            attack_all = (capture.labels == 1) & (sources == phase_name)
-            attack_serviced = (serviced_labels == 1) & (serviced_sources == phase_name)
-        else:
-            attack_all = observed & (capture.labels == 1)
-            attack_serviced = in_window & (serviced_labels == 1)
+        attack_all = (capture.labels == 1) & (sources == phase_name)
+        attack_serviced = (serviced_labels == 1) & (serviced_sources == phase_name)
         alerts = in_window & (predictions == 1)
         true_alerts = (predictions == 1) & attack_serviced
         detection_latency = None
@@ -450,7 +438,7 @@ class IDSGateway:
         drain_fps: float | None = None,
         with_metrics: bool = True,
         arbiter: SharedAcceleratorArbiter | None = None,
-        truth: Mapping[str, Sequence[tuple]] | None = None,
+        truth: Mapping[str, Sequence[tuple[str, float, float]]] | None = None,
         engine: str = "columnar",
         faults: WireFaultModel | None = None,
     ) -> GatewayReport:
@@ -468,20 +456,22 @@ class IDSGateway:
         of the (possibly ``drain_fps``-overridden) base rate instead of
         the full rate.
 
-        ``truth`` maps channel names to ground-truth phase windows —
-        ``(phase_name, start, end, injects)`` from a campaign's
-        :meth:`~repro.can.campaign.Campaign.truth_windows` (attack
-        frames then attribute by their *source*, the attacker named
-        after the phase), or hand-written ``(label, start, end)``
-        triples attributed by window containment.  Either turns on
-        campaign-aware labelling: each channel's verdicts are reported
-        as :class:`PhaseOutcome` rows on the channel result.
+        ``truth`` maps channel names to ground-truth phase windows,
+        ``(phase_name, start, end)`` from a campaign's
+        :meth:`~repro.can.campaign.Campaign.truth_windows`, and turns on
+        campaign-aware labelling: attack frames attribute to a phase by
+        their *source* (campaign compilation names every attacker after
+        its phase), and each channel's verdicts are reported as
+        :class:`PhaseOutcome` rows on the channel result.
 
         ``engine`` picks the bus simulation path: ``"columnar"``
         (default) runs each channel's window through the vectorised
-        arbitration-replay kernel — bit-exact against the event engine,
-        without per-frame record objects — while ``"event"`` keeps the
-        reference :meth:`~repro.can.bus.BusSimulator.run` loop.
+        arbitration-replay kernel
+        (:meth:`~repro.can.bus.BusSimulator.capture`), bit-exact
+        against the event engine, while ``"event"`` keeps the reference
+        :meth:`~repro.can.bus.BusSimulator.run` loop.  Both return one
+        :class:`~repro.can.fastbus.ArbitrationResult`, so everything
+        after the simulation runs one code path.
 
         ``faults`` enables the wire-level fault layer on every segment:
         each channel simulates under ``faults.for_channel(name)`` (an
@@ -511,45 +501,24 @@ class IDSGateway:
         # For channels with truth windows, frame sources (which node
         # released each frame) ride along for phase attribution:
         # campaign-compiled attackers are named after their phase, so
-        # overlapping phases stay distinguishable.  Other channels skip
-        # the per-record extraction — it is pure dead weight there.
+        # overlapping phases stay distinguishable.
         traffic: dict[str, tuple[float, CaptureArray, np.ndarray | None]] = {}
         # Wire-fault attribution per channel: (corrupted mask | None,
         # retransmission count, bus-off attempt count).
         wire: dict[str, tuple[np.ndarray | None, int, int]] = {}
-        for name, (bus, ecu) in self._channels.items():
+        for name, (bus, _) in self._channels.items():
             channel_faults = faults.for_channel(name) if faults is not None else None
-            want_sources = truth is not None and bool(truth.get(name))
-            if engine == "columnar":
-                window = bus.capture(duration, faults=channel_faults)
-                corrupted_mask = window.corrupted
-                wire[name] = (
-                    corrupted_mask,
-                    int(window.retry_counts[~window.corrupted_mask].sum()),
-                    int(window.bus_off_mask.sum()),
-                )
-                traffic[name] = (
-                    window.bus_load(),
-                    window.capture,
-                    window.sources if want_sources else None,
-                )
-                continue
-            bus_records = bus.run(duration, faults=channel_faults)
-            sources = None
-            if want_sources:
-                sources = np.array([record.source for record in bus_records], dtype=str)
-            corrupted_mask = np.array(
-                [record.corrupted for record in bus_records], dtype=bool
-            )
+            simulate = bus.run if engine == "event" else bus.capture
+            window = simulate(duration, faults=channel_faults)
             wire[name] = (
-                corrupted_mask if bool(corrupted_mask.any()) else None,
-                sum(r.retries for r in bus_records if not r.corrupted),
-                sum(1 for r in bus_records if r.bus_off),
+                window.corrupted,
+                int(window.retry_counts[~window.corrupted_mask].sum()),
+                int(window.bus_off_mask.sum()),
             )
             traffic[name] = (
-                bus_load(bus_records, duration, bus.bitrate),
-                CaptureArray.from_bus_records(bus_records),
-                sources,
+                window.bus_load(),
+                window.capture,
+                window.sources if truth is not None and truth.get(name) else None,
             )
         # A channel is active when it has at least one *clean* frame to
         # scan; a segment whose every observed frame was corrupted

@@ -1,4 +1,4 @@
-"""Shared utilities: seeded RNG, bit manipulation, tables, serialisation.
+"""Shared utilities: seeded RNG, bit manipulation, tables, logging.
 
 These helpers are dependency-free (numpy only) and used across every
 subsystem.  Nothing in here is specific to CAN or FPGAs.
@@ -7,7 +7,6 @@ subsystem.  Nothing in here is specific to CAN or FPGAs.
 from repro.utils.bitops import bits_to_int, bytes_to_bits, int_to_bits
 from repro.utils.logutil import get_logger
 from repro.utils.rng import SeedSequence, derive_seed, new_rng
-from repro.utils.serialization import from_json_file, to_json_file
 from repro.utils.tables import Table, format_si
 
 __all__ = [
@@ -17,9 +16,7 @@ __all__ = [
     "bytes_to_bits",
     "derive_seed",
     "format_si",
-    "from_json_file",
     "get_logger",
     "int_to_bits",
     "new_rng",
-    "to_json_file",
 ]

@@ -110,11 +110,6 @@ class TestReductionsAndShape:
         x.mean().backward()
         np.testing.assert_allclose(x.grad, np.full((4, 2), 1 / 8))
 
-    def test_max_grad_flows_to_argmax(self):
-        x = Tensor([[1.0, 5.0, 3.0]], requires_grad=True)
-        x.max(axis=1).sum().backward()
-        np.testing.assert_allclose(x.grad, [[0.0, 1.0, 0.0]])
-
     def test_reshape_transpose_roundtrip(self, rng):
         x = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
         y = x.reshape(3, 4).transpose(1, 0)
@@ -140,11 +135,6 @@ class TestSTE:
         x = Tensor([-5.0, 0.5, 5.0], requires_grad=True)
         x.clamp_ste(-1, 1).sum().backward()
         np.testing.assert_allclose(x.grad, np.ones(3))
-
-    def test_clamp_gates_grad(self):
-        x = Tensor([-5.0, 0.5, 5.0], requires_grad=True)
-        x.clamp(-1, 1).sum().backward()
-        np.testing.assert_allclose(x.grad, [0.0, 1.0, 0.0])
 
 
 class TestGraphMechanics:

@@ -232,48 +232,43 @@ class TestCampaignModel:
             buses = compile_campaign(campaign, vehicle_seed=11)
             truth = campaign.truth_windows()
             for channel, bus in buses.items():
-                windows = [(start, end) for _, start, end, _ in truth[channel]]
-                records = bus.run(campaign.duration)
-                assert records, f"{name}/{channel} produced no traffic"
-                for record in records:
-                    if record.label == "T":
-                        assert any(
-                            start <= record.queued_at < end for start, end in windows
-                        ), f"{name}/{channel}: T frame at {record.queued_at} outside windows"
+                window = bus.run(campaign.duration)
+                assert len(window), f"{name}/{channel} produced no traffic"
+                attack_releases = window.queued_at[window.capture.labels == 1]
+                inside = np.zeros(attack_releases.shape, dtype=bool)
+                for _, start, end in truth[channel]:
+                    inside |= (start <= attack_releases) & (attack_releases < end)
+                assert inside.all(), (
+                    f"{name}/{channel}: T frames at {attack_releases[~inside]} outside windows"
+                )
                 # Every injecting phase put evidence on the wire.
-                for (_, start, end, injects), phase in zip(
-                    truth[channel], campaign.phases_on(channel)
-                ):
-                    assert injects == phase.injects
-                    if injects:
-                        assert any(
-                            record.label == "T" and start <= record.queued_at < end
-                            for record in records
+                for (_, start, end), phase in zip(truth[channel], campaign.phases_on(channel)):
+                    if phase.injects:
+                        assert np.any(
+                            (start <= attack_releases) & (attack_releases < end)
                         ), f"{name}/{channel}: no attack frames in {phase.kind} window"
 
     def test_suspension_drop_removes_frames_from_the_wire(self):
         campaign = SCENARIOS.build("suspension-drop", duration=1.2)
         buses = compile_campaign(campaign, vehicle_seed=11)
         (channel,) = campaign.channels
-        records = buses[channel].run(campaign.duration)
+        window = buses[channel].run(campaign.duration)
         (start, end) = campaign.phases[0].window
-        in_window = [
-            r for r in records if r.frame.can_id == 0x43F and start <= r.queued_at < end
-        ]
-        assert not in_window
-        before = [r for r in records if r.frame.can_id == 0x43F and r.queued_at < start]
-        assert before  # the sender exists and transmits outside the window
+        victim = window.capture.can_ids == 0x43F
+        released = window.queued_at
+        assert not np.any(victim & (start <= released) & (released < end))
+        # The sender exists and transmits outside the window.
+        assert np.any(victim & (released < start))
 
     def test_masquerade_keeps_target_cadence_on_the_wire(self):
         campaign = SCENARIOS.build("masquerade-rpm", duration=1.2)
         buses = compile_campaign(campaign, vehicle_seed=11)
         (channel,) = campaign.channels
-        records = buses[channel].run(campaign.duration)
+        window = buses[channel].run(campaign.duration)
         (start, end) = campaign.phases[0].window
-        in_window = [
-            r for r in records if r.frame.can_id == 0x316 and start <= r.queued_at < end
-        ]
-        assert in_window and all(r.label == "T" for r in in_window)
+        released = window.queued_at
+        in_window = (window.capture.can_ids == 0x316) & (start <= released) & (released < end)
+        assert in_window.any() and np.all(window.capture.labels[in_window] == 1)
 
 
 class TestScenarioRegistry:

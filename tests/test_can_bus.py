@@ -1,9 +1,15 @@
-"""Tests for the bus simulator: arbitration, timing, attack effects."""
+"""Tests for the bus simulator: arbitration, timing, attack effects.
 
+The event-driven reference loop (``BusSimulator.run``) returns an
+``ArbitrationResult``; tests read its columns.
+"""
+
+import numpy as np
 import pytest
 
 from repro.can.attacks import DoSAttacker, FuzzyAttacker
-from repro.can.bus import BusSimulator, bus_load
+from repro.can.bus import BusSimulator
+from repro.can.fastbus import ScheduleArray, simulate_arbitration
 from repro.can.frame import CANFrame
 from repro.can.node import (
     PeriodicSender,
@@ -34,30 +40,47 @@ class TestArbitration:
         bus = BusSimulator(bitrate=500_000)
         bus.attach(_OneShot([(0.0, CANFrame(0x300, bytes(2)))]))
         bus.attach(_OneShot([(0.0, CANFrame(0x100, bytes(2)))]))
-        records = bus.run(0.1)
-        assert [r.frame.can_id for r in records] == [0x100, 0x300]
+        window = bus.run(0.1)
+        assert window.capture.can_ids.tolist() == [0x100, 0x300]
 
     def test_loser_queues_behind_winner(self):
         bus = BusSimulator(bitrate=500_000)
         bus.attach(_OneShot([(0.0, CANFrame(0x100, bytes(8))), (0.0, CANFrame(0x200, bytes(8)))]))
-        first, second = bus.run(0.1)
-        assert second.started_at == pytest.approx(first.timestamp)
-        assert second.queueing_delay > 0
+        window = bus.run(0.1)
+        assert len(window) == 2
+        assert window.started_at[1] == pytest.approx(window.capture.timestamps[0])
+        assert window.started_at[1] - window.queued_at[1] > 0
 
     def test_bus_idle_jumps_to_next_release(self):
         bus = BusSimulator(bitrate=500_000)
         bus.attach(_OneShot([(0.05, CANFrame(0x100, bytes(1)))]))
-        (record,) = bus.run(0.1)
-        assert record.started_at == pytest.approx(0.05)
+        window = bus.run(0.1)
+        assert len(window) == 1
+        assert window.started_at[0] == pytest.approx(0.05)
 
     def test_late_high_priority_does_not_preempt(self):
         """CAN is non-preemptive: a frame in flight finishes."""
         bus = BusSimulator(bitrate=100_000)  # slow bus: long frames
         bus.attach(_OneShot([(0.0, CANFrame(0x400, bytes(8)))]))
         bus.attach(_OneShot([(0.0002, CANFrame(0x001, bytes(1)))]))
-        first, second = bus.run(0.2)
-        assert first.frame.can_id == 0x400
-        assert second.started_at >= first.timestamp
+        window = bus.run(0.2)
+        assert len(window) == 2
+        assert window.capture.can_ids[0] == 0x400
+        assert window.started_at[1] >= window.capture.timestamps[0]
+
+    @pytest.mark.parametrize(
+        "frame, kind",
+        [
+            (CANFrame(0x1ABCDE0, b"\x07", extended=True), "an extended"),
+            (CANFrame(0x100, rtr=True), "an RTR"),
+        ],
+    )
+    def test_frames_a_capture_cannot_hold_rejected(self, frame, kind):
+        """Capture columns have no extended or RTR flag: the loop refuses them."""
+        bus = BusSimulator(bitrate=500_000)
+        bus.attach(_OneShot([(0.0, frame)]))
+        with pytest.raises(CANError, match=f"oneshot released {kind} frame"):
+            bus.run(0.1)
 
     def test_records_sorted_by_time(self, dos_capture):
         times = [r.timestamp for r in dos_capture.records]
@@ -68,9 +91,9 @@ class TestPeriodicTraffic:
     def test_period_respected(self):
         bus = BusSimulator(bitrate=500_000)
         bus.attach(PeriodicSender(0x123, period=0.01, jitter=0.0, phase=0.0, seed=1))
-        records = bus.run(0.1)
+        window = bus.run(0.1)
         # 10 nominal releases; float accumulation may land one extra at ~0.1.
-        assert len(records) in (10, 11)
+        assert len(window) in (10, 11)
 
     def test_jitter_varies_release(self):
         sender = PeriodicSender(0x123, period=0.01, jitter=0.05, phase=0.0, seed=1)
@@ -120,32 +143,30 @@ class TestAttackEffects:
         bus = BusSimulator(bitrate=500_000)
         bus.attach(PeriodicSender(0x300, period=0.001, jitter=0.0, phase=0.0005, seed=1))
         bus.attach(DoSAttacker(windows=[(0.0, 0.5)], interval=0.0003))
-        records = bus.run(0.5)
-        normal = [r for r in records if r.label == "R"]
-        attack = [r for r in records if r.label == "T"]
-        assert len(attack) > len(normal)
-        assert normal, "0.3 ms DoS cadence must leave some bus gaps at 500 kbit/s"
-        mean_delay = sum(r.queueing_delay for r in normal) / len(normal)
-        assert mean_delay > 0.00005  # significant arbitration losses
+        window = bus.run(0.5)
+        normal = window.capture.labels == 0
+        assert (~normal).sum() > normal.sum()
+        assert normal.any(), "0.3 ms DoS cadence must leave some bus gaps at 500 kbit/s"
+        queueing_delay = window.started_at - window.queued_at
+        assert queueing_delay[normal].mean() > 0.00005  # significant arbitration losses
 
     def test_saturating_dos_fully_starves(self):
         """Injection faster than the frame time occupies the whole bus."""
         bus = BusSimulator(bitrate=500_000)
         bus.attach(PeriodicSender(0x300, period=0.001, jitter=0.0, phase=0.0005, seed=1))
         bus.attach(DoSAttacker(windows=[(0.0, 0.5)], interval=0.0002))
-        records = bus.run(0.5)
-        assert all(r.label == "T" for r in records)
+        window = bus.run(0.5)
+        assert len(window) and np.all(window.capture.labels == 1)
 
     def test_dos_frames_always_win_ties(self):
         bus = BusSimulator(bitrate=500_000)
         bus.attach(PeriodicSender(0x100, period=0.0003, jitter=0.0, phase=0.0, seed=1))
         bus.attach(DoSAttacker(windows=[(0.0, 0.1)], interval=0.0003))
-        records = bus.run(0.02)
+        window = bus.run(0.02)
         # At each simultaneous release, 0x000 transmits first.
-        pairs = zip(records, records[1:])
-        for a, b in pairs:
-            if abs(a.queued_at - b.queued_at) < 1e-12:
-                assert a.frame.can_id == 0x000
+        ties = np.abs(np.diff(window.queued_at)) < 1e-12
+        assert ties.any()
+        assert np.all(window.capture.can_ids[:-1][ties] == 0x000)
 
     def test_fuzzy_ids_span_range(self):
         attacker = FuzzyAttacker(windows=[(0.0, 1.0)], interval=0.001, seed=3)
@@ -171,17 +192,17 @@ class TestCaptureHorizon:
         frame = CANFrame(0x100, bytes(8))
         assert frame.duration(100_000) > 0.001
         bus.attach(_OneShot([(0.0, frame), (0.0995, frame)]))
-        records = bus.run(0.1)
-        assert len(records) == 1  # the late frame started before 0.1 but ended after
-        assert records[0].timestamp <= 0.1
+        window = bus.run(0.1)
+        assert len(window) == 1  # the late frame started before 0.1 but ended after
+        assert window.capture.timestamps[0] <= 0.1
 
     def test_all_timestamps_within_window(self):
         bus = BusSimulator(bitrate=500_000)
         bus.attach(PeriodicSender(0x300, period=0.0004, jitter=0.0, phase=0.0, seed=1))
         bus.attach(DoSAttacker(windows=[(0.0, 0.1)], interval=0.0003))
-        records = bus.run(0.1)
-        assert records
-        assert all(r.timestamp <= 0.1 for r in records)
+        window = bus.run(0.1)
+        assert len(window)
+        assert np.all(window.capture.timestamps <= 0.1)
 
     def test_backlog_past_horizon_is_dropped(self):
         """Queued frames whose transmission would begin after the horizon."""
@@ -189,24 +210,25 @@ class TestCaptureHorizon:
         # Ten simultaneous releases of >1 ms frames into a 2.5 ms window:
         # only the first two can complete inside it.
         bus.attach(_OneShot([(0.0, CANFrame(0x100 + i, bytes(8))) for i in range(10)]))
-        records = bus.run(0.0025)
-        assert 0 < len(records) < 10
-        assert all(r.timestamp <= 0.0025 for r in records)
+        window = bus.run(0.0025)
+        assert 0 < len(window) < 10
+        assert np.all(window.capture.timestamps <= 0.0025)
 
 
 class TestBusLoad:
+    """Bus load is a property of a simulated window's result."""
+
     def test_empty(self):
-        assert bus_load([], 1.0, 500_000) == 0.0
+        assert BusSimulator(bitrate=500_000).run(1.0).bus_load() == 0.0
 
     def test_dos_flood_loads_bus(self):
         bus = BusSimulator(bitrate=500_000)
         bus.attach(DoSAttacker(windows=[(0.0, 1.0)], interval=0.0002))
-        records = bus.run(1.0)
-        assert bus_load(records, 1.0, 500_000) > 0.5
+        assert bus.run(1.0).bus_load() > 0.5
 
     def test_invalid_args(self):
         with pytest.raises(CANError):
-            bus_load([], 0.0, 500_000)
+            simulate_arbitration(ScheduleArray.empty(), 500_000, 0.0)
 
     @pytest.mark.parametrize(
         "duration, bitrate, named",
@@ -218,8 +240,11 @@ class TestBusLoad:
         ],
     )
     def test_non_finite_timing_rejected(self, duration, bitrate, named):
+        """The timing a load is a fraction of must be finite, in both engines."""
         with pytest.raises(CANError, match=named):
-            bus_load([], duration, bitrate)
+            simulate_arbitration(ScheduleArray.empty(), bitrate, duration)
+        with pytest.raises(CANError, match=named):
+            BusSimulator(bitrate=bitrate).run(duration)
 
     def test_run_duration_validated(self):
         with pytest.raises(CANError):

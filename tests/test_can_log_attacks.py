@@ -109,6 +109,21 @@ class TestSpoofReplay:
             ReplayAttacker([CANFrame(0x1)], offsets=[0.0, 1.0], windows=[(0.0, 1.0)])
 
     @pytest.mark.parametrize(
+        "frame, named",
+        [
+            (CANFrame(0x1ABCDE0, b"\x07", extended=True), r"frame 1 \(CANFrame\(id=0x1ABCDE0.*extended"),
+            (CANFrame(0x316, rtr=True), r"frame 1 \(CANFrame\(id=0x316.*RTR"),
+        ],
+        ids=["extended", "rtr"],
+    )
+    def test_replay_rejects_frames_a_capture_cannot_hold(self, frame, named):
+        """A capture has no extended or RTR column: such frames fail at construction."""
+        with pytest.raises(CANError, match=named):
+            ReplayAttacker(
+                [CANFrame(0x100), frame], offsets=[0.0, 0.001], windows=[(0.0, 1.0)]
+            )
+
+    @pytest.mark.parametrize(
         "windows",
         [(1.0, 2.0), [(1.0, 2.0, 3.0)], [1.0]],
         ids=["bare-pair", "triple", "scalar"],

@@ -2,16 +2,16 @@
 
 The contract under test (see ``repro.can.fastbus``): the vectorised
 schedule emitters plus the arbitration-replay kernel must reproduce
-``BusSimulator.run`` *exactly* — same winners, same float timestamps,
-same capture-horizon drops — across mixed periodic/attacker topologies,
+``BusSimulator.run`` *exactly* — every column of the two engines'
+``ArbitrationResult``: same winners, same float timestamps, same
+capture-horizon drops — across mixed periodic/attacker topologies,
 bitrates, horizon clipping and quiet buses; a property test covers small
 hand-built buses with and without wire faults.  Because both engines read
 the same schedule, a second property test holds the sender bank behind
 ``build_schedule`` to a per-sender reference emission.  Plus the satellites:
-the vectorised wire-length kernel vs ``CANFrame.bit_length``, the
-columnar ``bus_load`` overload, ``CaptureArray.from_bus_records``,
-non-finite timing inputs, and the picklable process-pool scenario
-workers.
+the vectorised wire-length kernel vs ``CANFrame.bit_length``, the two
+engines' bus loads, non-finite timing inputs, and the picklable
+process-pool scenario workers.
 """
 
 import pickle
@@ -19,6 +19,7 @@ import re
 
 import numpy as np
 import pytest
+from _engine_ab import assert_same_window
 from hypothesis import example, given, settings, strategies as st
 
 from repro.can.attacks import (
@@ -31,8 +32,8 @@ from repro.can.attacks import (
     SpoofingAttacker,
     SuspensionAttacker,
 )
-from repro.can.bus import BusSimulator, bus_load
-from repro.can.campaign import SCENARIOS, scenario_detector
+from repro.can.bus import BusSimulator
+from repro.can.campaign import SCENARIOS, compile_campaign, scenario_detector
 from repro.can.fastbus import (
     _CRC15_TABLE,
     _STUFF_STEP,
@@ -42,17 +43,14 @@ from repro.can.fastbus import (
     build_schedule,
     release_grid,
     schedule_columns,
-    schedule_from_frames,
     simulate_arbitration,
-    source_schedule,
     standard_wire_bits,
 )
 from repro.can.faults import TargetedFault, WireFaultModel
 from repro.can.frame import CANFrame, crc15
-from repro.can.log import CaptureArray, records_from_bus
+from repro.can.log import CaptureArray
 from repro.can.node import (
     PeriodicSender,
-    ScheduledFrame,
     constant_payload,
     counter_payload,
     sensor_payload,
@@ -70,42 +68,33 @@ from repro.utils.rng import new_rng
 
 
 class _OneShot:
-    """Scalar-only source (no ``frames_array``): exercises the fallback."""
+    """A hand-built source: fixed frames at fixed release times.
+
+    Like the library's sources, ``frames`` is materialised from
+    ``frames_array``, so both engines read one set of releases.
+    """
 
     def __init__(self, entries, label="R", source="oneshot"):
         self.entries = entries
         self.label = label
         self.source = source
 
+    def frames_array(self, until):
+        kept = [(release, frame) for release, frame in self.entries if release < until]
+        payloads = np.zeros((len(kept), 8), dtype=np.uint8)
+        for row, (_, frame) in enumerate(kept):
+            payloads[row, : frame.dlc] = np.frombuffer(frame.data, dtype=np.uint8)
+        return schedule_columns(
+            np.array([release for release, _ in kept], dtype=np.float64),
+            np.array([frame.can_id for _, frame in kept], dtype=np.int64),
+            payloads,
+            label=1 if self.label == "T" else 0,
+            source=self.source,
+            dlcs=np.array([frame.dlc for _, frame in kept], dtype=np.int64),
+        )
+
     def frames(self, until):
-        for release, frame in self.entries:
-            if release < until:
-                yield ScheduledFrame(release, frame, self.label, self.source)
-
-
-def _assert_records_match(records, result):
-    """Event-engine records vs one ArbitrationResult, field by field."""
-    capture = result.capture
-    assert len(records) == len(capture)
-    np.testing.assert_array_equal(
-        np.array([r.timestamp for r in records]), capture.timestamps
-    )
-    np.testing.assert_array_equal(
-        np.array([r.frame.can_id for r in records]), capture.can_ids
-    )
-    np.testing.assert_array_equal(
-        np.array([r.queued_at for r in records]), result.queued_at
-    )
-    np.testing.assert_array_equal(
-        np.array([r.started_at for r in records]), result.started_at
-    )
-    np.testing.assert_array_equal(
-        np.array([1 if r.label == "T" else 0 for r in records]), capture.labels
-    )
-    np.testing.assert_array_equal(np.array([r.source for r in records]), result.sources)
-    for index, record in enumerate(records):
-        assert record.frame.data == capture.payloads[index, : capture.dlcs[index]].tobytes()
-        assert record.frame.bit_length() == result.wire_bits[index]
+        yield from self.frames_array(until).scheduled_frames()
 
 
 class TestWireBits:
@@ -313,10 +302,10 @@ class TestEngineEquivalence:
         event_bus.bitrate = float(bitrate)
         columnar_bus = _mixed_topology(seed, duration)
         columnar_bus.bitrate = float(bitrate)
-        records = event_bus.run(duration)
+        event = event_bus.run(duration)
         result = columnar_bus.capture(duration)
-        assert records, "topology must produce traffic"
-        _assert_records_match(records, result)
+        assert len(event), "topology must produce traffic"
+        assert_same_window(event, result)
 
     def test_horizon_clips_backlogged_flood(self):
         """Frames in flight (or queued) at the horizon are dropped."""
@@ -328,16 +317,16 @@ class TestEngineEquivalence:
             bus.attach(DoSAttacker([(0.1, 0.9)], interval=0.0002, seed=5))
             return bus
 
-        records = flooded().run(0.5)
+        event = flooded().run(0.5)
         result = flooded().capture(0.5)
-        assert records[-1].timestamp <= 0.5
-        _assert_records_match(records, result)
+        assert event.capture.timestamps[-1] <= 0.5
+        assert_same_window(event, result)
 
     def test_quiet_bus_yields_empty_capture(self):
         bus = BusSimulator()
         result = bus.capture(1.0)
         assert len(result) == 0
-        assert bus.run(1.0) == []
+        assert_same_window(bus.run(1.0), result)
         assert result.bus_load() == 0.0
 
     def test_simultaneous_release_ties_keep_attach_order_priority(self):
@@ -348,24 +337,10 @@ class TestEngineEquivalence:
             bus.attach(_OneShot([(0.0, CANFrame(0x100, bytes(4)))], source="c"))
             return bus
 
-        records = build().run(0.1)
+        event = build().run(0.1)
         result = build().capture(0.1)
-        assert [r.frame.can_id for r in records] == [0x100, 0x100, 0x300]
-        _assert_records_match(records, result)
-
-    def test_scalar_only_source_falls_back_to_materialisation(self):
-        frame = CANFrame(0x123, b"\x01\x02")
-        extended = CANFrame(0x12345, b"\x03", extended=True)
-
-        def build():
-            bus = BusSimulator(bitrate=250_000)
-            bus.attach(_OneShot([(0.001, frame), (0.002, extended)]))
-            bus.attach(PeriodicSender(0x200, period=0.005, phase=0.0, seed=3))
-            return bus
-
-        records = build().run(0.05)
-        result = build().capture(0.05)
-        _assert_records_match(records, result)
+        assert event.capture.can_ids.tolist() == [0x100, 0x100, 0x300]
+        assert_same_window(event, result)
 
     def test_zero_jitter_periodic_grid_ties(self):
         """Jitter-free senders release on exact grids: many float ties."""
@@ -379,24 +354,29 @@ class TestEngineEquivalence:
             bus.attach(DoSAttacker([(0.0, 0.05)], interval=0.001, seed=9))
             return bus
 
-        records = build().run(0.05)
+        event = build().run(0.05)
         result = build().capture(0.05)
-        _assert_records_match(records, result)
+        assert_same_window(event, result)
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["clean", "ber"])
+    @pytest.mark.parametrize("name", SCENARIOS.names())
+    def test_campaign_topologies_bit_exact(self, name, noisy):
+        """Every registered scenario's channels, clean and under bit errors."""
+        campaign = SCENARIOS.build(name, duration=0.8)
+        faults = WireFaultModel(seed=5, bit_error_rate=5e-4) if noisy else None
+        event_buses = compile_campaign(campaign, vehicle_seed=11)
+        kernel_buses = compile_campaign(campaign, vehicle_seed=11)
+        for channel in campaign.channels:
+            assert_same_window(
+                event_buses[channel].run(campaign.duration, faults=faults),
+                kernel_buses[channel].capture(campaign.duration, faults=faults),
+            )
 
 
 def _capture_equals_run(bus, duration, faults):
-    """``bus.capture`` vs ``bus.run`` record for record, fault fields included."""
-    records = bus.run(duration, faults=faults)
+    """``bus.capture`` vs ``bus.run`` column for column, fault columns included."""
     result = bus.capture(duration, faults=faults)
-    _assert_records_match(records, result)
-    for field, column in (
-        ("corrupted", result.corrupted_mask),
-        ("retries", result.retry_counts),
-        ("bus_off", result.bus_off_mask),
-    ):
-        np.testing.assert_array_equal(
-            np.array([getattr(r, field) for r in records], dtype=column.dtype), column
-        )
+    assert_same_window(bus.run(duration, faults=faults), result)
     return result
 
 
@@ -411,7 +391,7 @@ _TICK = 2.0**-13
 
 @st.composite
 def _small_buses(draw):
-    """A bus of scalar-only sources, a horizon and an optional fault model."""
+    """A bus of hand-built sources, a horizon and an optional fault model."""
     bus = BusSimulator(bitrate=draw(st.sampled_from((125_000, 2**19, 500_000, 1_000_000))))
     for index in range(draw(st.integers(1, 4))):
         ticks = sorted(draw(st.lists(st.integers(0, 60), max_size=10)))
@@ -433,9 +413,6 @@ def _small_buses(draw):
         first, gap = draw(st.integers(0, 30)), draw(st.integers(1, 3))
         flood = [((first + k * gap) * _TICK, CANFrame(0x000, bytes(8))) for k in range(30)]
         bus.attach(_OneShot(flood, label="T", source="flood"))
-    if draw(st.booleans()):
-        extended = CANFrame(0x1ABCDE0, b"\x07", extended=True)
-        bus.attach(_OneShot([(draw(st.integers(0, 60)) * _TICK, extended)], source="ext"))
     # Horizons from mid-backlog to past the last completion.
     duration = draw(st.integers(1, 400)) * _TICK / 2
     kind = draw(st.sampled_from((None, "ber", "targeted")))
@@ -561,7 +538,7 @@ def test_non_finite_timing_rejected_naming_the_value(case):
 
 #: Every ScheduleArray column, compared by dtype, shape and bytes.
 _SCHEDULE_COLUMNS = (
-    "release_times", "can_ids", "dlcs", "payloads", "labels", "sources", "wire_bits"
+    "release_times", "can_ids", "dlcs", "payloads", "labels", "sources"
 )
 
 
@@ -610,7 +587,7 @@ def _reference_schedule(sources, until):
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(PeriodicSender, "frames_array", _per_sender_rows)
-        parts = [source_schedule(source, until) for source in sources]
+        parts = [source.frames_array(until) for source in sources]
     return ScheduleArray.concatenate([part for part in parts if len(part)]).sorted_by_release()
 
 
@@ -675,7 +652,7 @@ def _sources_from(slots, until):
             sources.append(
                 FuzzyAttacker([(0.3 * until, 0.6 * until)], interval=0.0011, seed=args[0])
             )
-        elif kind == "scalar-only":
+        elif kind == "one-shot":
             frames = [(0.0, CANFrame(0x0A0, b"\x01")), (0.5 * until, CANFrame(0x0A0))]
             sources.append(_OneShot(frames))
     return sources
@@ -696,7 +673,7 @@ _SLOTS = st.one_of(
     st.tuples(st.just("again"), st.integers(0, 7)),
     st.tuples(st.just("suspend"), st.sampled_from(("drop", "delay")), *_SENDER_FIELDS),
     st.tuples(st.just("masquerade"), *_SENDER_FIELDS),
-    st.tuples(st.sampled_from(("dos", "fuzzy", "scalar-only")), st.integers(0, 50)),
+    st.tuples(st.sampled_from(("dos", "fuzzy", "one-shot")), st.integers(0, 50)),
 )
 
 #: Slots of senders, repeats, wrappers and attackers, plus a horizon.
@@ -754,14 +731,14 @@ class TestScheduleLayer:
                 ("dos", 0),
                 ("sender", 0x7FF, 0.001, 0.0, 0.0, "counter", 13, None),
                 ("fuzzy", 14),
-                ("scalar-only", 0),
+                ("one-shot", 0),
                 ("sender", 0x000, 0.01, 0.02, None, "shared-sensor", 15, None),
             ],
             0.25,
         )
     )
     def test_bank_matches_every_sender_emitted_alone(self, case):
-        """The sender bank vs the per-sender reference, on all seven columns."""
+        """The sender bank vs the per-sender reference, on all six columns."""
         slots, until = case
         banked, alone = _sources_from(slots, until), _sources_from(slots, until)
         # A second call on the same sources carries on every sender's stream.
@@ -783,7 +760,7 @@ class TestScheduleLayer:
                     assert model(0, np.random.default_rng(0)) == expected, (seed, dlc)
 
     def test_wrapper_columnar_schedule_matches_scalar_iteration(self):
-        """Suspension/masquerade arrays == their scalar streams."""
+        """Suspension/masquerade arrays == their scalar streams, frame for frame."""
         until = 0.6
 
         def victim():
@@ -796,13 +773,9 @@ class TestScheduleLayer:
             lambda: SuspensionAttacker(victim(), [(0.2, 0.4)], mode="drop"),
             lambda: MasqueradeAttacker(victim(), [(0.1, 0.5)], seed=8),
         ):
-            scalar = schedule_from_frames(wrapper_of().frames(until))
-            columnar = wrapper_of().frames_array(until)
-            np.testing.assert_array_equal(scalar.release_times, columnar.release_times)
-            np.testing.assert_array_equal(scalar.can_ids, columnar.can_ids)
-            np.testing.assert_array_equal(scalar.payloads, columnar.payloads)
-            np.testing.assert_array_equal(scalar.labels, columnar.labels)
-            np.testing.assert_array_equal(scalar.sources, columnar.sources)
+            scalar = list(wrapper_of().frames(until))
+            columnar = list(wrapper_of().frames_array(until).scheduled_frames())
+            assert scalar and scalar == columnar
 
     def test_build_schedule_sorts_stably_like_the_event_merge(self):
         bus = _mixed_topology(3, 1.0)
@@ -818,7 +791,6 @@ class TestScheduleLayer:
             payloads=np.zeros((2, 8), dtype=np.uint8),
             labels=np.zeros(2, dtype=np.int64),
             sources=np.array(["a", "b"]),
-            wire_bits=np.array([-1, -1], dtype=np.int64),
         )
         with pytest.raises(CANError, match="release-sorted"):
             simulate_arbitration(schedule, 500_000, 1.0)
@@ -826,33 +798,15 @@ class TestScheduleLayer:
 
 class TestColumnarConversions:
     def test_bus_load_capture_overload_matches_record_loop(self):
-        bus = build_vehicle_bus(vehicle_seed=2)
-        records = bus.run(0.5)
-        capture = CaptureArray.from_bus_records(records)
-        assert bus_load(capture, 0.5, bus.bitrate) == bus_load(records, 0.5, bus.bitrate)
-
-    def test_from_bus_records_skips_intermediate_records(self):
-        bus = build_vehicle_bus(vehicle_seed=2)
-        bus.attach(DoSAttacker([(0.1, 0.3)], seed=2))
-        records = bus.run(0.4)
-        direct = CaptureArray.from_bus_records(records)
-        via_log_records = CaptureArray.from_records(records_from_bus(records))
-        np.testing.assert_array_equal(direct.timestamps, via_log_records.timestamps)
-        np.testing.assert_array_equal(direct.can_ids, via_log_records.can_ids)
-        np.testing.assert_array_equal(direct.dlcs, via_log_records.dlcs)
-        np.testing.assert_array_equal(direct.payloads, via_log_records.payloads)
-        np.testing.assert_array_equal(direct.labels, via_log_records.labels)
+        """The kernel's bus load equals the event loop's ``bit_length()`` sum."""
+        columnar = build_vehicle_bus(vehicle_seed=2).capture(0.5)
+        event = build_vehicle_bus(vehicle_seed=2).run(0.5)
+        assert 0.0 < columnar.bus_load() == event.bus_load()
 
     def test_coerce_unwraps_arbitration_result(self):
         bus = build_vehicle_bus(vehicle_seed=1)
-        result = bus.capture(0.2)
-        assert CaptureArray.coerce(result) is result.capture
-
-    def test_to_bus_records_round_trip(self):
-        bus = build_vehicle_bus(vehicle_seed=1)
-        reference = build_vehicle_bus(vehicle_seed=1)
-        materialised = bus.capture(0.3).to_bus_records()
-        assert materialised == reference.run(0.3)
+        for result in (bus.capture(0.2), bus.run(0.2)):
+            assert CaptureArray.coerce(result) is result.capture
 
 
 class TestGatewayEngines:

@@ -30,6 +30,7 @@ import threading
 import time
 from itertools import count
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -296,6 +297,20 @@ class TestResilienceOptions:
             ExecOptions(timeout_s=0.0)
         with pytest.raises(ConfigError, match="max_retries"):
             ExecOptions(max_retries=-1)
+
+    @pytest.mark.parametrize("knob", ["max_workers", "max_retries"])
+    @pytest.mark.parametrize("value", [2.5, 1.5, 2.0, True, "2"])
+    def test_non_integer_counts_rejected(self, knob, value):
+        """A float worker count would start a thread per started unit, or
+        die inside the process pool; a float retry budget rounds up."""
+        with pytest.raises(ConfigError, match=f"{knob} must be an integer, got {value!r}"):
+            ExecOptions(**{knob: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        options = ExecOptions(max_workers=np.int64(2), max_retries=np.int32(0))
+        assert options.workers_for(8) == 2 and options.max_retries == 0
+        with pytest.raises(ConfigError, match="max_workers must be >= 1, got 0"):
+            ExecOptions(max_workers=np.int64(0))
 
     @pytest.mark.parametrize("timeout_s", [float("nan"), float("inf")])
     def test_non_finite_timeout_rejected(self, timeout_s):

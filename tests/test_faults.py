@@ -14,6 +14,7 @@ import pickle
 
 import numpy as np
 import pytest
+from _engine_ab import assert_same_window
 
 from repro.can.attacks import BusOffAttacker, DoSAttacker, FuzzyAttacker
 from repro.can.campaign import SCENARIOS, compile_campaign
@@ -40,34 +41,6 @@ def _noisy_topology(seed: int):
     bus.attach(DoSAttacker([(0.2, 0.7)], interval=0.002, seed=seed))
     bus.attach(FuzzyAttacker([(0.6, 1.1)], seed=seed + 1))
     return bus
-
-
-def _assert_faulted_match(records, result):
-    """Event-engine records vs one ArbitrationResult, fault fields included."""
-    capture = result.capture
-    assert len(records) == len(capture)
-    np.testing.assert_array_equal(
-        np.array([r.timestamp for r in records]), capture.timestamps
-    )
-    np.testing.assert_array_equal(
-        np.array([r.frame.can_id for r in records]), capture.can_ids
-    )
-    np.testing.assert_array_equal(
-        np.array([r.queued_at for r in records]), result.queued_at
-    )
-    np.testing.assert_array_equal(
-        np.array([r.started_at for r in records]), result.started_at
-    )
-    np.testing.assert_array_equal(np.array([r.source for r in records]), result.sources)
-    np.testing.assert_array_equal(
-        np.array([r.corrupted for r in records]), result.corrupted_mask
-    )
-    np.testing.assert_array_equal(
-        np.array([r.retries for r in records]), result.retry_counts
-    )
-    np.testing.assert_array_equal(
-        np.array([r.bus_off for r in records]), result.bus_off_mask
-    )
 
 
 class TestWireFaultModelValidation:
@@ -193,21 +166,21 @@ class TestEngineEquivalenceUnderFaults:
         """The randomized CI sweep with BER > 0: both engines, all fields."""
         duration = 1.5
         model = WireFaultModel(seed=seed, bit_error_rate=ber)
-        records = _noisy_topology(seed).run(duration, faults=model)
+        event = _noisy_topology(seed).run(duration, faults=model)
         result = _noisy_topology(seed).capture(duration, faults=model)
-        assert records, "topology must produce traffic"
-        assert any(r.corrupted for r in records), "noise must actually bite"
-        _assert_faulted_match(records, result)
+        assert len(event), "topology must produce traffic"
+        assert event.corrupted_mask.any(), "noise must actually bite"
+        assert_same_window(event, result)
 
     def test_targeted_faults_bit_exact(self):
         duration = 1.5
         model = WireFaultModel(seed=4, bit_error_rate=1e-4).with_targets(
             [TargetedFault(0.3, 0.9, attempts=2, can_id=0x43F)]
         )
-        records = _noisy_topology(4).run(duration, faults=model)
+        event = _noisy_topology(4).run(duration, faults=model)
         result = _noisy_topology(4).capture(duration, faults=model)
-        assert any(r.corrupted and r.frame.can_id == 0x43F for r in records)
-        _assert_faulted_match(records, result)
+        assert (event.corrupted_mask & (event.capture.can_ids == 0x43F)).any()
+        assert_same_window(event, result)
 
     def test_simulate_arbitration_takes_the_model_directly(self):
         from repro.can.fastbus import build_schedule, simulate_arbitration
@@ -225,11 +198,12 @@ class TestEngineEquivalenceUnderFaults:
         clean = _noisy_topology(7).run(duration)
         gated = _noisy_topology(7).run(duration, faults=WireFaultModel(seed=99))
         assert len(clean) == len(gated)
-        for before, after in zip(clean, gated):
-            assert before.timestamp == after.timestamp
-            assert before.frame.can_id == after.frame.can_id
-            assert before.queued_at == after.queued_at
-            assert not after.corrupted and after.retries == 0 and not after.bus_off
+        np.testing.assert_array_equal(clean.capture.timestamps, gated.capture.timestamps)
+        np.testing.assert_array_equal(clean.capture.can_ids, gated.capture.can_ids)
+        np.testing.assert_array_equal(clean.queued_at, gated.queued_at)
+        assert gated.corrupted is None
+        assert not gated.corrupted_mask.any() and not gated.retry_counts.any()
+        assert not gated.bus_off_mask.any()
 
     def test_zero_fault_model_columnar_identity(self):
         duration = 1.0
@@ -313,16 +287,13 @@ class TestFaultConfinement:
         model = WireFaultModel(seed=1, recovery="none").with_targets(
             [TargetedFault(0.1, 2.0, attempts=8, can_id=0x43F)]
         )
-        records = bus.run(2.0, faults=model)
-        corrupted = [r for r in records if r.corrupted]
-        assert corrupted and all(r.frame.can_id == 0x43F for r in corrupted)
-        fatal = [r for r in records if r.bus_off]
-        assert len(fatal) == 1
-        after = fatal[0].timestamp
-        assert not any(
-            r.frame.can_id == 0x43F and r.timestamp > after and not r.corrupted
-            for r in records
-        )
+        window = bus.run(2.0, faults=model)
+        ids, timestamps = window.capture.can_ids, window.capture.timestamps
+        corrupted = window.corrupted_mask
+        assert corrupted.any() and np.all(ids[corrupted] == 0x43F)
+        (fatal,) = np.flatnonzero(window.bus_off_mask)
+        after = timestamps[fatal]
+        assert not np.any((ids == 0x43F) & (timestamps > after) & ~corrupted)
 
 
 class TestBusOffAttacker:
@@ -368,12 +339,12 @@ class TestBusOffScenarios:
     def test_victim_scenario_forces_bus_off(self):
         campaign = SCENARIOS.build("bus-off-victim", duration=3.0)
         buses = compile_campaign(campaign, vehicle_seed=0)
-        records = buses["powertrain"].run(campaign.duration)
-        corrupted = [r for r in records if r.corrupted]
-        assert corrupted and all(r.frame.can_id == 0x43F for r in corrupted)
-        assert any(r.bus_off for r in records), "the victim must reach bus-off"
+        window = buses["powertrain"].run(campaign.duration)
+        corrupted = window.corrupted_mask
+        assert corrupted.any() and np.all(window.capture.can_ids[corrupted] == 0x43F)
+        assert window.bus_off_mask.any(), "the victim must reach bus-off"
         start, end = campaign.phases[0].window
-        assert all(start <= r.timestamp for r in corrupted)
+        assert np.all(start <= window.capture.timestamps[corrupted])
 
     def test_under_flood_scenario_jams_both_channels(self):
         campaign = SCENARIOS.build("bus-off-under-flood", duration=3.0)

@@ -22,6 +22,7 @@ if str(REPO_ROOT) not in sys.path:  # tools/ lives at the repo root, not src/
 from tools.reprolint import run_lint  # noqa: E402
 from tools.reprolint.cli import main as reprolint_main  # noqa: E402
 from tools.reprolint.core import registered_rules  # noqa: E402
+from tools.reprolint.project import LintConfig  # noqa: E402
 from tools.reprolint.reporters import render_json, render_text  # noqa: E402
 
 FIXTURES = REPO_ROOT / "tests" / "lint_fixtures"
@@ -71,6 +72,28 @@ class TestRuleFiring:
         assert violation.path.endswith("lint_fixtures/dtype_violation.py")
         assert violation.line > 1
         assert f":{violation.line}: [dtype-discipline]" in violation.render()
+
+
+class TestHotPathWhitelist:
+    def test_stale_whitelist_entry_is_reported(self, tmp_path):
+        target = tmp_path / "kernel.py"
+        target.write_text(
+            "def scalar_helper(frames):\n"
+            "    for frame in frames:\n"
+            "        yield frame\n",
+            encoding="utf-8",
+        )
+
+        def lint(*names):
+            config = LintConfig(columnar_modules={"kernel.py": frozenset(names)})
+            return run_lint([target], root=tmp_path, config=config)
+
+        result = lint("scalar_helper", "deleted_helper")
+        assert [v.rule for v in result.violations] == ["hot-path-purity"]
+        assert "'deleted_helper'" in result.violations[0].message
+        # Dropping the stale entry leaves the live one sanctioning its loop.
+        assert lint("scalar_helper").clean
+        assert [v.rule for v in lint().violations] == ["hot-path-purity"]
 
 
 class TestSuppressionSyntax:

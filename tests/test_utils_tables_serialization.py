@@ -1,9 +1,7 @@
-"""Tests for table rendering and JSON serialisation helpers."""
+"""Tests for table rendering helpers."""
 
-import numpy as np
 import pytest
 
-from repro.utils.serialization import from_json_file, to_json_file, to_jsonable
 from repro.utils.tables import Table, format_si
 
 
@@ -53,18 +51,3 @@ class TestTable:
         header, rule, row1, row2 = table.render().splitlines()
         assert len(header) == len(rule) == len(row1) == len(row2)
 
-
-class TestSerialization:
-    def test_numpy_scalars_and_arrays(self):
-        data = {"a": np.int64(3), "b": np.float32(1.5), "c": np.arange(3), "d": np.bool_(True)}
-        out = to_jsonable(data)
-        assert out == {"a": 3, "b": 1.5, "c": [0, 1, 2], "d": True}
-
-    def test_nested_containers(self):
-        out = to_jsonable([{"x": (np.float64(2.0),)}])
-        assert out == [{"x": [2.0]}]
-
-    def test_file_roundtrip(self, tmp_path):
-        payload = {"metrics": {"f1": 99.99}, "topology": [79, 64, 2]}
-        path = to_json_file(payload, tmp_path / "sub" / "result.json")
-        assert from_json_file(path) == payload

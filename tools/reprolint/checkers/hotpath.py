@@ -15,12 +15,13 @@ flags:
   ``CarHackingCapture`` — hot paths must take ``.capture`` instead);
 * per-element ``CANFrame(...)`` construction.
 
-Each module's sanctioned scalar helpers (A/B materialisers, CSV I/O,
-table builders run once at import) are whitelisted in
-:mod:`tools.reprolint.project`; anything else needs an inline
-suppression with a justification.  ``while`` loops are not flagged:
-the fastbus arbitration sweep is one, an exact sequential replay of
-the event engine.
+Each module's sanctioned scalar helpers (CSV I/O, table builders run
+once at import) are whitelisted in :mod:`tools.reprolint.project`;
+anything else needs an inline suppression with a justification.  A
+whitelist entry that names no function in its module is reported too,
+so deleting a helper also drops its sanction.  ``while`` loops are not
+flagged: the fastbus arbitration sweep is one, an exact sequential
+replay of the event engine.
 """
 
 from __future__ import annotations
@@ -37,12 +38,28 @@ class HotPathPurity(Checker):
     description = (
         "columnar modules may not iterate frames in for-loops, call "
         ".to_records(), read .records, or construct CANFrame per "
-        "element outside whitelisted helpers"
+        "element outside whitelisted helpers, and may not whitelist "
+        "helpers they do not define"
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[Violation]:
         if "columnar" not in ctx.roles:
             return
+        defined = {
+            node.name
+            for node in ast.walk(ctx.tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        for name in sorted(ctx.hot_path_whitelist - defined):
+            yield Violation(
+                path=ctx.rel,
+                line=1,
+                rule=self.name,
+                message=(
+                    f"hot-path whitelist names {name!r}, which is no function "
+                    "in this module; drop the stale entry"
+                ),
+            )
         yield from self._walk(ctx, ctx.tree, in_whitelisted=False)
 
     def _walk(

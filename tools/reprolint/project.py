@@ -8,9 +8,10 @@ Roles map modules to rule families:
   picks platform-dependent integer widths (CRC/stuffing/accumulator
   math must not change meaning between Linux int64 and Windows int32).
 * ``columnar`` — hot-path modules that must stay vectorised; the
-  per-module whitelist names the sanctioned scalar helpers (A/B
-  materialisers, CSV I/O, the contended-run replay loops, lookup-table
-  builders run once at import).
+  per-module whitelist names the sanctioned scalar helpers (the scalar
+  ``frames()`` shim, CSV I/O, the FIFO overflow replay, lookup-table
+  builders run once at import).  An entry that names no function in
+  its module is itself a ``hot-path-purity`` violation.
 * ``sim`` — simulation modules where wall-clock reads would leak host
   time into virtual-time results (benchmarks own wall-clock).
 * ``typed-core`` — the strict-mypy module list (mirrored in
@@ -57,14 +58,12 @@ class LintConfig:
     columnar_modules: Mapping[str, frozenset[str]] = field(
         default_factory=lambda: _freeze(
             {
-                # Sanctioned scalar paths: the event-engine materialisers
-                # used for A/B comparisons, the scalar frames() shim, and
-                # the wire-length table builders (run once at import).
+                # Sanctioned scalar paths: the scalar frames() shim the
+                # event engine merges, and the wire-length table builders
+                # (run once at import).
                 "src/repro/can/fastbus.py": frozenset(
                     {
                         "scheduled_frames",
-                        "schedule_from_frames",
-                        "to_bus_records",
                         "_crc15_byte_table",
                         "_stuff_step",
                         "_stuff_tables",
