@@ -98,7 +98,7 @@ def test_bench_compiled_engine_speedup(bench_ip):
     engine = engine_for(bench_ip)
     repeats = 1 if SMOKE else 3
 
-    graph_s, graph_labels = _best_of(lambda: accel.run_batch(features, compiled=False), repeats)
+    graph_s, graph_labels = _best_of(lambda: accel.ip.run(features), repeats)
     compiled_s, compiled_labels = _best_of(lambda: accel.run_batch(features), repeats)
     assert np.array_equal(graph_labels, compiled_labels)
     speedup = graph_s / compiled_s

@@ -8,6 +8,10 @@ encoders are provided:
   + 4 DLC bits + 64 payload bits = **79 binary inputs**.  Binary inputs
   quantise exactly (the input QuantIdentity is lossless on them) and
   make the first hardware layer cheap, as in FINN-style accelerators.
+  Both of its paths emit ``bool`` arrays: the compiled engine
+  (:mod:`repro.finn.compiled`) takes those bits as they are, with no
+  float quantiser pass.  Identifiers outside 0–0x7FF and negative DLCs
+  raise :class:`~repro.errors.DatasetError` on both paths.
 * :class:`ByteFeatureEncoder` — 10 normalised features (ID, DLC, 8
   payload bytes); a compact ablation encoding.
 * :class:`WindowFeatureEncoder` — stacks the features of the last *k*
@@ -19,6 +23,7 @@ Every encoder has two equivalent paths: the per-frame reference
 (``encode_batch``) over the columnar :class:`~repro.can.log.CaptureArray`.
 The vectorised path is bit-exact with the reference — pinned by
 regression tests — and is what ``encode`` and the ECU pipeline use.
+``encode`` is the training-set API and always returns float64 features.
 """
 
 from __future__ import annotations
@@ -79,36 +84,60 @@ class FeatureEncoder:
         Empty captures yield ``(0, F)`` features and ``(0,)`` labels.
         """
         capture = CaptureArray.coerce(records)
-        return self.encode_batch(capture), capture.labels.astype(np.int64)
+        features = np.asarray(self.encode_batch(capture), dtype=np.float64)
+        return features, capture.labels.astype(np.int64)
+
+
+def _check_header(can_ids: np.ndarray, dlcs: np.ndarray) -> None:
+    """Raise :class:`DatasetError` for ids outside 0–0x7FF or negative DLCs.
+
+    DLCs above 15 are clamped to 15, not refused.
+    """
+    low, high = int(can_ids.min()), int(can_ids.max())
+    if low < 0 or high > MAX_STANDARD_ID:
+        bad = low if low < 0 else high
+        sign = "-" if bad < 0 else ""
+        raise DatasetError(
+            f"bit encoder expects standard ids (0 to 0x7FF), got {sign}0x{abs(bad):X}"
+        )
+    if int(dlcs.min()) < 0:
+        raise DatasetError(f"bit encoder expects non-negative DLCs, got {int(dlcs.min())}")
 
 
 class BitFeatureEncoder(FeatureEncoder):
-    """79 binary features: ID(11) + DLC(4) + payload(64, zero padded)."""
+    """79 binary features: ID(11) + DLC(4) + payload(64, zero padded), as ``bool``."""
 
     num_features = 11 + 4 + 64
 
     def encode_frame(self, record: CANLogRecord) -> np.ndarray:
-        if record.can_id > MAX_STANDARD_ID:
-            raise DatasetError(f"bit encoder expects standard ids, got 0x{record.can_id:X}")
+        _check_header(np.array([record.can_id]), np.array([record.dlc]))
         id_bits = int_to_bits(record.can_id, 11)
         dlc_bits = int_to_bits(min(record.dlc, 15), 4)
         payload = record.data + bytes(8 - len(record.data))
         data_bits = bytes_to_bits(payload)
-        return np.concatenate([id_bits, dlc_bits, data_bits]).astype(np.float64)
+        return np.concatenate([id_bits, dlc_bits, data_bits]).astype(np.bool_)
+
+    def _empty_batch(self) -> np.ndarray:
+        return np.zeros((0, self.num_features), dtype=np.bool_)
 
     def encode_batch(self, capture: CaptureArray) -> np.ndarray:
+        """The (N, 79) bits of a capture: a ``bool`` view of one unpacked block.
+
+        Each frame packs into ten bytes: a big-endian 16-bit word holding
+        one pad bit, the identifier and the DLC (MSB first, as
+        :func:`int_to_bits`), then the eight payload bytes (MSB first per
+        byte, as :func:`bytes_to_bits`).  One ``unpackbits`` expands all
+        of them, and the pad column is sliced off.
+        """
         if len(capture) == 0:
             return self._empty_batch()
-        if int(capture.can_ids.max()) > MAX_STANDARD_ID:
-            bad = int(capture.can_ids.max())
-            raise DatasetError(f"bit encoder expects standard ids, got 0x{bad:X}")
-        out = np.empty((len(capture), self.num_features), dtype=np.float64)
-        # Identifier and DLC bits, MSB first (matches int_to_bits).
-        out[:, :11] = (capture.can_ids[:, None] >> np.arange(10, -1, -1)) & 1
-        out[:, 11:15] = (np.minimum(capture.dlcs, 15)[:, None] >> np.arange(3, -1, -1)) & 1
-        # Payload bits, MSB first per byte (matches bytes_to_bits).
-        out[:, 15:] = np.unpackbits(capture.payloads, axis=1)
-        return out
+        _check_header(capture.can_ids, capture.dlcs)
+        header = (capture.can_ids << 4) | np.minimum(capture.dlcs, 15)
+        packed = np.empty((len(capture), 10), dtype=np.uint8)
+        packed[:, 0] = header >> 8
+        packed[:, 1] = header & 0xFF
+        packed[:, 2:] = capture.payloads
+        return np.unpackbits(packed, axis=1)[:, 1:].view(np.bool_)
 
 
 class ByteFeatureEncoder(FeatureEncoder):

@@ -17,11 +17,27 @@ bit-exact against ``DataflowGraph.execute`` but built from flat kernels:
   reorder the reduction; any subset of products is still bounded by
   the sum of absolute products).  With ``B < 2**24`` float32 BLAS is
   exact — and ~15x faster than numpy's integer matmul.
-* **Shift-and-clamp thresholds.**  Power-of-two quantiser scales give
-  every MultiThreshold channel thresholds ``T0 + k*D`` with ``D`` a
-  power of two, so the staircase is ``clamp(floor((acc - (T0 - D)) /
-  D), 0, steps)``: five in-place passes over the accumulators, whatever
-  the step count, instead of the dense ``>=`` broadcast.
+* **Staircases folded into the matmul.**  Power-of-two quantiser scales
+  give every MultiThreshold channel thresholds ``T0 + k*D`` with ``D`` a
+  power of two, so the staircase is ``clip(floor((acc - (T0 - D)) / D),
+  0, steps)``.  Compilation folds ``1/D`` and the offset into the
+  layer's float32 operand, ``[W / D; (D - T0) / D]``, whose last row
+  multiplies a ones column that every activation buffer carries.  Each
+  layer is then ``clip(floor(x @ operand), 0, steps)``: one SGEMM and
+  two passes, whatever the step count, instead of the dense ``>=``
+  broadcast.  ``1/D`` is a power of two, so every term and every
+  partial sum, in any BLAS order and with FMA, is an integer multiple
+  of ``1/D`` of magnitude at most ``(B + |T0 - D|) / D``, and
+  compilation refuses ``B + |T0 - D| >= 2**24``: nothing rounds.
+  ``floor`` and ``clip`` leave the ones column at 1.
+* **Bits in.**  A ``bool`` feature matrix (what
+  :class:`~repro.datasets.features.BitFeatureEncoder` emits) fills the
+  input buffer as ``bits * q1``, ``q1`` being the quantised 1.0: every
+  quantiser maps 0.0 to 0, so that one multiply is the input quantiser,
+  exactly.  Float features take the float64 quantiser.  Only float and
+  integer inputs can carry NaN, so only on those routes does the first
+  layer map a NaN accumulator to 0 steps (``NaN >= t`` is False in the
+  graph); every later layer's input is finite.
 * **Preallocated chunk buffers.**  Batches stream through fixed
   per-layer scratch buffers (thread-local, so one engine can serve
   several gateway channels or campaign-sweep workers concurrently)
@@ -57,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.quant.export import ActQuantExport
 
 from repro.errors import CompileError, ShapeError, VerificationError
-from repro.finn.build import input_quant_range
+from repro.finn.build import input_quant_range, quantize_features
 from repro.finn.graph import (
     ArgMaxNode,
     DataflowGraph,
@@ -83,10 +99,10 @@ _F32_EXACT = 2**24
 
 @dataclass(frozen=True)
 class _Staircase:
-    """A MultiThreshold layer as ``clamp(floor((acc - offset) * factor), 0, steps)``."""
+    """A MultiThreshold layer as ``clip(floor(acc * scale + bias), 0, steps)``."""
 
-    offset: np.ndarray  #: per-channel ``T0 - D`` (``T0`` clipped), float32
-    factor: np.ndarray  #: per-channel ``1/D``, float32 (exact: ``D`` is a power of two)
+    scale: np.ndarray  #: per-channel ``1/D``, float32 (exact: ``D`` is a power of two)
+    bias: np.ndarray  #: per-channel ``(D - T0) / D`` (``T0`` clipped), float32
     steps: int
 
 
@@ -95,13 +111,15 @@ class _LayerPlan:
     """One fused MatMul(+MultiThreshold) stage of the engine."""
 
     name: str
-    operand: np.ndarray  #: (in, out) contiguous float32 matmul operand
+    #: (in + 1, out) contiguous float32 operand; its last row (the folded
+    #: staircase bias, zero on the final layer) meets the ones column.
+    operand: np.ndarray
     abs_bound: int  #: worst-case |accumulator|
-    staircase: _Staircase | None  #: None on the final (ScaleBias) layer
+    steps: int | None  #: staircase height; None on the final (ScaleBias) layer
 
     @property
     def in_features(self) -> int:
-        return int(self.operand.shape[0])
+        return int(self.operand.shape[0]) - 1
 
     @property
     def out_features(self) -> int:
@@ -109,14 +127,21 @@ class _LayerPlan:
 
 
 class _Scratch:
-    """Per-thread preallocated chunk buffers for one engine."""
+    """Per-thread preallocated chunk buffers for one engine.
+
+    ``acts[0]`` holds the inputs and ``acts[i + 1]`` layer ``i``'s
+    output: each layer's accumulators become its activation counts in
+    place and feed the next matmul directly.  Every buffer that feeds a
+    matmul ends in a ones column, set here once; the final accumulators
+    have none.  The float64 quantiser buffer is made on the first float
+    chunk, so bit and integer inputs never allocate it.
+    """
 
     def __init__(self, layers: list[_LayerPlan], rows: int) -> None:
-        self.quant = np.empty((rows, layers[0].in_features), dtype=np.float64)
-        self.inputs = np.empty((rows, layers[0].in_features), dtype=np.float32)
-        # Each layer's accumulators become its activation counts in place
-        # and feed the next matmul directly.
-        self.accs = [np.empty((rows, layer.out_features), dtype=np.float32) for layer in layers]
+        self.quant: np.ndarray | None = None
+        widths = [layers[0].in_features] + [layer.out_features for layer in layers]
+        self.acts = [np.ones((rows, width + 1), dtype=np.float32) for width in widths[:-1]]
+        self.acts.append(np.empty((rows, widths[-1]), dtype=np.float32))
 
 
 class CompiledEngine:
@@ -150,6 +175,9 @@ class CompiledEngine:
         self.input_quant = input_quant
         if input_quant is not None:
             self._qmin, self._qmax = input_quant_range(input_quant)
+            # The quantised 1.0: a bit matrix fills the inputs as bits * q1.
+            one = np.ones((1, 1), dtype=np.float64)
+            self._q1 = np.float32(quantize_features(input_quant, one)[0, 0])
         self.source_graph = source_graph
         input_dtype = source_graph.input_info.dtype
         self._input_range = (input_dtype.min, input_dtype.max)
@@ -175,24 +203,27 @@ class CompiledEngine:
 
         Bit-exact against :meth:`AcceleratorIP.run` (same input
         quantiser, same staircase semantics, same argmax tie-breaking).
-        Input quantisation is fused into the chunk loop — the same
-        divide/round/clip sequence as
+        A ``bool`` matrix fills the inputs as ``bits * q1``; any other
+        dtype is read as float64 and quantised in the chunk loop — the
+        same divide/round/clip sequence as
         :func:`~repro.finn.build.quantize_features`, but through
         preallocated buffers instead of five batch-sized temporaries.
         """
-        if self.input_quant is None:
-            raise CompileError("engine was compiled without an input quantiser")
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        labels, _ = self._forward(features, want_logits=False, quantize=True)
+        labels, _ = self._forward(self._raw_features(features), want_logits=False, quantize=True)
         return labels
 
     def logits(self, features: np.ndarray) -> np.ndarray:
-        """De-quantised float64 logits for raw feature vectors."""
+        """De-quantised float64 logits for raw feature vectors (or bits)."""
+        _, logits = self._forward(self._raw_features(features), want_logits=True, quantize=True)
+        return logits
+
+    def _raw_features(self, features: np.ndarray) -> np.ndarray:
         if self.input_quant is None:
             raise CompileError("engine was compiled without an input quantiser")
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        _, logits = self._forward(features, want_logits=True, quantize=True)
-        return logits
+        features = np.atleast_2d(np.asarray(features))
+        if features.dtype != np.bool_:
+            features = features.astype(np.float64, copy=False)
+        return features
 
     def run_quantized(self, x_int: np.ndarray) -> np.ndarray:
         """Classify already-quantised integer inputs (graph input domain).
@@ -233,7 +264,7 @@ class CompiledEngine:
             + (" -> argmax" if self.has_argmax else " (logits)")
         ]
         for layer in self._layers:
-            kernel = "scale-bias" if layer.staircase is None else "shift"
+            kernel = "scale-bias" if layer.steps is None else "shift"
             lines.append(
                 f"  {layer.name:<16} {layer.in_features}x{layer.out_features} "
                 f"float32 |acc|<={layer.abs_bound} [{kernel}]"
@@ -268,8 +299,10 @@ class CompiledEngine:
 
     def _quantize_chunk(self, chunk: np.ndarray, scratch: _Scratch) -> np.ndarray:
         """In-place replay of :func:`quantize_features` on one chunk."""
+        if scratch.quant is None:
+            scratch.quant = np.empty((self.chunk_size, self.input_features), dtype=np.float64)
         quantized = scratch.quant[: chunk.shape[0]]
-        assert self.input_quant is not None  # guarded by the predict() entry check
+        assert self.input_quant is not None  # guarded by the _raw_features() entry check
         np.divide(chunk, self.input_quant.scale, out=quantized)
         quantized += 0.5
         np.floor(quantized, out=quantized)
@@ -285,18 +318,24 @@ class CompiledEngine:
         quantize: bool = False,
     ) -> None:
         rows = chunk.shape[0]
-        if quantize:
-            chunk = self._quantize_chunk(chunk, scratch)
-        x = scratch.inputs[:rows]
-        # Quantised inputs are small integers: the float32 cast is lossless.
-        np.copyto(x, chunk, casting="unsafe")
-        for layer, buffer in zip(self._layers, scratch.accs):
-            acc = buffer[:rows]
-            np.matmul(x, layer.operand, out=acc)
-            if layer.staircase is None:
-                self._finish(acc, labels_out, logits_out)
+        x = scratch.acts[0][:rows]
+        # Bits carry no NaN; float and integer inputs may.
+        finite = chunk.dtype == np.bool_
+        if finite:
+            np.multiply(chunk, self._q1, out=x[:, :-1])
+        else:
+            if quantize:
+                chunk = self._quantize_chunk(chunk, scratch)
+            # Quantised inputs are small integers: the float32 cast is lossless.
+            np.copyto(x[:, :-1], chunk, casting="unsafe")
+        for layer, buffer in zip(self._layers, scratch.acts[1:]):
+            out = buffer[:rows]
+            if layer.steps is None:
+                np.matmul(x, layer.operand, out=out)
+                self._finish(out, labels_out, logits_out)
                 return
-            x = _shift_staircase(acc, layer.staircase)
+            x = _shift_layer(x, layer.operand, out, layer.steps, finite)
+            finite = True  # counts in [0, steps]
 
     def _finish(self, acc: np.ndarray, labels_out: np.ndarray, logits_out: np.ndarray | None) -> None:
         if logits_out is None and self._int_argmax:
@@ -311,27 +350,32 @@ class CompiledEngine:
         np.argmax(logits, axis=1, out=labels_out)
 
 
-def _shift_staircase(acc: np.ndarray, staircase: _Staircase) -> np.ndarray:
-    """Apply one MultiThreshold layer to float32 ``acc`` in place.
+def _shift_layer(
+    x: np.ndarray, operand: np.ndarray, out: np.ndarray, steps: int, finite: bool
+) -> np.ndarray:
+    """One folded MatMul + MultiThreshold layer, into ``out``.
 
-    Returns ``acc`` holding ``clamp(floor((acc - (T0 - D)) / D), 0,
-    steps)``: the number of thresholds ``T0 + k*D`` at or below each
-    accumulator.  :func:`_shift_plan` keeps every intermediate an
-    integer below ``2**24``, and ``1/D`` is a power of two, so no step
-    rounds.  ``fmax`` maps NaN to 0 steps (``NaN >= t`` is False in the
-    graph) and -0.0 to +0.0.  ``np.floor_divide`` gives the same counts
-    but measured ~15x slower (2.0 vs 0.13 µs per 64-channel row).
+    ``x`` and ``out`` end in a ones column; ``operand`` is ``[W / D;
+    (D - T0) / D]``.  Writes the SGEMM into ``out[:, :C]``, then runs
+    ``clip(floor(.), 0, steps)`` over all of ``out`` in place, so
+    ``out`` holds the number of thresholds ``T0 + k*D`` at or below each
+    accumulator and its ones column stays 1.  Nothing rounds (see the
+    module docstring).  ``np.clip`` keeps NaN, so an input that may hold
+    NaN (``finite=False``) first takes ``fmax``, which maps it to 0
+    steps.  On finite inputs ``clip`` alone takes about half the time
+    of ``fmax`` + ``fmin`` (2048x65 float32, 2-core x86 VM).  ``clip``
+    may leave a -0.0 where ``fmax`` gave +0.0: equal counts by value.
     """
-    np.subtract(acc, staircase.offset, out=acc)
-    np.multiply(acc, staircase.factor, out=acc)
-    np.floor(acc, out=acc)
-    np.fmax(acc, 0, out=acc)
-    np.fmin(acc, staircase.steps, out=acc)
-    return acc
+    np.matmul(x, operand, out=out[:, : operand.shape[1]])
+    np.floor(out, out=out)
+    if not finite:
+        np.fmax(out, 0, out=out)
+    np.clip(out, 0, steps, out=out)
+    return out
 
 
 def _shift_plan(thresholds: np.ndarray, abs_bound: int) -> _Staircase:
-    """The shift kernel for one layer's (channels, steps) int64 thresholds.
+    """The folded staircase of one layer's (channels, steps) int64 thresholds.
 
     Every channel's row must be ``T0 + k*D`` with ``D`` a power of two
     (a single threshold has ``D = 1``), judged on the thresholds as the
@@ -341,7 +385,8 @@ def _shift_plan(thresholds: np.ndarray, abs_bound: int) -> _Staircase:
     ``B + 1`` does; one wholly at or below ``-B`` counts ``steps``, as
     one ending at ``-B`` does; any other is left alone.  So every count
     over ``[-B, B]`` is unchanged, while ``T0 - D`` stays small enough
-    that ``acc - (T0 - D)`` is an exact float32 integer.
+    that ``(acc - (T0 - D)) / D`` and all its partial sums are exact in
+    float32.
 
     Raises :class:`~repro.errors.CompileError` for uneven spacing,
     spacing below one step, and ``B + max|T0 - D|`` at or above
@@ -362,14 +407,15 @@ def _shift_plan(thresholds: np.ndarray, abs_bound: int) -> _Staircase:
     if spacing.max(initial=0) > _F32_EXACT:
         raise CompileError(f"threshold spacing {spacing.max()} exceeds the float32 range")
     first = np.clip(thresholds[:, 0], -abs_bound - (steps - 1) * spacing, abs_bound + 1)
-    offset = first - spacing
-    reach = int(np.abs(offset).max(initial=0))
+    reach = int(np.abs(first - spacing).max(initial=0))
     if abs_bound + reach >= _F32_EXACT:
         raise CompileError(
             f"|acc| <= {abs_bound} against threshold offsets up to {reach} "
             "is not exact in float32"
         )
-    return _Staircase(offset.astype(np.float32), (1.0 / spacing).astype(np.float32), steps)
+    return _Staircase(
+        (1.0 / spacing).astype(np.float32), ((spacing - first) / spacing).astype(np.float32), steps
+    )
 
 
 def compile_engine(
@@ -382,8 +428,9 @@ def compile_engine(
     ``input_quant`` is the export's input quantiser
     (:class:`~repro.quant.export.ActQuantExport`), required for
     :meth:`CompiledEngine.predict` on raw features (``run_quantized``
-    works without it).  After lowering, 16 random integer inputs are
-    replayed through both the engine and the graph; any mismatch raises
+    works without it).  After lowering, 16 random integer inputs, and
+    with a quantiser 16 random bit rows, are replayed through both the
+    engine and the graph; any mismatch raises
     :class:`~repro.errors.VerificationError`.  A graph the engine cannot
     reproduce exactly (see the module docstring) raises
     :class:`~repro.errors.CompileError`.
@@ -415,14 +462,17 @@ def compile_engine(
             raise CompileError(f"{node.name}: |acc| <= {abs_bound} is not exact in float32")
 
         follower = nodes[index + 1] if index + 1 < len(nodes) else None
-        staircase: _Staircase | None = None
+        steps: int | None = None
         if isinstance(follower, MultiThresholdNode):
             try:
                 staircase = _shift_plan(follower.thresholds, abs_bound)
             except CompileError as error:
                 raise CompileError(f"{follower.name}: {error}") from None
+            steps = staircase.steps
+            operand = np.vstack([weight.T * staircase.scale, staircase.bias])
             index += 2
         elif isinstance(follower, ScaleBiasNode):
+            operand = np.vstack([weight.T, np.zeros((1, weight.shape[0]), dtype=np.float64)])
             final_scale = follower.scale.astype(np.float64)
             final_bias = follower.bias.astype(np.float64)
             index += 2
@@ -438,9 +488,9 @@ def compile_engine(
         layers.append(
             _LayerPlan(
                 name=node.name,
-                operand=np.ascontiguousarray(weight.T, dtype=np.float32),
+                operand=np.ascontiguousarray(operand, dtype=np.float32),
                 abs_bound=abs_bound,
-                staircase=staircase,
+                steps=steps,
             )
         )
         current_features = layers[-1].out_features
@@ -466,22 +516,30 @@ def compile_engine(
 
 
 def _self_check(engine: CompiledEngine, graph: DataflowGraph, samples: int, name: str) -> None:
-    """Replay random integer inputs through engine and graph; must agree."""
+    """Replay random integer inputs, and random bit rows through the input
+    quantiser, through engine and graph; both must agree."""
     dtype = graph.input_info.dtype
     rng = new_rng(0, f"compiled-self-check-{name}")
     x_int = rng.integers(dtype.min, dtype.max + 1, size=(samples, graph.input_info.features))
-    x_int = x_int.astype(np.float64)
-    reference = graph.execute(x_int)
+    _replay(engine, graph, x_int.astype(np.float64), name)
+    if engine.input_quant is not None:
+        _replay(engine, graph, rng.random(x_int.shape) < 0.5, name)
+
+
+def _replay(engine: CompiledEngine, graph: DataflowGraph, x: np.ndarray, name: str) -> None:
+    """Engine vs graph on one self-check batch: integers, or bits to quantise."""
+    bits = x.dtype == np.bool_
+    reference = graph.execute(quantize_features(engine.input_quant, x) if bits else x)
     if engine.has_argmax:
         expected = reference.reshape(-1).astype(np.int64)
-        got = engine.run_quantized(x_int)
+        got = engine.predict(x) if bits else engine.run_quantized(x)
     else:
         expected = reference
-        got = engine.logits_quantized(x_int)
+        got = engine.logits(x) if bits else engine.logits_quantized(x)
     if not np.array_equal(expected, got):
         raise VerificationError(
             f"compiled engine for {name!r} diverges from DataflowGraph.execute "
-            f"on {samples} self-check samples"
+            f"on {len(x)} self-check {'bit rows' if bits else 'samples'}"
         )
 
 

@@ -165,24 +165,23 @@ class MemoryMappedAccelerator:
         )
         return result, trace
 
-    def run_batch(self, features: np.ndarray, compiled: bool = True) -> np.ndarray:
+    def run_batch(self, features: np.ndarray) -> np.ndarray:
         """Functional batch execution (no per-frame AXI accounting).
 
-        The default path runs the fused integer engine
+        Runs the fused integer engine
         (:func:`repro.finn.compiled.engine_for`) — bit-exact against the
         dataflow graph and several times faster; the engine is cached on
         the export, so every ECU sharing this IP shares one compiled
-        model.  A graph the engine refuses (not streamlined, or not
+        model.  ``features`` may be raw floats or the encoder's ``bool``
+        bits.  A graph the engine refuses (not streamlined, or not
         exactly reproducible, e.g. float quantiser scales) runs on the
-        node-by-node float graph, as ``compiled=False`` does (the golden
-        reference, kept for A/B benchmarking).
+        node-by-node float graph instead; ``self.ip.run`` is that golden
+        reference, for A/B tests and benchmarks.
         """
-        if compiled:
-            try:
-                return engine_for(self.ip).predict(features)
-            except CompileError:
-                pass  # refused graph: reference path below
-        return self.ip.run(features)
+        try:
+            return engine_for(self.ip).predict(features)
+        except CompileError:
+            return self.ip.run(features)  # refused graph: the reference path
 
     def reference_trace(self) -> HWInferenceTrace:
         """The steady-state per-inference trace (identical every frame).

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.can.log import CANLogRecord
+from repro.can.log import CANLogRecord, CaptureArray
 from repro.datasets.carhacking import (
     CarHackingCapture,
     default_vehicle,
@@ -90,6 +90,40 @@ class TestBitFeatureEncoder:
         vec = BitFeatureEncoder().encode_frame(record)
         assert vec[15:31].sum() == 16  # two 0xff bytes
         assert vec[31:].sum() == 0
+
+    def test_bits_are_bool_and_training_features_float(self, dos_capture):
+        """Both paths hand the engine bits; ``encode`` stays float64."""
+        encoder = BitFeatureEncoder()
+        records = dos_capture.records[:50]
+        assert encoder.encode_frame(records[0]).dtype == np.bool_
+        assert encoder.encode_batch(CaptureArray.from_records(records)).dtype == np.bool_
+        assert encoder.encode_batch(CaptureArray.from_records([])).dtype == np.bool_
+        X, _ = encoder.encode(records)
+        assert X.dtype == np.float64
+        np.testing.assert_array_equal(X, encoder.encode_batch(CaptureArray.from_records(records)))
+
+    @pytest.mark.parametrize(
+        "can_id, dlc, match",
+        [(-1, 0, "-0x1"), (0x800, 0, "0x800"), (0x100, -3, "-3")],
+        ids=["id-minus-1", "id-0x800", "dlc-minus-3"],
+    )
+    def test_both_paths_reject_the_same_bad_frames(self, can_id, dlc, match):
+        """Ids outside 0-0x7FF and negative DLCs raise DatasetError naming
+        the value, on the batch kernel and (where a record can carry the
+        value) the per-frame reference."""
+        encoder = BitFeatureEncoder()
+        capture = CaptureArray(
+            timestamps=np.zeros(2),
+            can_ids=np.array([0x7FF, can_id], dtype=np.int64),
+            dlcs=np.array([0, dlc], dtype=np.int64),
+            payloads=np.zeros((2, 8), dtype=np.uint8),
+            labels=np.zeros(2, dtype=np.int64),
+        )
+        with pytest.raises(DatasetError, match=match):
+            encoder.encode_batch(capture)
+        if dlc >= 0:  # a record's DLC is its payload length, never negative
+            with pytest.raises(DatasetError, match=match):
+                encoder.encode_frame(CANLogRecord(0.0, can_id, dlc, bytes(dlc), "R"))
 
     def test_labels(self, dos_capture):
         X, y = BitFeatureEncoder().encode(dos_capture.records[:500])

@@ -14,18 +14,19 @@ deployed-model tests ride the shared trained fixtures.
 import numpy as np
 import pytest
 
+from repro.can.log import CANLogRecord, CaptureArray
 from repro.datasets.features import BitFeatureEncoder
 from repro.errors import CompileError, ShapeError, VerificationError
 from repro.finn.build import build_frontend_graph, quantize_input
 from repro.finn.compiled import (
     _self_check,
+    _shift_layer,
     _shift_plan,
-    _shift_staircase,
     compile_engine,
     engine_cache_info,
     engine_for,
 )
-from repro.finn.graph import MultiThresholdNode
+from repro.finn.graph import MatMulIntNode, MultiThresholdNode
 from repro.finn.ipgen import compile_model
 from repro.finn.streamline import streamline
 from repro.models.qmlp import QMLPConfig
@@ -100,16 +101,33 @@ def probe_inputs(rng: np.random.Generator, export: QNNExport) -> list[np.ndarray
     return batches + [rails, nan_rows]
 
 
+BATCHES = (0, 1, 2, 33, 4097)  # 4097 rows cross two 2048-row chunk boundaries
+
+
+def random_bits(rng: np.random.Generator, export: QNNExport, batch: int) -> np.ndarray:
+    return rng.random((batch, export.layers[0].in_features)) < 0.5
+
+
 def assert_counts_exact(thresholds: np.ndarray, staircase, abs_bound: int) -> None:
-    """Every integer accumulator in ``[-B, B]``, and NaN, counts exactly
-    the thresholds at or below it (chunked, so wide layers stay small)."""
+    """Every integer accumulator in ``[-B, B]`` counts exactly the
+    thresholds at or below it through the folded kernel, on both routes,
+    and NaN counts 0 on the route that may carry it (chunked, so wide
+    layers stay small).  The accumulator is the one input of a probe
+    layer whose operand is the fold ``[1/D; (D - T0)/D]``."""
+    channels = len(thresholds)
+    probe = np.vstack([staircase.scale, staircase.bias])
     column = np.append(np.arange(-abs_bound, abs_bound + 1, dtype=np.float64), np.nan)
     for start in range(0, column.size, 1 << 14):
         part = column[start : start + (1 << 14)]
         expected = np.stack([np.searchsorted(row, part, side="right") for row in thresholds], axis=1)
         expected[np.isnan(part)] = 0  # NaN >= t is False for every t
-        acc = np.repeat(part[:, None], len(thresholds), axis=1).astype(np.float32)
-        np.testing.assert_array_equal(_shift_staircase(acc, staircase), expected)
+        x = np.ones((part.size, 2), dtype=np.float32)
+        x[:, 0] = part
+        for finite, rows in ((False, slice(None)), (True, ~np.isnan(part))):
+            out = np.ones((x[rows].shape[0], channels + 1), dtype=np.float32)
+            _shift_layer(x[rows], probe, out, staircase.steps, finite)
+            np.testing.assert_array_equal(out[:, :-1], expected[rows])
+            assert np.all(out[:, -1] == 1.0)  # the ones column survives
 
 
 class TestBitExactnessSweep:
@@ -142,6 +160,15 @@ class TestBitExactnessSweep:
                     logits_engine.logits_quantized(x_int).tobytes()
                     == logits_graph.execute(x_int).tobytes()
                 )
+            # Bit matrices take the bool fill: exact against the graph on
+            # their quantised values.
+            for batch in BATCHES:
+                bits = random_bits(rng, export, batch)
+                x_int = quantize_input(export, bits)
+                np.testing.assert_array_equal(
+                    engine.predict(bits), graph.execute(x_int).reshape(-1).astype(np.int64)
+                )
+                assert logits_engine.logits(bits).tobytes() == logits_graph.execute(x_int).tobytes()
         # Compiled or refused, the accelerator's default path is the IP's.
         ip = compile_model(export, name=f"sweep-w{bits}-{scales}")
         features = random_features(rng, export, 40)
@@ -280,6 +307,13 @@ class TestCompileValidation:
         with pytest.raises(ShapeError, match="input domain"):
             engine.run_quantized(mixed)
 
+    def test_bool_matrix_of_wrong_width_rejected(self, dos_ip):
+        engine = engine_for(dos_ip)
+        width = dos_ip.export.input_features
+        for shape in ((4, width - 1), (4, width + 1)):
+            with pytest.raises(ShapeError, match="inputs"):
+                engine.predict(np.zeros(shape, dtype=bool))
+
     def test_invalid_options_rejected(self):
         """An input quantiser wider than float32's exact integers is refused."""
         rng = np.random.default_rng(14)
@@ -323,16 +357,23 @@ def width_ip(request, dos_capture):
 
 
 def assert_staircases_exact(ip) -> int:
-    """Check every shift layer of ``ip``'s engine against its graph node;
-    returns how many layers a clip of all thresholds into ``[-B - 1,
-    B + 1]`` would knock off their ``T0 + k*D`` progression."""
+    """Check every shift layer of ``ip``'s engine against its graph nodes:
+    its operand is the fold of the matmul's weights and the thresholds'
+    staircase, and that staircase counts exactly.  Returns how many
+    layers a clip of all thresholds into ``[-B - 1, B + 1]`` would knock
+    off their ``T0 + k*D`` progression."""
     engine = engine_for(ip)
     nodes = ip.graph.nodes_of_type(MultiThresholdNode)
+    matmuls = ip.graph.nodes_of_type(MatMulIntNode)[:-1]
     layers = engine._layers[:-1]
     clipped_off = 0
-    for node, layer in zip(nodes, layers, strict=True):
-        assert layer.staircase is not None
-        assert_counts_exact(node.thresholds, layer.staircase, layer.abs_bound)
+    for node, matmul, layer in zip(nodes, matmuls, layers, strict=True):
+        staircase = _shift_plan(node.thresholds, layer.abs_bound)
+        assert layer.steps == staircase.steps == node.thresholds.shape[1]
+        weight = matmul.weight_int[:, : layer.in_features]
+        folded = np.vstack([weight.T * staircase.scale, staircase.bias]).astype(np.float32)
+        assert layer.operand.tobytes() == folded.tobytes()
+        assert_counts_exact(node.thresholds, staircase, layer.abs_bound)
         clipped = np.clip(node.thresholds, -layer.abs_bound - 1, layer.abs_bound + 1)
         gaps = np.diff(clipped, axis=1)
         clipped_off += bool(np.any(gaps != gaps[:, :1]) or np.any(gaps == 0))
@@ -360,9 +401,7 @@ class TestDeployedModel:
     def test_run_batch_default_path_is_compiled_and_exact(self, dos_ip, rng):
         accel = MemoryMappedAccelerator(dos_ip)
         features = rng.random((256, dos_ip.export.input_features))
-        np.testing.assert_array_equal(
-            accel.run_batch(features), accel.run_batch(features, compiled=False)
-        )
+        np.testing.assert_array_equal(accel.run_batch(features), accel.ip.run(features))
 
     def test_engine_cached_per_export(self, dos_ip):
         before = engine_cache_info()
@@ -380,8 +419,32 @@ class TestDeployedModel:
 
     def test_deployed_thresholds_compile_to_shift(self, deployed_ip):
         engine = engine_for(deployed_ip)
-        assert [layer.staircase is not None for layer in engine._layers] == [True] * 3 + [False]
+        assert [layer.steps is not None for layer in engine._layers] == [True] * 3 + [False]
         assert engine.summary().count("[shift]") == 3
+
+    def test_bit_capture_matches_float_and_graph(self, deployed_ip):
+        """The encoder's bits straight in: equal to the float route and
+        to the IP, on a capture that sets every id bit, every DLC 0-8,
+        and all-0x00 and all-0xFF payloads, at every batch size."""
+        records = [
+            CANLogRecord(0.0, can_id, dlc, bytes([fill] * dlc), "R")
+            for can_id in (0x000, 0x7FF, 0x555, 0x2AA) + tuple(1 << k for k in range(11))
+            for dlc in range(9)
+            for fill in (0x00, 0xFF)
+        ]
+        bits = BitFeatureEncoder().encode_batch(CaptureArray.from_records(records))
+        assert bits.dtype == np.bool_
+        assert bits[:, :11].any(axis=0).all() and bits[:, 15:].any(axis=0).all()
+        engine = engine_for(deployed_ip)
+        tiled = np.resize(bits, (max(BATCHES), bits.shape[1]))
+        for batch in BATCHES:
+            part = tiled[:batch]
+            labels = engine.predict(part)
+            np.testing.assert_array_equal(labels, engine.predict(part.astype(np.float64)))
+            np.testing.assert_array_equal(labels, deployed_ip.run(part))
+        np.testing.assert_array_equal(
+            engine.logits(tiled[:64]), engine.logits(tiled[:64].astype(np.float64))
+        )
 
     def test_shift_layers_match_stepped_definition(self, deployed_ip):
         """Every reachable integer accumulator, and NaN, through each

@@ -50,6 +50,7 @@ class LintConfig:
         "src/repro/can/frame.py",
         "src/repro/can/node.py",
         "src/repro/can/attacks.py",
+        "src/repro/datasets/features.py",
         "src/repro/finn/compiled.py",
         "src/repro/utils/bitops.py",
         "src/repro/soc/ecu.py",
