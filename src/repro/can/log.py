@@ -36,6 +36,9 @@ __all__ = [
 LABEL_NORMAL = "R"
 LABEL_ATTACK = "T"
 
+#: Payload slots per frame in the columnar layout (classic CAN maximum).
+MAX_PAYLOAD_BYTES = 8
+
 
 @dataclass(frozen=True)
 class CANLogRecord:
@@ -50,6 +53,10 @@ class CANLogRecord:
     def __post_init__(self) -> None:
         if self.label not in (LABEL_NORMAL, LABEL_ATTACK):
             raise DatasetError(f"label must be 'R' or 'T', got {self.label!r}")
+        if len(self.data) > MAX_PAYLOAD_BYTES:
+            raise DatasetError(
+                f"CAN payload is limited to {MAX_PAYLOAD_BYTES} bytes, got {len(self.data)}"
+            )
         if self.dlc != len(self.data):
             raise DatasetError(f"dlc {self.dlc} != payload length {len(self.data)}")
 
@@ -60,10 +67,6 @@ class CANLogRecord:
     def to_frame(self) -> CANFrame:
         """Reconstruct the wire-level frame."""
         return CANFrame(self.can_id, self.data)
-
-
-#: Payload slots per frame in the columnar layout (classic CAN maximum).
-MAX_PAYLOAD_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -254,9 +257,10 @@ def read_car_hacking_csv(path: str | Path, limit: int | None = None) -> list[CAN
                 dlc = int(row[2])
                 data = bytes(int(cell, 16) for cell in row[3 : 3 + dlc])
                 label = row[3 + dlc].strip()
-            except (ValueError, IndexError) as exc:
+                record = CANLogRecord(timestamp, can_id, dlc, data, label)
+            except (ValueError, IndexError, DatasetError) as exc:
                 raise DatasetError(f"{path}:{row_number + 1}: malformed row ({exc})")
-            records.append(CANLogRecord(timestamp, can_id, dlc, data, label))
+            records.append(record)
             if limit is not None and len(records) >= limit:
                 break
     return records

@@ -31,6 +31,10 @@ class TestCANLogRecord:
         with pytest.raises(DatasetError):
             CANLogRecord(0.0, 0x1, 2, b"\x00", "R")
 
+    def test_payload_longer_than_eight_bytes_rejected(self):
+        with pytest.raises(DatasetError, match="limited to 8 bytes, got 9"):
+            CANLogRecord(0.0, 0x1, 9, bytes(9), "R")
+
     def test_is_attack(self):
         assert CANLogRecord(0.0, 0x1, 0, b"", "T").is_attack
         assert not CANLogRecord(0.0, 0x1, 0, b"", "R").is_attack
@@ -75,6 +79,12 @@ class TestCSVIO:
         path = tmp_path / "bad.csv"
         path.write_text("1.0,0316,2,aa,R\n")  # dlc says 2, only one byte
         with pytest.raises(DatasetError, match="bad.csv:1"):
+            read_car_hacking_csv(path)
+
+    def test_nine_byte_row_reports_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("1.0,0316,1,aa,R\n2.0,0316,9," + ",".join(["aa"] * 9) + ",R\n")
+        with pytest.raises(DatasetError, match="long.csv:2: .*limited to 8 bytes, got 9"):
             read_car_hacking_csv(path)
 
     def test_missing_file(self, tmp_path):

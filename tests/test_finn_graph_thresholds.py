@@ -162,6 +162,37 @@ class TestThresholdConversion:
         with pytest.raises(CompileError):
             compute_thresholds(np.array([1.0]), np.array([0.0]), 0.0, 2)
 
+    @pytest.mark.parametrize(
+        "acc_scale, bias, act_scale, act_bits, named",
+        [
+            pytest.param([np.nan], [0.0], 1.0, 2, r"acc_scale\[0\]=nan", id="nan-acc-scale"),
+            pytest.param([1.0], [np.nan], 1.0, 2, r"bias\[0\]=nan", id="nan-bias"),
+            pytest.param([1.0], [0.0], np.nan, 2, r"act_scale .*nan", id="nan-act-scale"),
+            pytest.param([1.0], [0.0, -np.inf], 1.0, 2, r"bias\[1\]=-inf", id="inf-bias"),
+            pytest.param([1.0], [0.0], np.inf, 2, r"act_scale .*inf", id="inf-act-scale"),
+            pytest.param([np.inf], [0.0], 1.0, 2, r"acc_scale\[0\]=inf", id="inf-acc-scale"),
+            pytest.param(
+                [5e-324], [0.0], 1.0, 2, r"candidate inf does not fit int64.*5e-324",
+                id="denormal-acc-scale",
+            ),
+            pytest.param(
+                [1.0], [1e300], 1e-300, 2, r"candidate -1e\+300 does not fit int64",
+                id="candidate-beyond-int64",
+            ),
+            pytest.param([1.0], [0.0], 1.0, 0, r"act_bits .*got 0", id="zero-bits"),
+            pytest.param([1.0], [0.0], 1.0, -1, r"act_bits .*got -1", id="negative-bits"),
+            pytest.param(
+                [1.0, 1.0, 1.0], [0.0, 0.0], 1.0, 2, r"3 entries for 2 channels",
+                id="scale-length-mismatch",
+            ),
+        ],
+    )
+    def test_unconvertible_inputs_raise_compile_error(
+        self, acc_scale, bias, act_scale, act_bits, named
+    ):
+        with pytest.raises(CompileError, match=named):
+            compute_thresholds(np.array(acc_scale), np.array(bias), act_scale, act_bits)
+
     @given(
         scale_exp=st.integers(min_value=-8, max_value=2),
         act_exp=st.integers(min_value=-8, max_value=2),
@@ -182,3 +213,39 @@ class TestThresholdConversion:
     def test_property_float_scales_also_exact(self, acc_scale, act_scale, bias):
         """The fix-up loop guarantees exactness even for arbitrary scales."""
         self._check_equivalence(acc_scale, bias, act_scale, 3, -400, 400)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_property_multi_channel_layers_exact(self, data):
+        """Every row of a 1-64 channel, 1-8 bit layer is an exact staircase."""
+        channels = data.draw(st.integers(min_value=1, max_value=64), label="channels")
+        act_bits = data.draw(st.integers(min_value=1, max_value=8), label="act_bits")
+        if data.draw(st.booleans(), label="po2"):
+            act_scale = 2.0 ** data.draw(st.integers(min_value=-8, max_value=2))
+            ratio = st.integers(min_value=-6, max_value=1).map(lambda e: 2.0**e)
+        else:
+            act_scale = data.draw(st.floats(min_value=1e-3, max_value=4.0))
+            ratio = st.floats(min_value=1 / 64, max_value=2.0)
+        per_channel = data.draw(st.booleans(), label="per_channel")
+        ratios = data.draw(
+            st.lists(ratio, min_size=channels, max_size=channels) if per_channel else ratio
+        )
+        acc_scale = act_scale * np.asarray(ratios, dtype=np.float64)
+        # Biases on exact half-steps of act_scale (po2: exact in float64).
+        halves = data.draw(
+            st.lists(
+                st.integers(min_value=-300, max_value=300), min_size=channels, max_size=channels
+            )
+        )
+        bias = act_scale * (np.asarray(halves, dtype=np.float64) / 2)
+
+        thresholds = compute_thresholds(acc_scale, bias, act_scale, act_bits)
+        assert thresholds.shape == (channels, 2**act_bits - 1)
+        scales = np.broadcast_to(acc_scale, (channels,))
+        for channel, row in enumerate(thresholds):
+            accs = np.arange(row[0] - 3, row[-1] + 3)
+            via = np.searchsorted(row, accs, side="right")
+            direct = activation_int(
+                accs, scales[channel], bias[channel], act_scale, 2**act_bits - 1
+            )
+            np.testing.assert_array_equal(via, direct)

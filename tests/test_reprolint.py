@@ -9,6 +9,7 @@ cleanliness part of tier-1 by construction.
 
 from __future__ import annotations
 
+import ast
 import json
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ if str(REPO_ROOT) not in sys.path:  # tools/ lives at the repo root, not src/
 from tools.reprolint import run_lint  # noqa: E402
 from tools.reprolint.cli import main as reprolint_main  # noqa: E402
 from tools.reprolint.core import registered_rules  # noqa: E402
-from tools.reprolint.project import LintConfig  # noqa: E402
+from tools.reprolint.project import DEFAULT_CONFIG, LintConfig  # noqa: E402
 from tools.reprolint.reporters import render_json, render_text  # noqa: E402
 
 FIXTURES = REPO_ROOT / "tests" / "lint_fixtures"
@@ -220,6 +221,22 @@ class TestABCoverage:
             rules=["ab-equivalence"],
         )
         assert result.clean, render_text(result)
+
+    def test_every_required_switch_is_a_public_parameter(self):
+        # A switch no public callable exposes is a stale entry: the rule
+        # would silently check nothing for it.
+        parameters: set[str] = set()
+        for path in (REPO_ROOT / "src").rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                    node.name.startswith("_")
+                ):
+                    args = node.args
+                    parameters.update(
+                        a.arg for a in [*args.posonlyargs, *args.args, *args.kwonlyargs]
+                    )
+        stale = sorted(set(DEFAULT_CONFIG.ab_required) - parameters)
+        assert not stale, f"ab_required names switches no public callable exposes: {stale}"
 
 
 class TestCLI:

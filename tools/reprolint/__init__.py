@@ -15,7 +15,7 @@ rule                    invariant
 ``dtype-discipline``    kernel allocations pass an explicit ``dtype=``
 ``pickle-safety``       everything shipped to a process pool is a
                         module-top-level callable
-``ab-equivalence``      every public ``engine=`` / ``compiled=`` A/B switch
+``ab-equivalence``      every public ``engine=`` / ``faults=`` A/B switch
                         is exercised with both values under ``tests/``
 ``sim-time-hygiene``    no wall-clock reads inside simulation modules
 ``typed-core``          the strict-mypy core modules stay fully annotated

@@ -1,14 +1,15 @@
-"""A/B-equivalence coverage: every engine=/compiled= switch is tested both ways.
+"""A/B-equivalence coverage: every engine=/faults= switch is tested both ways.
 
-The columnar bus kernel and the compiled inference engine are only
-trustworthy because the reference implementations stay reachable behind
-``engine="event"`` / ``compiled=False`` and tests hold both sides to
-bit-exact agreement.  A switch whose reference side no tests exercise
-is an equivalence claim nothing checks.  This project-level rule
-cross-references the ASTs of the linted sources and the ``--tests``
-tree: for every *public* callable exposing an A/B parameter
-(``engine``, ``compiled``), both required values must be observable in
-test calls, where an observation is
+The columnar bus kernel is only trustworthy because the reference
+event-driven engine stays reachable behind ``engine="event"`` and tests
+hold both sides to bit-exact agreement; fault injection is only
+trustworthy when the clean path (``faults=None``) is tested beside it.
+A switch whose other side no tests exercise is an equivalence claim
+nothing checks.  This project-level rule cross-references the ASTs of
+the linted sources and the ``--tests`` tree: for every *public*
+callable exposing an A/B parameter (the keys of ``ab_required`` in
+:mod:`tools.reprolint.project`), both required values must be
+observable in test calls, where an observation is
 
 * an explicit literal keyword (``engine="event"``),
 * a literal keyword of a constructor passed as another keyword — the
@@ -122,7 +123,7 @@ class _CallScanner(ast.NodeVisitor):
 class ABEquivalenceCoverage(Checker):
     name = "ab-equivalence"
     description = (
-        "every public callable with an engine=/compiled= A/B switch must be "
+        "every public callable with an engine=/faults= A/B switch must be "
         "invoked with both values somewhere under the test tree"
     )
 
