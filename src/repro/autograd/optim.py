@@ -16,6 +16,10 @@ from repro.errors import ConfigError
 
 __all__ = ["Optimizer", "Adam", "clip_grad_norm"]
 
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+_BETA1, _BETA2 = 0.9, 0.999
+_EPS = 1e-8
+
 
 class Optimizer:
     """Base class holding the parameter list and the learning rate."""
@@ -38,29 +42,18 @@ class Optimizer:
 
 
 class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015)."""
+    """Adam (Kingma & Ba, 2015) with their default betas (0.9, 0.999) and eps 1e-8."""
 
-    def __init__(
-        self,
-        parameters: Iterable[Parameter],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-    ):
+    def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-3):
         super().__init__(parameters, lr)
-        if not (0.0 <= betas[0] < 1.0 and 0.0 <= betas[1] < 1.0):
-            raise ConfigError(f"betas must be in [0, 1), got {betas}")
-        self.betas = betas
-        self.eps = eps
         self._step_count = 0
         self._m: list[np.ndarray | None] = [None] * len(self.parameters)
         self._v: list[np.ndarray | None] = [None] * len(self.parameters)
 
     def step(self) -> None:
         self._step_count += 1
-        beta1, beta2 = self.betas
-        bias1 = 1.0 - beta1**self._step_count
-        bias2 = 1.0 - beta2**self._step_count
+        bias1 = 1.0 - _BETA1**self._step_count
+        bias2 = 1.0 - _BETA2**self._step_count
         for index, param in enumerate(self.parameters):
             if param.grad is None:
                 continue
@@ -69,13 +62,13 @@ class Adam(Optimizer):
                 self._m[index] = np.zeros_like(param.data)
                 self._v[index] = np.zeros_like(param.data)
             m, v = self._m[index], self._v[index]
-            m *= beta1
-            m += (1 - beta1) * grad
-            v *= beta2
-            v += (1 - beta2) * grad * grad
+            m *= _BETA1
+            m += (1 - _BETA1) * grad
+            v *= _BETA2
+            v += (1 - _BETA2) * grad * grad
             m_hat = m / bias1
             v_hat = v / bias2
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 def clip_grad_norm(parameters: Sequence[Parameter], max_norm: float) -> float:

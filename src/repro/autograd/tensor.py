@@ -17,6 +17,14 @@ Straight-through estimators (STE), the backbone of quantisation-aware
 training, are provided as first-class ops: :meth:`Tensor.floor_ste` and
 :meth:`Tensor.clamp_ste` behave like ``floor``/``clip`` in the forward
 pass and pass gradients through unchanged in the backward pass.
+
+The QMLP's layers (:mod:`repro.quant.layers`) and
+:func:`~repro.autograd.functional.cross_entropy` do not compose these
+ops: each is one fused node made with :meth:`Tensor._make`, whose
+backward replays the composed chain's numpy calls and hands every
+parent a fresh array (:meth:`Tensor._accumulate_owned`), so a QMLP
+training step records 17 tensors.  The composed chain stays as the
+reference the fused nodes are tested against.
 """
 
 from __future__ import annotations
@@ -139,6 +147,21 @@ class Tensor:
         grad = _unbroadcast(np.asarray(grad, dtype=np.float64), self.data.shape)
         if self.grad is None:
             self.grad = grad.copy()
+        else:
+            self.grad += grad
+
+    def _accumulate_owned(self, grad: np.ndarray) -> None:
+        """Accumulate a float64 array of this tensor's shape that the
+        caller has just computed and hands over.
+
+        The first arrival is stored as is.  :meth:`_accumulate` copies it
+        because a generic op hands one ``grad`` array to two parents; a
+        fused node's backward computes a fresh array for each parent.
+        """
+        if not self.requires_grad:
+            return
+        if self.grad is None:
+            self.grad = grad
         else:
             self.grad += grad
 

@@ -26,6 +26,9 @@ flow end to end:
    SoC driver can bind to.
 
 ``compile_model`` is the one-call facade mirroring FINN's build flow.
+The streamlining pass is imported from its module,
+``from repro.finn.streamline import streamline``, so the package
+attribute ``repro.finn.streamline`` stays the submodule.
 """
 
 from repro.finn.build import build_frontend_graph
@@ -36,7 +39,6 @@ from repro.finn.graph import DataflowGraph
 from repro.finn.hls_layers import MVAU, StreamingFIFO, to_hw_pipeline
 from repro.finn.ipgen import AcceleratorIP, compile_model
 from repro.finn.resources import ResourceEstimate
-from repro.finn.streamline import streamline
 from repro.finn.thresholds import compute_thresholds
 from repro.finn.verify import verify_bit_exact
 
@@ -57,7 +59,6 @@ __all__ = [
     "engine_cache_info",
     "engine_for",
     "fold_for_target",
-    "streamline",
     "to_hw_pipeline",
     "verify_bit_exact",
 ]

@@ -79,7 +79,7 @@ def build_qmlp(config: QMLPConfig | None = None) -> Sequential:
     FINN compiler directly after training.
     """
     config = config or QMLPConfig()
-    layers = [QuantIdentity(bit_width=config.input_bits, signed=False)]
+    layers = [QuantIdentity(bit_width=config.input_bits)]
     widths = config.topology
     for index, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         layer_seed = derive_seed(config.seed, f"qmlp-layer-{index}")

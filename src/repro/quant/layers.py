@@ -4,7 +4,7 @@ A quantised MLP is written exactly like the paper's Brevitas model:
 
 >>> from repro.autograd import Sequential
 >>> model = Sequential(
-...     QuantIdentity(bit_width=8, signed=False),
+...     QuantIdentity(bit_width=8),
 ...     QuantLinear(79, 64, weight_bit_width=4, seed=1),
 ...     QuantReLU(bit_width=4),
 ...     QuantLinear(64, 2, weight_bit_width=4, seed=2),
@@ -13,6 +13,17 @@ A quantised MLP is written exactly like the paper's Brevitas model:
 Forward passes fake-quantise; gradients use straight-through estimators;
 ``model.eval()`` freezes the activation observers so inference (and the
 FINN export) sees stable scales.
+
+Each forward returns **one** autograd node with a hand-written backward:
+``QuantLinear`` quantises its weight, multiplies and adds the bias in
+one node, and ``QuantReLU`` / ``QuantIdentity`` rectify (ReLU only),
+observe and quantise in one.  Every forward and backward replays the
+numpy calls of the composed chain (:meth:`WeightQuantizer.quantize` /
+:meth:`ActQuantizer.quantize`, then ``@ W.T + b``) in the same order on
+the same operand layouts, so values and gradients are byte-identical
+to it; the tests hold the two to that.  The STE backward keeps both
+scale multiplies (``g * s * (1/s)``): for a power-of-two ``s`` that is
+the identity only while nothing underflows or overflows.
 """
 
 from __future__ import annotations
@@ -61,22 +72,41 @@ class _QuantActModule(Module):
     def load_extra_state(self, state: dict[str, np.ndarray]) -> None:
         self.quantizer.load_state({key: float(np.asarray(v)) for key, v in state.items()})
 
+    def _quantize_node(
+        self, x: Tensor, values: np.ndarray, mask: np.ndarray | None, op: str
+    ) -> Tensor:
+        """One node quantising ``values`` (``x``'s data, rectified when
+        ``mask`` is given); its STE gradient is ``g * s * (1/s)``, times
+        ``mask`` when given."""
+        scale = self.quantizer.observe_scale(values, self.training)
+        out = self.quantizer.config.fake_quantize(values, scale)
+
+        def backward(grad: np.ndarray) -> None:
+            grad_x = grad * scale
+            grad_x *= 1.0 / scale
+            if mask is not None:
+                grad_x *= mask
+            x._accumulate_owned(grad_x)
+
+        return Tensor._make(out, (x,), backward, op)
+
 
 class QuantIdentity(_QuantActModule):
-    """Quantise the values flowing through, without a nonlinearity.
+    """Quantise the values flowing through, unsigned, without a nonlinearity.
 
     Placed at the network input so that downstream integer hardware
     receives integer data (bit-vectors of a CAN frame quantise exactly).
+    An input that needs no gradient gives a node with no parents.
     """
 
-    def __init__(self, bit_width: int = 8, signed: bool = False):
-        super().__init__(ActQuantizer(bit_width, signed=signed, narrow_range=False))
+    def __init__(self, bit_width: int = 8):
+        super().__init__(ActQuantizer(bit_width, signed=False, narrow_range=False))
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.quantizer.quantize(x, training=self.training)
+        return self._quantize_node(x, x.data, None, "quant_identity")
 
     def __repr__(self) -> str:
-        return f"QuantIdentity(bits={self.bit_width}, signed={self.quantizer.signed})"
+        return f"QuantIdentity(bits={self.bit_width})"
 
 
 class QuantReLU(_QuantActModule):
@@ -90,7 +120,8 @@ class QuantReLU(_QuantActModule):
         super().__init__(ActQuantizer(bit_width, signed=False, narrow_range=False))
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.quantizer.quantize(x.relu(), training=self.training)
+        mask = x.data > 0
+        return self._quantize_node(x, np.where(mask, x.data, 0.0), mask, "quant_relu")
 
     def __repr__(self) -> str:
         return f"QuantReLU(bits={self.bit_width})"
@@ -103,6 +134,7 @@ class QuantLinear(Module):
     quantises them to ``weight_bit_width`` bits (symmetric, narrow
     range) with a scale recomputed from their current magnitude.  The
     bias stays in float — FINN absorbs it into the thresholding stage.
+    Inputs are ``(N, in_features)`` batches.
     """
 
     def __init__(
@@ -111,7 +143,6 @@ class QuantLinear(Module):
         out_features: int,
         weight_bit_width: int = 4,
         bias: bool = True,
-        narrow_range: bool = True,
         seed: int = 0,
     ):
         super().__init__()
@@ -121,7 +152,7 @@ class QuantLinear(Module):
             )
         self.in_features = in_features
         self.out_features = out_features
-        self.weight_quant = WeightQuantizer(weight_bit_width, narrow_range=narrow_range)
+        self.weight_quant = WeightQuantizer(weight_bit_width)
         rng = new_rng(seed, f"quantlinear-{in_features}x{out_features}")
         self.weight = Parameter(initialisers.kaiming_uniform((out_features, in_features), rng))
         if bias:
@@ -134,24 +165,36 @@ class QuantLinear(Module):
     def weight_bit_width(self) -> int:
         return self.weight_quant.bit_width
 
-    def quantized_weight(self) -> tuple[Tensor, np.ndarray]:
-        """Fake-quantised weight tensor plus the scale in use."""
-        return self.weight_quant.quantize(self.weight)
-
     def int_weight(self) -> tuple[np.ndarray, np.ndarray]:
         """Integer weights and scale for export (no autograd)."""
         return self.weight_quant.int_weights(self.weight.data)
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_features:
+        if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(
-                f"QuantLinear expected {self.in_features} inputs, got {x.shape[-1]}"
+                f"QuantLinear expected (N, {self.in_features}) inputs, got shape {x.shape}"
             )
-        weight_q, _ = self.quantized_weight()
-        out = x @ weight_q.T
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        weight, bias = self.weight, self.bias
+        scale = self.weight_quant.scale_of(weight.data)
+        weight_q = self.weight_quant.config.fake_quantize(weight.data, scale)
+        out = x.data @ weight_q.T
+        if bias is not None:
+            out = out + bias.data
+
+        def backward(grad: np.ndarray) -> None:
+            if bias is not None:
+                bias._accumulate_owned(grad.sum(axis=0))
+            if x.requires_grad:
+                x._accumulate_owned(grad @ weight_q)
+            if weight.requires_grad:
+                # The composed chain copies the transposed product into C
+                # order before its scale multiplies; keep that layout.
+                grad_w = np.multiply((x.data.T @ grad).T, scale, order="C")
+                grad_w *= 1.0 / scale
+                weight._accumulate_owned(grad_w)
+
+        parents = (x, weight) if bias is None else (x, weight, bias)
+        return Tensor._make(out, parents, backward, "quant_linear")
 
     def __repr__(self) -> str:
         return (

@@ -19,6 +19,11 @@ Every scale is a power of two: multiplying/dividing by a po2 is exact
 in float64, which makes the fake-quantised network *bit-exact* against
 integer-only execution — the invariant the FINN verifier and the
 property-based tests lean on.
+
+The layers of :mod:`repro.quant.layers` train through one fused node
+each, built on :meth:`QuantConfig.fake_quantize`.  The Tensor
+``quantize`` methods, composed from :func:`round_half_up` and the STE
+ops, are the reference the tests hold those nodes to byte for byte.
 """
 
 from __future__ import annotations
@@ -112,6 +117,15 @@ class QuantConfig:
         """Convert an observed absolute range into a power-of-two scale."""
         return po2_scale(abs_max, self.qmax)
 
+    def fake_quantize(self, values: np.ndarray, scale: float) -> np.ndarray:
+        """``clip(floor(values * (1/scale) + 0.5), qmin, qmax) * scale``.
+
+        These are the forward numpy calls of the composed STE chain
+        (multiply by the reciprocal, round half up, clip, rescale) in its
+        order, so every value rounds as it does there.
+        """
+        return np.clip(np.floor(values * (1.0 / scale) + 0.5), self.qmin, self.qmax) * scale
+
 
 class WeightQuantizer:
     """Fake-quantise a weight tensor from its own statistics.
@@ -122,8 +136,8 @@ class WeightQuantizer:
     follows.
     """
 
-    def __init__(self, bit_width: int, narrow_range: bool = True):
-        self.config = QuantConfig(bit_width, signed=True, narrow_range=narrow_range)
+    def __init__(self, bit_width: int):
+        self.config = QuantConfig(bit_width, signed=True)
 
     @property
     def bit_width(self) -> int:
@@ -134,7 +148,8 @@ class WeightQuantizer:
         return np.float64(self.config.scale_for(float(np.abs(weight_data).max())))
 
     def quantize(self, weight: Tensor) -> tuple[Tensor, np.ndarray]:
-        """Return the fake-quantised weight tensor and the scale used."""
+        """Return the fake-quantised weight tensor and the scale used
+        (the composed reference for ``QuantLinear``'s fused node)."""
         scale = self.scale_of(weight.data)
         scaled = weight * Tensor(1.0 / scale)
         q = round_half_up(scaled).clamp_ste(self.config.qmin, self.config.qmax)
@@ -157,8 +172,8 @@ class ActQuantizer:
     bit_width:
         Integer bits of the activation representation.
     signed:
-        False after ReLU (range ``[0, qmax]``), True for symmetric
-        signed activations (a signed ``QuantIdentity``).
+        False after ReLU and at the input (range ``[0, qmax]``), True
+        for symmetric signed activations.
 
     The range is tracked by an :class:`EMAObserver` of batch maxima.
     """
@@ -184,15 +199,26 @@ class ActQuantizer:
         """Feed a batch of pre-quantisation activations to the observer."""
         self.observer.observe(values)
 
-    def quantize(self, x: Tensor, training: bool) -> Tensor:
-        """Fake-quantise ``x``; updates the observer when ``training``."""
+    def observe_scale(self, values: np.ndarray, training: bool) -> float:
+        """Observe ``values`` as a forward pass does; return the scale to
+        quantise them with.
+
+        Training batches update the observer.  A quantiser that has seen
+        no batch observes this one instead, so a fresh quantiser called
+        outside training is still calibrated.  Through a module in eval
+        mode the observer is frozen: a never-calibrated module observes
+        nothing and quantises with scale 1.0.
+        """
         if training:
-            self.observe(x.data)
+            self.observe(values)
         if self.observer.range <= 0.0 and self.observer.num_batches == 0:
-            # Un-calibrated quantiser: fall back to observing this batch
-            # so inference on a fresh model is still well defined.
-            self.observe(x.data)
-        scale = self.scale
+            self.observe(values)
+        return self.scale
+
+    def quantize(self, x: Tensor, training: bool) -> Tensor:
+        """Fake-quantise ``x``; updates the observer when ``training``
+        (the composed reference for the fused activation nodes)."""
+        scale = self.observe_scale(x.data, training)
         scaled = x * Tensor(1.0 / scale)
         q = round_half_up(scaled).clamp_ste(self.config.qmin, self.config.qmax)
         return q * Tensor(scale)

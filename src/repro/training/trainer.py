@@ -70,6 +70,19 @@ class TrainHistory:
         return len(self.train_loss)
 
 
+def _check_labels(split: str, labels: np.ndarray) -> None:
+    """Raise :class:`TrainingError` naming the first label that is not a
+    non-negative integer (a class index)."""
+    classes = labels.astype(np.int64)
+    invalid = (classes != labels) | (classes < 0)
+    if invalid.any():
+        row = int(invalid.argmax())
+        raise TrainingError(
+            f"{split} label {labels[row].item()!r} at row {row} is not a class index "
+            "(a non-negative integer)"
+        )
+
+
 def _class_weights(labels: np.ndarray) -> np.ndarray:
     """Inverse-frequency class weights normalised to mean 1."""
     counts = np.bincount(labels.astype(np.int64), minlength=2).astype(np.float64)
@@ -129,9 +142,13 @@ class Trainer:
         and the final state is kept.
         """
         config = self.config
+        y_train = np.asarray(y_train)
         if len(x_train) != len(y_train):
             raise TrainingError("x_train and y_train lengths differ")
         has_val = x_val is not None and y_val is not None
+        _check_labels("training", y_train)
+        if has_val:
+            _check_labels("validation", np.asarray(y_val))
 
         optimizer = Adam(model.parameters(), lr=config.lr)
         class_weights = _class_weights(y_train)

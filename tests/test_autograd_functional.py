@@ -63,3 +63,12 @@ class TestCrossEntropy:
             F.cross_entropy(Tensor(np.zeros((2, 2, 2))), np.array([0, 1]))
         with pytest.raises(ShapeError):
             F.cross_entropy(Tensor(np.zeros((2, 2))), np.array([0, 1, 0]))
+
+    @pytest.mark.parametrize("weights", [None, np.array([1.0, 3.0])], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("label", [-1, 0.7, 2])
+    def test_label_outside_classes_is_named(self, label, weights):
+        # -1 used to index the last class, 0.7 truncated to class 0 and 2
+        # raised a bare IndexError.
+        logits = Tensor(np.array([[0.5, -1.0], [0.25, 2.0]]), requires_grad=True)
+        with pytest.raises(ShapeError, match=rf"label {label} at row 1 .*\[0, 2\)"):
+            F.cross_entropy(logits, [0, label], class_weights=weights)

@@ -118,6 +118,15 @@ class TestTrainer:
                 build_qmlp(QMLPConfig(input_features=4, hidden=(8,))), X, np.zeros(50, dtype=int)
             )
 
+    @pytest.mark.parametrize("split", ["training", "validation"])
+    def test_negative_label_is_named(self, rng, split):
+        X = rng.random((6, 4))
+        y, bad = np.array([0, 1, 0, 1, 1, 0]), np.array([0, 1, 0, -1, 1, 0])
+        labels = (bad, y) if split == "training" else (y, bad)
+        model = build_qmlp(QMLPConfig(input_features=4, hidden=(8,)))
+        with pytest.raises(TrainingError, match=f"{split} label -1 at row 3"):
+            Trainer(TrainConfig(epochs=1)).fit(model, X, labels[0], X, labels[1])
+
     def test_predict_batching_consistent(self, rng, trained_dos):
         X = trained_dos.splits.x_test[:300]
         full = Trainer.predict(trained_dos.model, X, batch_size=10_000)

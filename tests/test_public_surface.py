@@ -5,6 +5,7 @@
   importing one runs its imports and definitions but not its workload.
 * Every name in every ``repro`` module's ``__all__`` resolves, so a
   deletion cannot leave a stale export behind.
+* A package attribute named after a submodule is that submodule.
 """
 
 import importlib
@@ -37,3 +38,12 @@ def test_every_export_resolves():
             if not hasattr(module, name)
         ]
     assert not stale, f"__all__ names with no binding: {stale}"
+
+
+def test_submodule_attribute_is_the_module():
+    # A package that re-exported a function under its submodule's name
+    # would bind the function here, and patching ``m.<name>`` would miss.
+    import repro.finn.streamline as m
+
+    assert m is importlib.import_module("repro.finn.streamline")
+    assert callable(m.streamline)

@@ -14,8 +14,8 @@ class TestQuantLinear:
         layer = QuantLinear(8, 4, weight_bit_width=4, seed=1)
         x = rng.normal(size=(3, 8))
         out = layer(Tensor(x))
-        fake, _ = layer.quantized_weight()
-        np.testing.assert_allclose(out.data, x @ fake.data.T + layer.bias.data)
+        ints, scale = layer.int_weight()
+        np.testing.assert_allclose(out.data, x @ (ints * scale).T + layer.bias.data)
 
     def test_weights_trainable_through_quantisation(self, rng):
         layer = QuantLinear(4, 2, weight_bit_width=4, seed=1)
@@ -58,11 +58,6 @@ class TestQuantActivations:
         act(Tensor(np.abs(rng.normal(size=50)) * 1000))
         assert act.scale != scale
 
-    def test_quant_identity_handles_signed(self, rng):
-        quant = QuantIdentity(bit_width=8, signed=True)
-        out = quant(Tensor(rng.normal(size=100)))
-        assert out.data.min() < 0  # signed values survive
-
     def test_extra_state_roundtrip(self, rng):
         act = QuantReLU(bit_width=4)
         act(Tensor(np.abs(rng.normal(size=64))))
@@ -74,7 +69,7 @@ class TestQuantActivations:
 
 def build_canonical(seed=0):
     return Sequential(
-        QuantIdentity(bit_width=8, signed=False),
+        QuantIdentity(bit_width=8),
         QuantLinear(12, 8, weight_bit_width=4, seed=seed),
         QuantReLU(bit_width=4),
         QuantLinear(8, 2, weight_bit_width=4, seed=seed + 1),
