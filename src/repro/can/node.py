@@ -55,6 +55,8 @@ __all__ = [
     "sensor_payload",
     "constant_payload",
     "payload_batch",
+    "sender_stream",
+    "sensor_stream",
 ]
 
 
@@ -86,6 +88,17 @@ class TrafficSource(Protocol):
 
 
 PayloadModel = Callable[[int, np.random.Generator], bytes]
+
+
+def sender_stream(seed: int, can_id: int, period: float) -> tuple[int, str]:
+    """The ``(seed, name)`` stream of a :class:`PeriodicSender`'s generator."""
+    return seed, f"sender-{can_id}-{period}"
+
+
+def sensor_stream(seed: int) -> tuple[int, str]:
+    """The ``(seed, name)`` stream of a :func:`sensor_payload`'s start values."""
+    return seed, "sensor-init"
+
 
 #: Vectorised payload hook: ``model.batch(sequences, rng)`` returns the
 #: ``(N, dlc)`` uint8 payload block for N consecutive transmissions,
@@ -119,12 +132,24 @@ def counter_payload(dlc: int = 8, counter_byte: int = 0) -> PayloadModel:
     return model
 
 
-def sensor_payload(dlc: int = 8, active_bytes: int = 2, walk_step: int = 3, seed: int = 0) -> PayloadModel:
+def sensor_payload(
+    dlc: int = 8,
+    active_bytes: int = 2,
+    walk_step: int = 3,
+    seed: int | np.random.Generator = 0,
+) -> PayloadModel:
     """Random-walk sensor value in the first bytes, constants elsewhere.
 
     Models wheel speeds, RPM, temperatures: values drift smoothly rather
     than jumping, unlike fuzzed payloads.  Needs ``0 <= dlc <= 8``,
     ``0 <= active_bytes <= dlc`` and ``walk_step >= 0``.
+
+    ``seed`` gives the walk's start values and the constant bytes, drawn
+    here: an int seeds them from :func:`sensor_stream`, and a ready
+    ``np.random.Generator`` is that stream itself (as
+    ``np.random.default_rng`` takes either).  Any other seed, a
+    ``bool`` included, raises :class:`~repro.errors.ConfigError`.  The
+    walk's steps come from the sending ECU's generator.
     """
     if not 0 <= dlc <= _PAYLOAD_SLOTS:
         raise CANError(f"sensor_payload dlc must be in [0, {_PAYLOAD_SLOTS}], got {dlc}")
@@ -134,30 +159,23 @@ def sensor_payload(dlc: int = 8, active_bytes: int = 2, walk_step: int = 3, seed
         )
     if walk_step < 0:
         raise CANError(f"sensor_payload walk_step must be >= 0, got {walk_step}")
-    state = {"value": None}
-
-    def _ensure_state() -> None:
-        if state["value"] is None:
-            # One draw for every byte: the walk's start values, then its
-            # constants (the same stream as ``dlc`` scalar draws).
-            initial = new_rng(seed, "sensor-init").integers(0, 256, size=dlc).tolist()
-            state["value"] = initial[:active_bytes]
-            state["constants"] = initial[active_bytes:]
+    init = seed if isinstance(seed, np.random.Generator) else new_rng(*sensor_stream(seed))
+    # One draw for every byte: the walk's start values, then its
+    # constants (the same stream as ``dlc`` scalar draws).
+    initial = init.integers(0, 256, size=dlc).tolist()
+    values = initial[:active_bytes]
+    constants = np.array(initial[active_bytes:], dtype=np.uint8)
 
     def model(sequence: int, rng: np.random.Generator) -> bytes:
-        _ensure_state()
-        values = state["value"]
         for i in range(active_bytes):
             step = int(rng.integers(-walk_step, walk_step + 1))
             values[i] = int(np.clip(values[i] + step, 0, 255))
-        return bytes(values) + bytes(state["constants"])
+        return bytes(values) + constants.tobytes()
 
     def batch(sequences: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        _ensure_state()
         n = len(sequences)
         steps = rng.integers(-walk_step, walk_step + 1, size=(n, active_bytes))
         payloads = np.empty((n, dlc), dtype=np.uint8)
-        values = state["value"]
         # The walk saturates at the byte range, so each column is a
         # clipped running sum — sequential by nature, but over plain
         # ints drawn in one RNG call it stays cheap.
@@ -173,7 +191,7 @@ def sensor_payload(dlc: int = 8, active_bytes: int = 2, walk_step: int = 3, seed
                 walked.append(value)
             payloads[:, column] = walked
             values[column] = value
-        payloads[:, active_bytes:] = np.array(state["constants"], dtype=np.uint8)
+        payloads[:, active_bytes:] = constants
         return payloads
 
     model.batch = batch
@@ -293,6 +311,12 @@ class PeriodicSender:
     phase:
         Release offset of the first frame; randomised from the seed when
         None so senders don't start in lockstep.
+    seed:
+        The sender's stream (its phase, jitter and payload draws): an
+        int seeds it from :func:`sender_stream`, and a ready
+        ``np.random.Generator`` is the stream itself (as
+        ``np.random.default_rng`` takes either).  Any other seed, a
+        ``bool`` included, raises :class:`~repro.errors.ConfigError`.
     """
 
     def __init__(
@@ -303,7 +327,7 @@ class PeriodicSender:
         jitter: float = 0.02,
         phase: float | None = None,
         name: str | None = None,
-        seed: int = 0,
+        seed: int | np.random.Generator = 0,
     ):
         if not 0 <= can_id <= MAX_STANDARD_ID:
             raise CANError(f"PeriodicSender can_id must be in [0, 0x7FF], got {can_id:#x}")
@@ -318,7 +342,11 @@ class PeriodicSender:
         self.jitter = jitter
         self.payload_model = payload_model or counter_payload()
         self.name = name or f"ecu-0x{can_id:03X}"
-        self._rng = new_rng(seed, f"sender-{can_id}-{period}")
+        self._rng = (
+            seed
+            if isinstance(seed, np.random.Generator)
+            else new_rng(*sender_stream(seed, can_id, period))
+        )
         self.phase = float(self._rng.uniform(0, period)) if phase is None else phase
 
     def frames_array(self, until: float) -> ScheduleArray:

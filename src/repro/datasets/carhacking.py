@@ -40,10 +40,12 @@ from repro.can.node import (
     PeriodicSender,
     constant_payload,
     counter_payload,
+    sender_stream,
     sensor_payload,
+    sensor_stream,
 )
 from repro.errors import DatasetError
-from repro.utils.rng import SeedSequence
+from repro.utils.rng import SeedSequence, new_rngs
 
 __all__ = [
     "VehicleIdSpec",
@@ -141,15 +143,23 @@ def _full_vehicle() -> list[VehicleIdSpec]:
     ]
 
 
-def _payload_model(spec: VehicleIdSpec, seeds: SeedSequence):
+def _payload_stream(spec: VehicleIdSpec, seeds: SeedSequence) -> tuple[int, str | None] | None:
+    """The stream of ``spec``'s payload generator; None for a counter."""
+    if spec.kind == "counter":
+        return None
+    if spec.kind not in ("sensor", "constant"):
+        raise DatasetError(f"unknown payload kind {spec.kind!r} for id 0x{spec.can_id:X}")
+    seed = seeds.seed(f"payload-{spec.can_id:x}")
+    # A constant draws from ``seeds.rng(...)``: the derived seed, unnamed.
+    return sensor_stream(seed) if spec.kind == "sensor" else (seed, None)
+
+
+def _payload_model(spec: VehicleIdSpec, rng: np.random.Generator | None):
     if spec.kind == "counter":
         return counter_payload(dlc=8, counter_byte=0)
     if spec.kind == "sensor":
-        return sensor_payload(dlc=8, active_bytes=3, walk_step=4, seed=seeds.seed(f"payload-{spec.can_id:x}"))
-    if spec.kind == "constant":
-        rng = seeds.rng(f"payload-{spec.can_id:x}")
-        return constant_payload(bytes(int(b) for b in rng.integers(0, 256, size=8)))
-    raise DatasetError(f"unknown payload kind {spec.kind!r} for id 0x{spec.can_id:X}")
+        return sensor_payload(dlc=8, active_bytes=3, walk_step=4, seed=rng)
+    return constant_payload(bytes(rng.integers(0, 256, size=8).tolist()))
 
 
 def _attack_windows(
@@ -182,17 +192,35 @@ def build_vehicle_bus(
     ids emit identical frames across profiles.  Callers (capture
     generation, the multi-channel gateway scenario, the fleet runner)
     attach their own attackers on top.
+
+    Every generator the senders and their payload models draw from is
+    made by one :func:`~repro.utils.rng.new_rngs` call and handed over
+    as their ``seed``: the streams are those of
+    :func:`~repro.can.node.sender_stream` and
+    :func:`~repro.can.node.sensor_stream`, so each sender emits exactly
+    what it would if built alone from its int seed.
     """
     vehicle_seeds = SeedSequence(vehicle_seed, scope="carhacking-vehicle")
+    specs = list(vehicle if vehicle is not None else default_vehicle(profile))
+    payload_streams = [_payload_stream(spec, vehicle_seeds) for spec in specs]
+    rngs = new_rngs(
+        [
+            sender_stream(vehicle_seeds.seed(f"sender-{spec.can_id:x}"), spec.can_id, spec.period)
+            for spec in specs
+        ]
+        + [stream for stream in payload_streams if stream is not None]
+    )
+    payload_rngs = iter(rngs[len(specs) :])
     bus = BusSimulator(bitrate=bitrate)
-    for spec in vehicle if vehicle is not None else default_vehicle(profile):
+    for spec, sender_rng, stream in zip(specs, rngs, payload_streams):
+        payload_rng = None if stream is None else next(payload_rngs)
         bus.attach(
             PeriodicSender(
                 can_id=spec.can_id,
                 period=spec.period,
-                payload_model=_payload_model(spec, vehicle_seeds),
+                payload_model=_payload_model(spec, payload_rng),
                 jitter=0.02,
-                seed=vehicle_seeds.seed(f"sender-{spec.can_id:x}"),
+                seed=sender_rng,
             )
         )
     return bus

@@ -357,6 +357,11 @@ def _run_pooled(
     for shards 0..18's run time.  An abandoned (timed-out) attempt that
     is still executing keeps its slot accounted as a *zombie* until its
     future resolves, so replacements are not queued behind it.
+
+    A run that ends with no attempt abandoned (no timeout, no rebuild)
+    waits for the pool's workers to exit, so none outlives the call;
+    any other exit, an exception included, cancels what is queued and
+    returns without waiting on a hung or dead worker.
     """
     pool = make_pool()
     ready: list[_Submission] = []  # runnable, waiting for a worker slot
@@ -402,6 +407,7 @@ def _run_pooled(
         _Submission(token=token, index=index, attempt=0, task=task)
         for index, task in enumerate(ordered)
     )
+    clean = False  # finished with no attempt abandoned on a worker
     try:
         while ready or pending or delayed:
             now = time.monotonic()
@@ -464,8 +470,13 @@ def _run_pooled(
                 )
                 if scheduled is not None:
                     delayed.append((time.monotonic() + scheduled[0], scheduled[1]))
+        clean = not (book.timeouts or book.pool_rebuilds)
     finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+        if clean:
+            # Every worker is idle: join them, so none outlives the run.
+            pool.shutdown(wait=True)
+        else:
+            pool.shutdown(wait=False, cancel_futures=True)
     return book.finish()
 
 

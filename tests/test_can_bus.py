@@ -4,6 +4,8 @@ The event-driven reference loop (``BusSimulator.run``) returns an
 ``ArbitrationResult``; tests read its columns.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,12 @@ from repro.can.node import (
     ScheduledFrame,
     constant_payload,
     counter_payload,
+    sender_stream,
     sensor_payload,
+    sensor_stream,
 )
-from repro.errors import CANError
+from repro.errors import CANError, ConfigError
+from repro.utils.rng import new_rng
 
 NAN, INF = float("nan"), float("inf")
 
@@ -135,6 +140,36 @@ class TestPeriodicTraffic:
         """Shapes no 8-byte payload block can hold fail when the model is made."""
         with pytest.raises(CANError, match=named):
             build()
+
+    @pytest.mark.parametrize("seed", [1.5, "7", True, None])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda seed: sensor_payload(seed=seed),
+            lambda seed: PeriodicSender(0x100, 0.01, seed=seed),
+        ],
+        ids=["sensor", "sender"],
+    )
+    def test_seed_checked_at_construction(self, build, seed):
+        """A seed that is neither an int nor a Generator fails where it is given."""
+        with pytest.raises(ConfigError, match=f"got {re.escape(repr(seed))}"):
+            build(seed)
+
+    def test_generator_seeds_are_the_streams_themselves(self):
+        """A ready Generator on the int seed's stream emits the same frames."""
+        by_int = PeriodicSender(
+            0x316, 0.01, payload_model=sensor_payload(seed=9), jitter=0.02, seed=4
+        )
+        by_generator = PeriodicSender(
+            0x316,
+            0.01,
+            payload_model=sensor_payload(seed=new_rng(*sensor_stream(9))),
+            jitter=0.02,
+            seed=new_rng(*sender_stream(4, 0x316, 0.01)),
+        )
+        assert by_int.phase == by_generator.phase
+        frames = list(by_int.frames(0.3))
+        assert frames and frames == list(by_generator.frames(0.3))
 
 
 class TestAttackEffects:

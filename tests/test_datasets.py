@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.can.bus import BusSimulator
+from repro.can.fastbus import build_schedule
 from repro.can.log import CANLogRecord, CaptureArray
+from repro.can.node import (
+    PeriodicSender,
+    constant_payload,
+    counter_payload,
+    sensor_payload,
+)
 from repro.datasets.carhacking import (
+    VEHICLE_PROFILES,
     CarHackingCapture,
+    build_vehicle_bus,
     default_vehicle,
     generate_capture,
 )
@@ -20,6 +30,7 @@ from repro.datasets.splits import train_val_test_split
 from repro.datasets.stats import capture_summary, id_inventory
 from repro.errors import DatasetError
 from repro.utils.bitops import bits_to_int
+from repro.utils.rng import SeedSequence
 
 
 class TestGenerator:
@@ -72,6 +83,45 @@ class TestGenerator:
         loaded = CarHackingCapture.load_csv(path, attack="dos")
         assert len(loaded) == len(dos_capture)
         assert loaded.num_attack == dos_capture.num_attack
+
+
+def _vehicle_bus_sender_by_sender(vehicle_seed, profile):
+    """The vehicle bus with every sender and payload model made from int seeds."""
+    seeds = SeedSequence(vehicle_seed, scope="carhacking-vehicle")
+    bus = BusSimulator()
+    for spec in default_vehicle(profile):
+        name = f"payload-{spec.can_id:x}"
+        if spec.kind == "counter":
+            model = counter_payload(dlc=8, counter_byte=0)
+        elif spec.kind == "sensor":
+            model = sensor_payload(dlc=8, active_bytes=3, walk_step=4, seed=seeds.seed(name))
+        else:
+            model = constant_payload(bytes(seeds.rng(name).integers(0, 256, size=8).tolist()))
+        bus.attach(
+            PeriodicSender(
+                spec.can_id,
+                spec.period,
+                payload_model=model,
+                jitter=0.02,
+                seed=seeds.seed(f"sender-{spec.can_id:x}"),
+            )
+        )
+    return bus
+
+
+class TestVehicleBus:
+    @pytest.mark.parametrize("profile", VEHICLE_PROFILES)
+    @pytest.mark.parametrize("vehicle_seed", [0, 1, 2027, 123456789])
+    def test_batched_generators_emit_what_int_seeds_emit(self, profile, vehicle_seed):
+        batched = build_vehicle_bus(vehicle_seed=vehicle_seed, profile=profile)
+        alone = _vehicle_bus_sender_by_sender(vehicle_seed, profile)
+        # A second call on the same senders carries on every stream.
+        for until in (0.4, 1.3):
+            a = build_schedule(batched.sources, until)
+            b = build_schedule(alone.sources, until)
+            assert len(a) > 0
+            for column in ("release_times", "can_ids", "dlcs", "payloads", "labels", "sources"):
+                assert getattr(a, column).tobytes() == getattr(b, column).tobytes(), column
 
 
 class TestBitFeatureEncoder:

@@ -16,6 +16,7 @@ The claims pinned here:
   and the timeout clock starts when an attempt *runs*, not when it
   queues behind other shards;
 * a dead process-pool worker rebuilds the pool and the run completes;
+* a clean process-pool run returns only after its workers exit;
 * process-pool workers cap their BLAS helper threads at their share
   of the cores, and the calling process's setting is left alone;
 * ``run_fleet(..., checkpoint=path)`` persists completed shards and a
@@ -25,6 +26,7 @@ The claims pinned here:
 
 import json
 import logging
+import multiprocessing
 import os
 import threading
 import time
@@ -289,6 +291,14 @@ class TestProcessPoolRebuild:
         share = max(1, (os.cpu_count() or 1) // 2)
         assert out.results == (share, share)
         assert _blas_threads() == before  # the calling process is untouched
+
+
+class TestPoolShutdown:
+    def test_clean_process_run_leaves_no_worker_alive(self):
+        before = set(multiprocessing.active_children())
+        out = run_sharded(list(range(4)), _double, {}, "process", 2)
+        assert out.results == (0, 2, 4, 6) and out.health.ok
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestResilienceOptions:

@@ -30,6 +30,7 @@ FIXTURES = REPO_ROOT / "tests" / "lint_fixtures"
 
 VIOLATION_FIXTURES = [
     ("rng_violation.py", "rng-discipline"),
+    ("rng_alias_violation.py", "rng-discipline"),
     ("hotpath_violation.py", "hot-path-purity"),
     ("dtype_violation.py", "dtype-discipline"),
     ("pickle_violation.py", "pickle-safety"),
@@ -73,6 +74,52 @@ class TestRuleFiring:
         assert violation.path.endswith("lint_fixtures/dtype_violation.py")
         assert violation.line > 1
         assert f":{violation.line}: [dtype-discipline]" in violation.render()
+
+
+class TestRngDiscipline:
+    def test_aliased_numpy_random_imports_are_flagged(self):
+        result = lint_fixture("rng_alias_violation.py")
+        assert [v.line for v in result.violations] == [3, 4]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import numpy.random\n",
+            "import numpy.random as npr\n",
+            "import numpy.random.bit_generator\n",
+            "from numpy import random\n",
+            "from numpy import linalg, random as nr\n",
+            "from numpy.random import default_rng\n",
+        ],
+    )
+    def test_every_numpy_random_import_form_is_flagged(self, tmp_path, source):
+        target = tmp_path / "module.py"
+        target.write_text(source, encoding="utf-8")
+        result = run_lint([target], root=tmp_path)
+        assert [v.rule for v in result.violations] == ["rng-discipline"]
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import numpy as np\nrng: np.random.Generator\n",
+            "import numpy\nfrom numpy import linalg\n",
+            "import numpy.linalg\n",
+        ],
+    )
+    def test_plain_numpy_imports_are_clean(self, tmp_path, source):
+        target = tmp_path / "module.py"
+        target.write_text(source, encoding="utf-8")
+        assert run_lint([target], root=tmp_path).clean
+
+    def test_rng_home_may_import_numpy_random(self, tmp_path):
+        target = tmp_path / "src" / "repro" / "utils" / "rng.py"
+        target.parent.mkdir(parents=True)
+        target.write_text(
+            "from __future__ import annotations\n"
+            "from numpy.random.bit_generator import ISeedSequence\n",
+            encoding="utf-8",
+        )
+        assert run_lint([target], root=tmp_path).clean
 
 
 class TestHotPathWhitelist:

@@ -1,10 +1,34 @@
-"""Tests for deterministic seed derivation."""
+"""Tests for deterministic seed derivation and batched generators."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigError
-from repro.utils.rng import SeedSequence, derive_seed, new_rng
+from repro.utils.rng import (
+    SeedSequence,
+    _SeedWords,
+    _seed_words,
+    derive_seed,
+    new_rng,
+    new_rngs,
+)
+
+#: Word-count and word-boundary seeds of the [0, 2**64) entropy range.
+_EDGE_SEEDS = [0, 1, 2, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1]
+_SEEDS = st.integers(0, 2**64 - 1)
+
+
+def _numpy_words(seed):
+    return np.random.SeedSequence(seed).generate_state(4, np.uint64)
+
+
+def _assert_same_generators(batched, alone):
+    assert len(batched) == len(alone)
+    for a, b in zip(batched, alone):
+        assert a.bit_generator.state == b.bit_generator.state
+        assert np.array_equal(a.random(3), b.random(3))
+        assert np.array_equal(a.integers(0, 2**63, size=3), b.integers(0, 2**63, size=3))
 
 
 class TestDeriveSeed:
@@ -24,6 +48,11 @@ class TestDeriveSeed:
     def test_rejects_non_int(self):
         with pytest.raises(ConfigError):
             derive_seed("not-an-int", "x")  # type: ignore[arg-type]
+
+    def test_rejects_bool(self):
+        # A bool is an int to Python; taken silently it would read as 1.
+        with pytest.raises(ConfigError, match="got True"):
+            derive_seed(True, "x")
 
 
 class TestNewRng:
@@ -58,3 +87,69 @@ class TestSeedSequence:
         root = SeedSequence(1)
         deep = root.child("x").child("y")
         assert deep.seed("z") == SeedSequence(1).child("x").child("y").seed("z")
+
+
+class TestSeedWords:
+    def test_edge_seeds_match_numpy(self):
+        words = _seed_words(np.array(_EDGE_SEEDS, dtype=np.uint64))
+        for row, seed in zip(words, _EDGE_SEEDS):
+            assert np.array_equal(row, _numpy_words(seed)), seed
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_SEEDS, min_size=1, max_size=16))
+    def test_matches_numpy_seed_sequence(self, seeds):
+        words = _seed_words(np.array(seeds, dtype=np.uint64))
+        assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+        for row, seed in zip(words, seeds):
+            assert np.array_equal(row, _numpy_words(seed)), seed
+
+    @pytest.mark.parametrize(
+        "n_words, dtype",
+        [(4, np.uint32), (8, np.uint64), (2, np.uint64), (4, np.int64), (8, np.uint32)],
+    )
+    def test_refuses_any_other_request(self, n_words, dtype):
+        with pytest.raises(ConfigError, match="generate_state"):
+            _SeedWords(np.zeros(4, dtype=np.uint64)).generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.uint64, "uint64", np.dtype(np.uint64)])
+    def test_serves_the_pcg64_request(self, dtype):
+        words = _seed_words(np.array([5], dtype=np.uint64))[0]
+        assert _SeedWords(words).generate_state(4, dtype) is words
+
+
+class TestNewRngs:
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [],
+            [(7, "data")],
+            [
+                (seed, name)
+                for seed in (0, 1, 2**31, 2**40, 2**63 - 1)
+                for name in ("a", "sender-790-0.01", "sensor-init", None)
+            ]
+            + [(seed, None) for seed in _EDGE_SEEDS],
+        ],
+        ids=["empty", "one", "many"],
+    )
+    def test_matches_new_rng(self, pairs):
+        _assert_same_generators(new_rngs(pairs), [new_rng(s, n) for s, n in pairs])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(_SEEDS, st.one_of(st.none(), st.text(max_size=12))), max_size=12))
+    def test_matches_new_rng_on_any_pairs(self, pairs):
+        _assert_same_generators(new_rngs(pairs), [new_rng(s, n) for s, n in pairs])
+
+    @pytest.mark.parametrize(
+        "pair, named",
+        [
+            ((-1, None), "got -1"),
+            ((2**64, None), f"got {2**64}"),
+            ((True, None), "got True"),
+            ((True, "x"), "got True"),
+            ((1.5, None), "got 1.5"),
+        ],
+    )
+    def test_rejects_seeds_outside_the_port(self, pair, named):
+        with pytest.raises(ConfigError, match=named):
+            new_rngs([(0, "fine"), pair])

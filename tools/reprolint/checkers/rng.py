@@ -7,7 +7,10 @@ stdlib ``random``) call introduces hidden global state that breaks
 order-stable campaign sweeps and cross-backend determinism, so any
 generator construction or legacy-API draw outside the ``rng-home``
 module is a violation — annotations like ``np.random.Generator`` are
-fine, calls are not.
+fine, calls are not.  Importing ``numpy.random`` itself (``import
+numpy.random as npr``, ``from numpy import random``, ``from numpy.random
+import ...``) is a violation too, since calls through such an alias
+escape the ``np.random.*`` call check.
 """
 
 from __future__ import annotations
@@ -16,6 +19,16 @@ import ast
 from typing import Iterator
 
 from tools.reprolint.core import Checker, FileContext, Violation, attr_chain, register
+
+
+_NUMPY_RANDOM_IMPORT = (
+    "numpy.random imported; construct generators only in repro.utils.rng "
+    "and inject them"
+)
+
+
+def _is_numpy_random(module: str) -> bool:
+    return module == "numpy.random" or module.startswith("numpy.random.")
 
 
 @register
@@ -39,6 +52,8 @@ class RngDiscipline(Checker):
                             "stdlib random is banned; draw from an injected "
                             "np.random.Generator (repro.utils.rng.new_rng)",
                         )
+                    elif _is_numpy_random(alias.name):
+                        yield self._violation(ctx, node, _NUMPY_RANDOM_IMPORT)
             elif isinstance(node, ast.ImportFrom):
                 module = node.module or ""
                 if module == "random" or module.startswith("random."):
@@ -48,13 +63,10 @@ class RngDiscipline(Checker):
                         "stdlib random is banned; draw from an injected "
                         "np.random.Generator (repro.utils.rng.new_rng)",
                     )
-                elif module == "numpy.random" or module.startswith("numpy.random."):
-                    yield self._violation(
-                        ctx,
-                        node,
-                        "import from numpy.random; construct generators only in "
-                        "repro.utils.rng and inject them",
-                    )
+                elif _is_numpy_random(module) or (
+                    module == "numpy" and any(alias.name == "random" for alias in node.names)
+                ):
+                    yield self._violation(ctx, node, _NUMPY_RANDOM_IMPORT)
             elif isinstance(node, ast.Call):
                 chain = attr_chain(node.func)
                 if (
