@@ -418,7 +418,8 @@ class ReplayAttacker(_WindowedSource):
             dlcs=self._dlcs[:cut],
             payloads=self._payloads[:cut],
             labels=np.ones(cut, dtype=np.int64),
-            sources=np.full(cut, self.name),  # reprolint: disable=dtype-discipline -- unicode width inferred from the attacker name
+            sources=np.zeros(cut, dtype=np.int64),
+            source_names=(self.name,),
         )
 
 
@@ -550,15 +551,19 @@ class SuspensionAttacker:
         shifted[hit] = releases[hit] + self.delay
         labels = schedule.labels.copy()
         labels[hit] = 1
-        sources = schedule.sources.astype(object)
-        sources[hit] = self.name
+        names = schedule.source_names
+        if self.name not in names:
+            names += (self.name,)
+        sources = schedule.sources.copy()
+        sources[hit] = names.index(self.name)
         tampered = fastbus.ScheduleArray(
             release_times=shifted,
             can_ids=schedule.can_ids,
             dlcs=schedule.dlcs,
             payloads=schedule.payloads,
             labels=labels,
-            sources=sources.astype(str),
+            sources=sources,
+            source_names=names,
         )
         keep = ~(hit & (shifted >= until))
         return tampered.take(np.flatnonzero(keep)).sorted_by_release()

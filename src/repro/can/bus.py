@@ -100,13 +100,7 @@ class BusSimulator:
         schedule = _release_columns(releases)
         if effective is not None:
             wire = [scheduled.frame.bit_length() for scheduled in releases]
-            plan = effective.plan(
-                schedule.release_times,
-                schedule.can_ids,
-                np.array(wire, dtype=np.int64),
-                schedule.sources,
-                self.bitrate,
-            )
+            plan = effective.plan(schedule, np.array(wire, dtype=np.int64), self.bitrate)
             if not plan.clean:
                 return _run_faulted(releases, schedule, wire, duration, self.bitrate, plan)
             # A clean plan (zero-rate model, no targets drawn) changes
@@ -187,10 +181,12 @@ class BusSimulator:
 def _release_columns(releases: Sequence[ScheduledFrame]) -> ScheduleArray:
     """The merged releases as schedule columns, row for row.
 
-    The rows the event engine's results gather from, and the columns
+    The rows the event engine's results gather from, and the schedule
     its side of the shared fault plan is defined over (the same values
-    the columnar engine's merged schedule holds).  A frame the capture
-    columns cannot record (extended or RTR) raises :class:`CANError`.
+    the columnar engine's merged schedule holds; senders are coded in
+    release order here, so only their names match).  A frame the
+    capture columns cannot record (extended or RTR) raises
+    :class:`CANError`.
     """
     ids: list[int] = []
     chunks: list[bytes] = []
@@ -205,6 +201,7 @@ def _release_columns(releases: Sequence[ScheduledFrame]) -> ScheduleArray:
         ids.append(frame.can_id)
         chunks.append(frame.data.ljust(MAX_PAYLOAD_BYTES, b"\0"))
     n = len(releases)
+    code_of: dict[str, int] = {}
     return ScheduleArray(
         release_times=np.array([s.release_time for s in releases], dtype=np.float64),
         can_ids=np.array(ids, dtype=np.int64),
@@ -213,7 +210,10 @@ def _release_columns(releases: Sequence[ScheduledFrame]) -> ScheduleArray:
         .reshape(n, MAX_PAYLOAD_BYTES)
         .copy(),
         labels=np.array([1 if s.label == "T" else 0 for s in releases], dtype=np.int64),
-        sources=np.array([s.source for s in releases], dtype=np.str_),
+        sources=np.array(
+            [code_of.setdefault(s.source, len(code_of)) for s in releases], dtype=np.int64
+        ),
+        source_names=tuple(code_of),
     )
 
 
@@ -242,6 +242,7 @@ def _window(
             labels=schedule.labels[served],
         ),
         sources=schedule.sources[served],
+        source_names=schedule.source_names,
         queued_at=schedule.release_times[served],
         started_at=np.array(starts, dtype=np.float64),
         wire_bits=np.array(bits, dtype=np.int64),

@@ -10,9 +10,13 @@ columns, so callers never branch on the engine.
 This module is the *compute* engine for the same physics:
 
 * :class:`ScheduleArray` — a columnar frame schedule (release times,
-  identifiers, payload bytes, labels, source names as numpy arrays) of
-  standard CAN 2.0A data frames.  :func:`build_schedule` emits each run
-  of a bus's periodic senders as one block through the sender bank
+  identifiers, payload bytes, labels and sender codes as numpy arrays)
+  of standard CAN 2.0A data frames.  A sender is an int64 code into the
+  schedule's ``source_names`` tuple, one code per name, so the fault
+  plan and phase attribution compare ints, and merging schedules
+  remaps small name tables instead of copying unicode columns.
+  :func:`build_schedule` emits each run of a bus's periodic senders as
+  one block through the sender bank
   (:func:`repro.can.node.bank_schedule`); every other traffic source
   emits its own through ``frames_array(until)``.
 * :func:`standard_wire_bits` — exact CAN 2.0A wire lengths (CRC-15 +
@@ -30,7 +34,10 @@ This module is the *compute* engine for the same physics:
   packing ``(can_id, row)``.  Measured traffic has no long same-id runs
   to vectorise (a flood's served runs average ~4 frames), so the sweep
   has no vectorised path beside it.  Records are gathered into columns
-  once, after the sweep.
+  once, after the sweep.  Under wire faults the sweep keeps the same
+  int keys: retransmissions wait in a second, usually empty heap keyed
+  ``(can_id, entry time, push order)``, and the fault columns come
+  from each record's attempt number after the sweep.
 
 **Bit-exactness.**  The kernel reproduces ``BusSimulator.run`` exactly:
 same winners, same timestamps (the same IEEE operations in the same
@@ -43,7 +50,6 @@ topologies, bitrates, wire faults and horizon clipping.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import math
 from dataclasses import dataclass
@@ -93,9 +99,11 @@ class ScheduleArray:
     ``payloads`` rows are zero-padded to eight bytes (``dlcs`` keeps
     the true lengths); ``labels`` uses the capture convention (1 =
     attack/tampered ``"T"``, 0 = regular ``"R"``); ``sources`` carries
-    the emitting node's name for phase attribution.  Wire lengths are
-    not a column: :func:`simulate_arbitration` computes them once per
-    window with :func:`standard_wire_bits`.
+    the emitting node for phase attribution as an int64 code into
+    ``source_names``, which names each code once (a table may name a
+    sender that emits no row here).  Wire lengths are not a column:
+    :func:`simulate_arbitration` computes them once per window with
+    :func:`standard_wire_bits`.
     """
 
     release_times: np.ndarray  #: (N,) float64 release instants
@@ -103,7 +111,8 @@ class ScheduleArray:
     dlcs: np.ndarray  #: (N,) int64 true payload lengths
     payloads: np.ndarray  #: (N, 8) uint8 zero-padded payload bytes
     labels: np.ndarray  #: (N,) int64, 1 for attack ("T") frames
-    sources: np.ndarray  #: (N,) unicode source names
+    sources: np.ndarray  #: (N,) int64 codes into ``source_names``
+    source_names: tuple[str, ...]  #: the sender name of each code
 
     def __post_init__(self) -> None:
         n = self.release_times.shape[0]
@@ -111,6 +120,11 @@ class ScheduleArray:
         for name in ("can_ids", "dlcs", "labels", "sources"):
             if getattr(self, name).shape != (n,):
                 raise CANError(f"ScheduleArray field {name} must have shape ({n},)")
+        if self.sources.dtype != np.int64:
+            raise CANError(
+                f"ScheduleArray sources must be int64 codes into source_names, "
+                f"got {self.sources.dtype}"
+            )
         if self.payloads.shape != (n, _PAYLOAD_SLOTS):
             raise CANError(
                 f"ScheduleArray payloads must have shape ({n}, {_PAYLOAD_SLOTS}), "
@@ -130,7 +144,8 @@ class ScheduleArray:
             dlcs=np.zeros(0, dtype=np.int64),
             payloads=np.zeros((0, _PAYLOAD_SLOTS), dtype=np.uint8),
             labels=np.zeros(0, dtype=np.int64),
-            sources=np.zeros(0, dtype="<U1"),
+            sources=np.zeros(0, dtype=np.int64),
+            source_names=(),
         )
 
     def take(self, indices: np.ndarray) -> "ScheduleArray":
@@ -142,22 +157,34 @@ class ScheduleArray:
             payloads=self.payloads[indices],
             labels=self.labels[indices],
             sources=self.sources[indices],
+            source_names=self.source_names,
         )
 
     @classmethod
     def concatenate(cls, parts: Sequence["ScheduleArray"]) -> "ScheduleArray":
-        """Stack schedules (source attach order — ties stay stable)."""
+        """Stack schedules (source attach order — ties stay stable).
+
+        Sender tables merge by name, in order of first appearance, and
+        each part's codes are remapped into the merged table.
+        """
         if not parts:
             return cls.empty()
         if len(parts) == 1:
             return parts[0]
+        names = tuple(dict.fromkeys(name for p in parts for name in p.source_names))
+        code_of = {name: code for code, name in enumerate(names)}
+        remaps = [
+            np.array([code_of[name] for name in p.source_names], dtype=np.int64)
+            for p in parts
+        ]
         return cls(
             release_times=np.concatenate([p.release_times for p in parts]),
             can_ids=np.concatenate([p.can_ids for p in parts]),
             dlcs=np.concatenate([p.dlcs for p in parts]),
             payloads=np.concatenate([p.payloads for p in parts], axis=0),
             labels=np.concatenate([p.labels for p in parts]),
-            sources=np.concatenate([p.sources for p in parts]),
+            sources=np.concatenate([remap[p.sources] for remap, p in zip(remaps, parts)]),
+            source_names=names,
         )
 
     def sorted_by_release(self) -> "ScheduleArray":
@@ -179,6 +206,7 @@ class ScheduleArray:
         dlcs = self.dlcs.tolist()
         labels = self.labels.tolist()
         sources = self.sources.tolist()
+        names = self.source_names
         payload_bytes = self.payloads.tobytes()
         for k in range(len(releases)):
             data = payload_bytes[k * _PAYLOAD_SLOTS : k * _PAYLOAD_SLOTS + dlcs[k]]
@@ -186,7 +214,7 @@ class ScheduleArray:
                 releases[k],
                 CANFrame(ids[k], data),
                 "T" if labels[k] else "R",
-                sources[k],
+                names[sources[k]],
             )
 
 
@@ -235,7 +263,8 @@ def schedule_columns(
         dlcs=np.broadcast_to(dlc_column, (n,)).copy() if dlc_column.ndim == 0 else dlc_column,
         payloads=payloads,
         labels=np.full(n, int(label), dtype=np.int64),
-        sources=np.full(n, source),  # reprolint: disable=dtype-discipline -- unicode width inferred from the source name
+        sources=np.zeros(n, dtype=np.int64),
+        source_names=(source,),
     )
 
 
@@ -499,9 +528,12 @@ class ArbitrationResult:
     ``capture`` timestamps are reception-complete times (what a CAN
     controller timestamps); ``queued_at`` and ``started_at`` carry the
     release and arbitration-win instants, ``sources`` the emitting node
-    per surviving frame, ``wire_bits`` the exact occupancy used for
+    per surviving frame (an int64 code into ``source_names``, the
+    schedule's sender table), ``wire_bits`` the exact occupancy used for
     bus-load accounting, and ``schedule_indices`` each survivor's row
-    in the merged, release-sorted schedule.
+    in the merged, release-sorted schedule.  Each engine numbers
+    senders in the order it merged them, so results compare sender
+    *names* (``source_names[sources]``), not codes.
 
     Faulted runs (``faults=`` on either engine) add the
     wire-fault attribution columns: ``corrupted`` flags records that
@@ -514,6 +546,7 @@ class ArbitrationResult:
 
     capture: "CaptureArray"
     sources: np.ndarray
+    source_names: tuple[str, ...]
     queued_at: np.ndarray
     started_at: np.ndarray
     wire_bits: np.ndarray
@@ -594,18 +627,17 @@ def simulate_arbitration(
     ``faults`` enables the wire-fault layer (:mod:`repro.can.faults`),
     bit-exact against ``BusSimulator.run(..., faults=)``.  The shared
     :class:`~repro.can.faults.FaultPlan` is resolved over the
-    release-sorted columns first, so corruption draws and bus-off times
+    release-sorted schedule first, so corruption draws and bus-off times
     are identical to the event engine's; a plan that perturbs nothing
     hands the wire lengths it was resolved over to the clean sweep, so
     a zero-rate model costs only the plan.  Otherwise
     :func:`_sweep_faulted` runs.
     """
     _check_timing(bitrate, duration)
-    releases = schedule.release_times
-    _check_releases(releases)
+    _check_releases(schedule.release_times)
     wire_bits = standard_wire_bits(schedule.can_ids, schedule.dlcs, schedule.payloads)
     if faults is not None:
-        plan = faults.plan(releases, schedule.can_ids, wire_bits, schedule.sources, bitrate)
+        plan = faults.plan(schedule, wire_bits, bitrate)
         if not plan.clean:
             return _sweep_faulted(schedule, wire_bits, plan, bitrate, duration)
     return _sweep_clean(schedule, wire_bits, bitrate, duration)
@@ -677,102 +709,138 @@ def _sweep_faulted(
 ) -> ArbitrationResult:
     """The faulted sweep: error frames, retransmission, bus-off.
 
-    The clean sweep with the faulted event loop's additions, driven by
-    ``plan``: rows of a bus-off node are never offered, a corrupted
-    attempt occupies the wire for the frame plus an error frame, and its
-    retransmission re-enters arbitration at the error frame's end.  Heap
-    keys stay ``(can_id, entry_release,
-    sequence, row)``: a same-id frame released before that re-entry
-    must still win.  A schedule row emits one record per attempt;
-    completions still never decrease, so the sweep stops at the first
-    one past ``duration``.
+    :func:`_sweep_clean` over the rows ``plan`` queues (a bus-off
+    node's rows are dropped before the sweep), with the same packed
+    ``(can_id << shift) | row`` keys and ``heappushpop`` fast path.  A
+    corrupted attempt occupies the wire for the frame plus an error
+    frame, and its retransmission re-enters arbitration at the error
+    frame's end.  Retransmissions wait in a second heap keyed
+    ``(can_id, entry time, push order, row)``, read only while it is
+    non-empty: a fresh frame beats the waiting retransmission when its
+    ``(can_id, release)`` is lower, as in the event engine's single
+    heap of ``(can_id, entry_release, sequence, row)`` keys.  On a tie
+    the retransmission wins: the fresh frame was released after the
+    corrupted attempt began, so the event engine pushed it later.
+
+    The sweep records each attempt's row and completion; a row's k-th
+    record is its attempt k, so ``corrupted``, ``retries`` and
+    ``bus_off`` follow from the plan after the sweep.  Completions
+    still never decrease, so the sweep stops at the first one past
+    ``duration``.
     """
-    n = len(schedule)
-    rel = schedule.release_times.tolist() + [math.inf]
-    dur = (wire_bits / float(bitrate)).tolist()
-    ids = schedule.can_ids.tolist()
-    queued = plan.queued.tolist()
-    left = plan.attempts.tolist()
-    attempts = plan.attempts.tolist()
-    transmit = plan.transmit.tolist()
+    live = np.flatnonzero(plan.queued)
+    n = int(live.size)
+    rel = schedule.release_times[live].tolist() + [math.inf]
+    dur = (wire_bits[live] / float(bitrate)).tolist()
+    shift = max(n, 1).bit_length()
+    row_mask = (1 << shift) - 1
+    keys = ((schedule.can_ids[live] << shift) | np.arange(n, dtype=np.int64)).tolist()
+    planned = plan.attempts[live]
+    left = planned.tolist()
+    transmit = plan.transmit[live]
     error_s = plan.error_s
-    pending: list[tuple[int, float, int, int]] = []
+    pending: list[int] = []
+    resend: list[tuple[int, float, int, int]] = []
     order: list[int] = []
     ends: list[float] = []
-    corrupted: list[bool] = []
-    retries: list[int] = []
-    bus_off: list[bool] = []
     free = 0.0
     i = 0
-    sequence = 0
+    pushes = 0
     while True:
-        if pending:
-            # Retransmissions re-enter when the bus frees, and fresh
-            # entries were released by then: the winner starts at free.
+        if resend:
+            # A retransmission waits (it entered when the bus freed), so
+            # the winner starts at free; fresh frames released by then join.
             while rel[i] <= free:
-                if queued[i]:
-                    heapq.heappush(pending, (ids[i], rel[i], sequence, i))
-                    sequence += 1
+                heapq.heappush(pending, keys[i])
                 i += 1
-            row = heapq.heappop(pending)[3]
-            start = free
-        else:
-            while i < n and not queued[i]:
-                i += 1  # bus-off node: the frame is never offered
-            if i >= n:
-                break
+            can_id, entry, _, row = resend[0]
+            if pending and (pending[0] >> shift, rel[pending[0] & row_mask]) < (can_id, entry):
+                row = heapq.heappop(pending) & row_mask
+            else:
+                heapq.heappop(resend)
+            end = free + dur[row]
+        elif pending:
+            if rel[i] <= free:
+                key = keys[i]
+                i += 1
+                while rel[i] <= free:
+                    heapq.heappush(pending, key)
+                    key = keys[i]
+                    i += 1
+                row = heapq.heappushpop(pending, key) & row_mask
+            else:
+                row = heapq.heappop(pending) & row_mask
+            end = free + dur[row]
+        elif i < n:
             release = rel[i]
             start = release if release > free else free
             row = i
             i += 1
             if rel[i] <= start:
-                heapq.heappush(pending, (ids[row], release, sequence, row))
-                sequence += 1
+                heapq.heappush(pending, keys[row])
                 while rel[i] <= start:
-                    if queued[i]:
-                        heapq.heappush(pending, (ids[i], rel[i], sequence, i))
-                        sequence += 1
+                    heapq.heappush(pending, keys[i])
                     i += 1
-                row = heapq.heappop(pending)[3]
+                row = heapq.heappop(pending) & row_mask
+            end = start + dur[row]
+        else:
+            break
         if left[row]:
-            end = start + dur[row] + error_s
+            end += error_s
             if end > duration:
                 break
             left[row] -= 1
-            dead = not left[row] and not transmit[row]
-            order.append(row)
-            ends.append(end)
-            corrupted.append(True)
-            retries.append(attempts[row] - 1 - left[row])
-            bus_off.append(dead)
-            if not dead:
-                heapq.heappush(pending, (ids[row], end, sequence, row))
-                sequence += 1
-        else:
-            end = start + dur[row]
-            if end > duration:
-                break
-            order.append(row)
-            ends.append(end)
-            corrupted.append(False)
-            retries.append(attempts[row])
-            bus_off.append(False)
+            if left[row] or transmit[row]:
+                heapq.heappush(resend, (keys[row] >> shift, end, pushes, row))
+                pushes += 1
+        elif end > duration:
+            break  # completions never decrease: nothing later fits either
+        order.append(row)
+        ends.append(end)
         free = end
-    return dataclasses.replace(
-        _arbitration_result(schedule, wire_bits, order, ends, bitrate, duration),
-        corrupted=np.array(corrupted, dtype=bool),
-        retries=np.array(retries, dtype=np.int64),
-        bus_off=np.array(bus_off, dtype=bool),
+    served = np.array(order, dtype=np.int64)
+    budget = planned[served]
+    # Only a row with corrupted attempts is served more than once.
+    attempt = np.zeros(served.size, dtype=np.int64)
+    retried = np.flatnonzero(budget)
+    attempt[retried] = _occurrence_rank(served[retried])
+    corrupted = attempt < budget
+    return _arbitration_result(
+        schedule,
+        wire_bits,
+        live[served],
+        ends,
+        bitrate,
+        duration,
+        corrupted=corrupted,
+        retries=attempt,
+        bus_off=corrupted & (attempt == budget - 1) & ~transmit[served],
     )
+
+
+def _occurrence_rank(values: np.ndarray) -> np.ndarray:
+    """How many earlier entries of ``values`` equal each entry."""
+    by_value = np.argsort(values, kind="stable")
+    grouped = values[by_value]
+    position = np.arange(values.size, dtype=np.int64)
+    first = np.zeros(values.size, dtype=np.int64)
+    first[1:] = np.where(grouped[1:] != grouped[:-1], position[1:], 0)
+    np.maximum.accumulate(first, out=first)
+    rank = np.empty(values.size, dtype=np.int64)
+    rank[by_value] = position - first
+    return rank
 
 
 def _arbitration_result(
     schedule: ScheduleArray,
     wire_bits: np.ndarray,
-    order: list[int],
+    order: "list[int] | np.ndarray",
     ends: list[float],
     bitrate: float,
     duration: float,
+    corrupted: np.ndarray | None = None,
+    retries: np.ndarray | None = None,
+    bus_off: np.ndarray | None = None,
 ) -> ArbitrationResult:
     """Columns of the records a sweep served, in service order.
 
@@ -780,10 +848,12 @@ def _arbitration_result(
     is later: ``max`` does no rounding, so rebuilding the start times
     here is exact.  ``np.maximum(a, b)`` keeps ``b`` on ties, as the
     event loop's ``max(bus_free_at, release)`` keeps its first argument.
+    The faulted sweep passes its ``corrupted``/``retries``/``bus_off``
+    columns.
     """
     from repro.can.log import CaptureArray
 
-    survivors = np.array(order, dtype=np.int64)
+    survivors = np.asarray(order, dtype=np.int64)
     timestamps = np.array(ends, dtype=np.float64)
     queued_at = schedule.release_times[survivors]
     freed_at = np.zeros(survivors.size, dtype=np.float64)
@@ -797,10 +867,14 @@ def _arbitration_result(
             labels=schedule.labels[survivors],
         ),
         sources=schedule.sources[survivors],
+        source_names=schedule.source_names,
         queued_at=queued_at,
         started_at=np.maximum(queued_at, freed_at),
         wire_bits=wire_bits[survivors],
         schedule_indices=survivors,
         bitrate=float(bitrate),
         duration=float(duration),
+        corrupted=corrupted,
+        retries=retries,
+        bus_off=bus_off,
     )

@@ -9,12 +9,20 @@ optional 128×11-recessive-bit recovery).
 
 **Determinism and engine-agnosticism.**  All randomness and all state
 evolution happen *before* arbitration, in :meth:`WireFaultModel.plan`:
-a pure function of the release-sorted schedule columns and the model's
-seed (drawn from ``new_rng(seed, "wirefault/...")``).  Both engines
-consume the resulting :class:`FaultPlan` and therefore corrupt the same
+a pure function of the release-sorted schedule and the model's seed
+(drawn from ``new_rng(seed, "wirefault/...")``).  Both engines consume
+the resulting :class:`FaultPlan` and therefore corrupt the same
 transmissions, charge the same error-frame overhead and silence the
 same bus-off nodes — the bit-exactness contract extends to faulted
 runs.
+
+**The walk as array passes.**  The plan compares sender codes, never
+names, and walks the transmit error counters of every node that errs
+at once: each node's clamped +8/-1 walk is Lindley's recursion, a
+prefix sum less its running minimum (:func:`_tec_walk`).  One bounded
+loop over bus-off events (a handful per bus) silences a node until its
+recovery and restarts its walk from zero.  A row-by-row walk is the
+tests' reference (``tests/_fault_reference.py``).
 
 Two documented simplifications keep the plan engine-agnostic:
 
@@ -38,12 +46,15 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.utils.rng import derive_seed, new_rng
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.can.fastbus import ScheduleArray
 
 __all__ = [
     "ERROR_FRAME_BITS",
@@ -215,22 +226,33 @@ class WireFaultModel:
         return dataclasses.replace(self, targeted=self.targeted + tuple(extra))
 
     def plan(
-        self,
-        release_times: np.ndarray,
-        can_ids: np.ndarray,
-        wire_bits: np.ndarray,
-        sources: np.ndarray,
-        bitrate: float,
+        self, schedule: "ScheduleArray", wire_bits: np.ndarray, bitrate: float
     ) -> FaultPlan:
         """Resolve every row's fault outcome ahead of arbitration.
 
-        The columns must be in release-sorted order (ties in attach
-        order) — the order both engines admit frames, so the plan and
-        therefore the simulated wire are engine-independent.
+        ``schedule`` must be release-sorted (ties in attach order) — the
+        order both engines admit frames, so the plan and therefore the
+        simulated wire are engine-independent — and ``wire_bits`` holds
+        its rows' wire lengths.  A bitrate that is not positive and
+        finite, a ``wire_bits`` column that does not line up with the
+        schedule, and releases out of order raise :class:`ConfigError`.
         """
-        if bitrate <= 0:
-            raise ConfigError(f"bitrate must be positive, got {bitrate}")
-        n = int(release_times.shape[0])
+        if not math.isfinite(bitrate) or bitrate <= 0:
+            raise ConfigError(f"bitrate must be positive and finite, got {bitrate}")
+        releases = schedule.release_times
+        n = len(schedule)
+        if wire_bits.shape != (n,):
+            raise ConfigError(
+                f"wire_bits must have shape ({n},) to line up with the schedule, "
+                f"got {wire_bits.shape}"
+            )
+        backwards = ~(releases[1:] >= releases[:-1])
+        if backwards.any():
+            k = int(np.argmax(backwards))
+            raise ConfigError(
+                f"the fault plan needs release-sorted rows: row {k + 1} is released "
+                f"at {releases[k + 1]}, after row {k} at {releases[k]}"
+            )
         error_s = float(self.error_frame_bits) / float(bitrate)
         attempts = np.zeros(n, dtype=np.int64)
         if n and self.bit_error_rate > 0.0:
@@ -241,113 +263,165 @@ class WireFaultModel:
             clean_p = np.clip(1.0 - corrupt_p, 1e-12, 1.0)
             attempts = rng.geometric(clean_p).astype(np.int64) - 1
         if n:
+            names = schedule.source_names
+            # reprolint: disable=hot-path-purity -- iterates the model's targeted faults, not frames
             for fault in self.targeted:
-                mask = (release_times >= fault.start) & (release_times < fault.end)
+                mask = (releases >= fault.start) & (releases < fault.end)
                 if fault.can_id is not None:
-                    mask &= can_ids == fault.can_id
+                    mask &= schedule.can_ids == fault.can_id
                 if fault.source is not None:
-                    mask &= sources == fault.source
+                    code = names.index(fault.source) if fault.source in names else -1
+                    mask &= schedule.sources == code
                 attempts[mask] += int(fault.attempts)
             attempts = np.minimum(attempts, np.int64(self.max_attempts))
 
         transmit = np.ones(n, dtype=bool)
         queued = np.ones(n, dtype=bool)
         tec_after = np.zeros(n, dtype=np.int64)
-        bus_off_rows: list[int] = []
+        bus_off_rows = np.zeros(0, dtype=np.int64)
         node_states: dict[str, NodeFaultState] = {}
         if n and bool(np.any(attempts > 0)):
-            self._confine(
-                release_times,
-                sources,
-                bitrate,
-                attempts,
-                transmit,
-                queued,
-                tec_after,
-                bus_off_rows,
-                node_states,
+            bus_off_rows, node_states = self._confine(
+                schedule, bitrate, attempts, transmit, queued, tec_after
             )
         return FaultPlan(
             attempts=attempts,
             transmit=transmit,
             queued=queued,
             tec_after=tec_after,
-            bus_off_rows=np.asarray(bus_off_rows, dtype=np.int64),
+            bus_off_rows=bus_off_rows,
             error_s=error_s,
             node_states=node_states,
         )
 
     def _confine(
         self,
-        release_times: np.ndarray,
-        sources: np.ndarray,
+        schedule: "ScheduleArray",
         bitrate: float,
         attempts: np.ndarray,
         transmit: np.ndarray,
         queued: np.ndarray,
         tec_after: np.ndarray,
-        bus_off_rows: list[int],
-        node_states: dict[str, NodeFaultState],
-    ) -> None:
+    ) -> tuple[np.ndarray, dict[str, NodeFaultState]]:
         """Walk the TEC state machine per node, truncating at bus-off.
 
-        Mutates the per-row outcome arrays in place.  Only nodes with at
-        least one corrupted attempt are walked — a node that never errs
-        keeps TEC 0 (decrements clamp at zero).
+        Mutates the per-row outcome arrays in place and returns the
+        bus-off rows (in row order) and the node states (in order of
+        each node's first row).  Only nodes with at least one corrupted
+        attempt are walked — a node that never errs keeps TEC 0
+        (decrements clamp at zero).
+
+        The faulty nodes' rows are grouped by node, in release order
+        within each.  Until its first bus-off, a node's TEC is the
+        clamped +8/-1 walk, Lindley's recursion (:func:`_tec_walk`), one
+        array pass for every node at once.  A row goes bus-off when it
+        errs and its walk reaches ``tec_bus_off - 1`` (its count before
+        the final -1 reaches ``tec_bus_off``).  Each bus-off event then
+        silences the node's rows released before its recovery instant,
+        and a recovered node walks its remaining rows again from TEC 0.
         """
+        codes = schedule.sources
+        faulty = np.zeros(len(schedule.source_names), dtype=bool)
+        faulty[codes[attempts > 0]] = True
+        member = np.flatnonzero(faulty[codes])
+        rows = member[np.argsort(codes[member], kind="stable")]
+        node = codes[rows]
+        starts = np.flatnonzero(np.diff(node, prepend=-1))
+        ends = np.append(starts[1:], rows.size)
+        draws = attempts[rows]
+        releases = schedule.release_times[rows]
+        fatal_tec = self.tec_bus_off - _TEC_SUCCESS_STEP
+        tec = _tec_walk(_TEC_ERROR_STEP * draws - _TEC_SUCCESS_STEP, starts)
+        fatal = np.flatnonzero((tec >= fatal_tec) & (draws > 0))
+        _, first = np.unique(node[fatal], return_index=True)
+        first_fatal = fatal[first]
+        fatal_segments = (np.searchsorted(starts, first_fatal, side="right") - 1).tolist()
+
         recovery_s = float(BUS_OFF_RECOVERY_BITS) / float(bitrate)
-        faulty = np.unique(sources[attempts > 0])
-        rows = np.flatnonzero(np.isin(sources, faulty))
-        releases_list = release_times[rows].tolist()
-        sources_list = sources[rows].tolist()
-        attempts_list = attempts[rows].tolist()
-        # reprolint: disable=hot-path-purity -- per-node TEC walk over faulty nodes' rows only
-        tec: dict[str, int] = {}
-        peak: dict[str, int] = {}
-        off_until: dict[str, float] = {}  # +inf = permanently off
-        off_at: dict[str, float] = {}
-        recoveries: dict[str, int] = {}
-        for position in range(len(rows)):
-            k = int(rows[position])
-            source = str(sources_list[position])
-            release = float(releases_list[position])
-            counter = tec.get(source, 0)
-            if source in off_until:
-                if self.recovery == "none" or release < off_until[source]:
-                    queued[k] = False
-                    transmit[k] = False
-                    attempts[k] = 0
-                    tec_after[k] = counter
-                    continue
-                del off_until[source]
-                recoveries[source] = recoveries.get(source, 0) + 1
-                counter = 0
-            draws = int(attempts_list[position])
-            if draws and counter + _TEC_ERROR_STEP * draws >= self.tec_bus_off:
-                fatal = -(-(self.tec_bus_off - counter) // _TEC_ERROR_STEP)
-                attempts[k] = fatal
-                transmit[k] = False
-                counter = counter + _TEC_ERROR_STEP * fatal
-                bus_off_rows.append(k)
-                off_at.setdefault(source, release)
-                off_until[source] = (
-                    release + recovery_s if self.recovery == "auto" else math.inf
+        recoveries = [0] * starts.size
+        silent_at_end = [False] * starts.size
+        silenced = np.zeros(rows.size, dtype=bool)
+        fatal_positions: list[int] = []
+        # reprolint: disable=hot-path-purity -- one pass per bus-off event (a handful per bus), never per frame
+        for segment, p in zip(fatal_segments, first_fatal.tolist()):
+            end = int(ends[segment])
+            while True:
+                before = int(tec[p]) - _TEC_ERROR_STEP * int(draws[p]) + _TEC_SUCCESS_STEP
+                charged = -(-(self.tec_bus_off - before) // _TEC_ERROR_STEP)
+                draws[p] = charged
+                tec[p] = before + _TEC_ERROR_STEP * charged
+                fatal_positions.append(p)
+                resume = end
+                if self.recovery == "auto":
+                    recovered_at = releases[p] + recovery_s
+                    resume = p + 1 + int(np.searchsorted(releases[p + 1 : end], recovered_at))
+                tec[p + 1 : resume] = tec[p]
+                draws[p + 1 : resume] = 0
+                silenced[p + 1 : resume] = True
+                if resume == end:
+                    silent_at_end[segment] = True
+                    break
+                recoveries[segment] += 1
+                tec[resume:end] = _tec_walk(
+                    _TEC_ERROR_STEP * draws[resume:end] - _TEC_SUCCESS_STEP, _ONE_SEGMENT
                 )
-            else:
-                counter = max(counter + _TEC_ERROR_STEP * draws - _TEC_SUCCESS_STEP, 0)
-            tec[source] = counter
-            peak[source] = max(peak.get(source, 0), counter)
-            tec_after[k] = counter
-        for source, counter in tec.items():
-            node_states[source] = NodeFaultState(
-                source=source,
-                tec=counter,
-                peak_tec=peak[source],
-                error_passive=peak[source] >= self.tec_error_passive,
-                bus_off=source in off_until,
-                bus_off_at=off_at.get(source),
-                recoveries=recoveries.get(source, 0),
+                again = np.flatnonzero((tec[resume:end] >= fatal_tec) & (draws[resume:end] > 0))
+                if not again.size:
+                    break
+                p = resume + int(again[0])
+
+        attempts[rows] = draws
+        tec_after[rows] = tec
+        queued[rows[silenced]] = False
+        transmit[rows[silenced]] = False
+        bus_off_rows = np.sort(rows[np.array(fatal_positions, dtype=np.int64)])
+        transmit[bus_off_rows] = False
+
+        names = schedule.source_names
+        node_names = [names[code] for code in node[starts].tolist()]
+        final = tec[ends - 1].tolist()
+        peak = np.maximum.reduceat(tec, starts).tolist()
+        first_off = dict(zip(fatal_segments, releases[first_fatal].tolist()))
+        # Each node in order of its first row, as the row-by-row walk meets them.
+        node_states = {
+            node_names[g]: NodeFaultState(
+                source=node_names[g],
+                tec=final[g],
+                peak_tec=peak[g],
+                error_passive=peak[g] >= self.tec_error_passive,
+                bus_off=silent_at_end[g],
+                bus_off_at=first_off.get(g),
+                recoveries=recoveries[g],
             )
+            for g in np.argsort(rows[starts], kind="stable").tolist()
+        }
+        return bus_off_rows, node_states
+
+
+#: The segment starts of a walk over one node's rows.
+_ONE_SEGMENT = np.zeros(1, dtype=np.int64)
+
+
+def _tec_walk(steps: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The clamped walk ``W_k = max(W_{k-1} + steps_k, 0)`` from 0 per segment.
+
+    ``starts`` are the first positions of consecutive segments (the
+    first is 0).  Lindley's recursion has the closed form ``W_k = S_k -
+    min(0, min_{j<=k} S_j)`` over the prefix sums ``S`` of each segment.
+    The segment-wise running minimum is one ``minimum.accumulate``:
+    shifting segment ``g`` down by ``g * span``, where ``span`` exceeds
+    the prefix sums' range, puts every later segment's values below all
+    earlier ones.  Everything is exact int64 arithmetic.
+    """
+    segment = np.zeros(steps.size, dtype=np.int64)
+    segment[starts[1:]] = 1
+    np.cumsum(segment, out=segment)
+    total = np.cumsum(steps)
+    sums = total - (total[starts] - steps[starts])[segment]
+    span = int(sums.max()) - int(sums.min()) + 1
+    shift = segment * span
+    floor = np.minimum.accumulate(sums - shift) + shift
+    return sums - np.minimum(floor, 0)
 
 
 def resolve_bus_faults(
@@ -363,11 +437,8 @@ def resolve_bus_faults(
     model (zero rate, no hooks) — the engines then keep the clean path
     with no fault-plan work at all.
     """
-    gathered: list[TargetedFault] = []
-    for source in sources:
-        emitter = getattr(source, "targeted_faults", None)
-        if emitter is not None:
-            gathered.extend(emitter())
+    emitters = [getattr(source, "targeted_faults", None) for source in sources]
+    gathered = [fault for emitter in emitters if emitter is not None for fault in emitter()]
     if gathered:
         base = faults if faults is not None else WireFaultModel()
         return base.with_targets(gathered)

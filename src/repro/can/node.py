@@ -284,13 +284,16 @@ def bank_schedule(senders: Sequence["PeriodicSender"], until: float) -> Schedule
         )
     _check_dlcs(dlcs)
     jittered = np.repeat(np.array([bool(s.jitter) for s, _ in emitting]), rows)
+    names = tuple(dict.fromkeys(s.name for s, _ in emitting))
+    code_of = {name: code for code, name in enumerate(names)}
     return ScheduleArray(
         release_times=np.where(jittered, np.maximum(nominal + unit * periods, 0.0), nominal),
         can_ids=np.repeat(np.array([s.can_id for s, _ in emitting], dtype=np.int64), rows),
         dlcs=dlcs,
         payloads=payloads,
         labels=np.zeros(total, dtype=np.int64),
-        sources=np.repeat(np.array([s.name for s, _ in emitting]), rows),
+        sources=np.repeat(np.array([code_of[s.name] for s, _ in emitting], dtype=np.int64), rows),
+        source_names=names,
     )
 
 

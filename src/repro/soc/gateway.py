@@ -350,6 +350,7 @@ def _phase_outcomes(
     channel: str,
     capture: CaptureArray,
     sources: np.ndarray,
+    source_names: tuple[str, ...],
     report: ECUReport,
     windows: Sequence[tuple[str, float, float]],
     corrupted: np.ndarray | None = None,
@@ -368,7 +369,9 @@ def _phase_outcomes(
     Serviced frames are located via ``report.kept_indices`` (identity
     when the FIFO never dropped), so a phase whose attack frames were
     flood casualties is honestly reported: its ``attack_frames`` stay,
-    its ``serviced_attack_frames`` shrink.
+    its ``serviced_attack_frames`` shrink.  ``sources`` holds the bus
+    engine's sender codes into ``source_names``; a phase matches the
+    code of its name (none when no frame came from it).
     """
     kept = (
         report.kept_indices
@@ -378,13 +381,15 @@ def _phase_outcomes(
     serviced_ts = capture.timestamps[kept]
     serviced_labels = capture.labels[kept]
     serviced_sources = sources[kept]
+    code_of = {name: code for code, name in enumerate(source_names)}
     predictions = report.predictions
     outcomes = []
     for phase_name, start, end in windows:
+        code = code_of.get(phase_name, -1)
         observed = (capture.timestamps >= start) & (capture.timestamps < end)
         in_window = (serviced_ts >= start) & (serviced_ts < end)
-        attack_all = (capture.labels == 1) & (sources == phase_name)
-        attack_serviced = (serviced_labels == 1) & (serviced_sources == phase_name)
+        attack_all = (capture.labels == 1) & (sources == code)
+        attack_serviced = (serviced_labels == 1) & (serviced_sources == code)
         alerts = in_window & (predictions == 1)
         true_alerts = (predictions == 1) & attack_serviced
         detection_latency = None
@@ -502,7 +507,9 @@ class IDSGateway:
         # released each frame) ride along for phase attribution:
         # campaign-compiled attackers are named after their phase, so
         # overlapping phases stay distinguishable.
-        traffic: dict[str, tuple[float, CaptureArray, np.ndarray | None]] = {}
+        traffic: dict[
+            str, tuple[float, CaptureArray, tuple[np.ndarray, tuple[str, ...]] | None]
+        ] = {}
         # Wire-fault attribution per channel: (corrupted mask | None,
         # retransmission count, bus-off attempt count).
         wire: dict[str, tuple[np.ndarray | None, int, int]] = {}
@@ -518,7 +525,9 @@ class IDSGateway:
             traffic[name] = (
                 window.bus_load(),
                 window.capture,
-                window.sources if truth is not None and truth.get(name) else None,
+                (window.sources, window.source_names)
+                if truth is not None and truth.get(name)
+                else None,
             )
         # A channel is active when it has at least one *clean* frame to
         # scan; a segment whose every observed frame was corrupted
@@ -579,9 +588,9 @@ class IDSGateway:
                 continue
             report = reports[name]
             outcomes: tuple[PhaseOutcome, ...] = ()
-            if truth is not None and truth.get(name):
+            if truth is not None and sources is not None:
                 outcomes = _phase_outcomes(
-                    name, capture, sources, report, truth[name], corrupted_mask
+                    name, capture, *sources, report, truth[name], corrupted_mask
                 )
             results.append(
                 ChannelResult(

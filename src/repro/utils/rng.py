@@ -139,6 +139,14 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
+def _unnamed_seed(seed: int) -> int:
+    """A seed numpy takes as entropy itself: an int in ``[0, 2**64)``."""
+    seed = _check_seed(seed)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def derive_seed(master_seed: int, name: str) -> int:
     """Derive a child seed from ``master_seed`` and a component ``name``.
 
@@ -167,10 +175,12 @@ def new_rng(seed: int, name: str | None = None) -> np.random.Generator:
     name:
         Optional component name; when given, the stream is derived with
         :func:`derive_seed` so it is independent of other components.
+        Without one, ``seed`` must be an int in ``[0, 2**64)``; any
+        other value, a ``bool`` included, raises :class:`ConfigError`.
     """
-    if name is not None:
-        seed = derive_seed(seed, name)
-    return np.random.default_rng(seed)
+    return np.random.default_rng(
+        derive_seed(seed, name) if name is not None else _unnamed_seed(seed)
+    )
 
 
 def new_rngs(pairs: Iterable[tuple[int, str | None]]) -> list[np.random.Generator]:
@@ -191,12 +201,10 @@ def new_rngs(pairs: Iterable[tuple[int, str | None]]) -> list[np.random.Generato
     >>> int(b.integers(1000)) == int(new_rng(7).integers(1000))
     True
     """
-    children = []
-    for seed, name in pairs:
-        child = derive_seed(seed, name) if name is not None else _check_seed(seed)
-        if not 0 <= child < 2**64:
-            raise ConfigError(f"seed must be in [0, 2**64), got {child}")
-        children.append(child)
+    children = [
+        derive_seed(seed, name) if name is not None else _unnamed_seed(seed)
+        for seed, name in pairs
+    ]
     words = _seed_words(np.array(children, dtype=np.uint64))
     return [np.random.Generator(np.random.PCG64(_SeedWords(row))) for row in words]
 
@@ -214,7 +222,7 @@ class SeedSequence:
     """
 
     def __init__(self, master_seed: int, scope: str = "") -> None:
-        self.master_seed = int(master_seed)
+        self.master_seed = _check_seed(master_seed)
         self.scope = scope
 
     def _qualify(self, name: str) -> str:

@@ -28,9 +28,10 @@ def assert_same_window(event, columnar):
 
     The event engine's ``started_at`` comes from its own loop and its
     ``wire_bits`` from ``CANFrame.bit_length()``, so both check the
-    kernel.  ``sources`` compare by value: each engine sizes the unicode
-    width from the names it merged.  Both engines leave the fault
-    columns unset on the clean path and set them on the faulted one.
+    kernel.  ``sources`` compare as resolved names
+    (``source_names[sources]``): each engine numbers senders in the
+    order it merged them.  Both engines leave the fault columns unset
+    on the clean path and set them on the faulted one.
     """
     pairs = [(name, event.capture, columnar.capture) for name in CAPTURE_COLUMNS]
     pairs += [(name, event, columnar) for name in RECORD_COLUMNS]
@@ -38,7 +39,12 @@ def assert_same_window(event, columnar):
         a, b = getattr(left, name), getattr(right, name)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), name
         assert a.tobytes() == b.tobytes(), name
-    assert event.sources.dtype.kind == columnar.sources.dtype.kind == "U"
-    np.testing.assert_array_equal(event.sources, columnar.sources)
+    assert event.sources.dtype == columnar.sources.dtype == np.int64
+    assert sender_names(event).tolist() == sender_names(columnar).tolist()
     assert (event.bitrate, event.duration) == (columnar.bitrate, columnar.duration)
     assert (event.corrupted is None) == (columnar.corrupted is None)
+
+
+def sender_names(result):
+    """Each record's sender name: ``source_names[sources]``."""
+    return np.array(result.source_names, dtype=str)[result.sources]

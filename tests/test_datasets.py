@@ -122,6 +122,7 @@ class TestVehicleBus:
             assert len(a) > 0
             for column in ("release_times", "can_ids", "dlcs", "payloads", "labels", "sources"):
                 assert getattr(a, column).tobytes() == getattr(b, column).tobytes(), column
+            assert a.source_names == b.source_names
 
 
 class TestBitFeatureEncoder:

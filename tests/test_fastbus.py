@@ -46,7 +46,7 @@ from repro.can.fastbus import (
     simulate_arbitration,
     standard_wire_bits,
 )
-from repro.can.faults import TargetedFault, WireFaultModel
+from repro.can.faults import ERROR_FRAME_BITS, TargetedFault, WireFaultModel
 from repro.can.frame import CANFrame, crc15
 from repro.can.log import CaptureArray
 from repro.can.node import (
@@ -483,6 +483,45 @@ class TestSweepProperties:
         )
 
 
+    def test_same_id_retransmissions_wait_in_entry_order(self):
+        """Two same-id retransmissions wait at once, pushed in the reverse
+        of their row order: the earlier entry time goes first, not the
+        lower row."""
+        frame = CANFrame(0x100, b"\x01\x02")  # 67 wire bits: 134 us, error frame 34 us
+        bus = BusSimulator(bitrate=500_000)
+        bus.attach(_OneShot([(0.0, frame)], source="x"))
+        bus.attach(_OneShot([(0.0001, frame)], source="y"))
+        faults = WireFaultModel(
+            seed=0,
+            targeted=(
+                TargetedFault(0.0, 0.00005, attempts=2, source="x"),
+                TargetedFault(0.00005, 0.0002, attempts=1, source="y"),
+            ),
+        )
+        result = _capture_equals_run(bus, 0.01, faults)
+        assert result.schedule_indices.tolist() == [0, 1, 0, 1, 0]
+        assert result.corrupted_mask.tolist() == [True, True, True, False, False]
+        np.testing.assert_allclose(
+            result.capture.timestamps,
+            [0.000168, 0.000336, 0.000504, 0.000638, 0.000772],
+            rtol=0,
+            atol=1e-12,
+        )
+
+    def test_retransmission_wins_a_tie_with_a_fresh_same_id_frame(self):
+        """A frame released exactly when a same-id retransmission re-enters
+        loses the tie: the event engine pushed the retransmission first."""
+        frame = CANFrame(0x100, b"\x01\x02")
+        entry = (frame.bit_length() + ERROR_FRAME_BITS) / 2**19  # exact: dyadic
+        bus = BusSimulator(bitrate=2**19)
+        bus.attach(_OneShot([(0.0, frame)], source="x"))
+        bus.attach(_OneShot([(entry, frame)], source="y"))
+        faults = WireFaultModel(seed=0, targeted=(TargetedFault(0.0, 0.00001, source="x"),))
+        result = _capture_equals_run(bus, 0.01, faults)
+        assert result.capture.timestamps[0] == entry
+        assert result.schedule_indices.tolist() == [0, 0, 1]
+
+
 _NAN = float("nan")
 _INF = float("inf")
 
@@ -547,6 +586,7 @@ def _assert_same_schedule(got, want):
         left, right = getattr(got, name), getattr(want, name)
         assert (left.dtype, left.shape) == (right.dtype, right.shape), name
         assert left.tobytes() == right.tobytes(), name
+    assert got.source_names == want.source_names
 
 
 def _per_sender_rows(sender, until):
@@ -790,7 +830,8 @@ class TestScheduleLayer:
             dlcs=np.array([0, 0], dtype=np.int64),
             payloads=np.zeros((2, 8), dtype=np.uint8),
             labels=np.zeros(2, dtype=np.int64),
-            sources=np.array(["a", "b"]),
+            sources=np.array([0, 1], dtype=np.int64),
+            source_names=("a", "b"),
         )
         with pytest.raises(CANError, match="release-sorted"):
             simulate_arbitration(schedule, 500_000, 1.0)

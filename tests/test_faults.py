@@ -15,11 +15,14 @@ import pickle
 import numpy as np
 import pytest
 from _engine_ab import assert_same_window
+from _fault_reference import coded_schedule, reference_plan
+from hypothesis import given, settings, strategies as st
 
 from repro.can.attacks import BusOffAttacker, DoSAttacker, FuzzyAttacker
 from repro.can.campaign import SCENARIOS, compile_campaign
 from repro.can.faults import (
     BUS_OFF_RECOVERY_BITS,
+    RECOVERY_MODES,
     TargetedFault,
     WireFaultModel,
     resolve_bus_faults,
@@ -77,15 +80,29 @@ class TestWireFaultModelValidation:
 
     def test_plan_rejects_nonpositive_bitrate(self):
         model = WireFaultModel(seed=0, bit_error_rate=1e-4)
-        empty = np.array([], dtype=np.float64)
+        empty = coded_schedule([], [], [])
         with pytest.raises(ConfigError, match="bitrate"):
-            model.plan(
-                empty,
-                np.array([], dtype=np.int64),
-                np.array([], dtype=np.int64),
-                np.array([], dtype="U1"),
-                0.0,
-            )
+            model.plan(empty, np.array([], dtype=np.int64), 0.0)
+
+    @pytest.mark.parametrize("bitrate, fragment", [(float("nan"), "nan"), (float("inf"), "inf")])
+    def test_plan_rejects_non_finite_bitrate(self, bitrate, fragment):
+        # NaN timed recovery at once; inf charged error frames no wire time.
+        model = WireFaultModel(seed=0, bit_error_rate=1e-4)
+        schedule = coded_schedule([0.0, 0.001], [0x100, 0x100], ["a", "a"])
+        with pytest.raises(ConfigError, match=f"bitrate.*got {fragment}"):
+            model.plan(schedule, np.array([111, 111], dtype=np.int64), bitrate)
+
+    def test_plan_rejects_wire_bits_that_do_not_line_up(self):
+        model = WireFaultModel(seed=0, bit_error_rate=1e-4)
+        schedule = coded_schedule([0.0, 0.001, 0.002], [0x100] * 3, ["a"] * 3)
+        with pytest.raises(ConfigError, match=r"\(3,\).*got \(2,\)"):
+            model.plan(schedule, np.array([111, 111], dtype=np.int64), 500_000.0)
+
+    def test_plan_rejects_unsorted_releases(self):
+        model = WireFaultModel(seed=0, bit_error_rate=1e-4)
+        schedule = coded_schedule([0.0, 0.003, 0.002], [0x100] * 3, ["a", "b", "a"])
+        with pytest.raises(ConfigError, match="row 2 is released at 0.002, after row 1 at 0.003"):
+            model.plan(schedule, np.full(3, 111, dtype=np.int64), 500_000.0)
 
     @pytest.mark.parametrize(
         "kwargs, fragment",
@@ -122,8 +139,8 @@ class TestFaultPlanDeterminism:
         releases = np.sort(rng.uniform(0.0, 1.0, size=n))
         can_ids = rng.integers(0, 0x800, size=n)
         wire_bits = rng.integers(47, 135, size=n)
-        sources = np.array([f"ecu-{k % 7}" for k in range(n)])
-        return releases, can_ids, wire_bits, sources
+        senders = [f"ecu-{k % 7}" for k in range(n)]
+        return coded_schedule(releases, can_ids, senders), wire_bits
 
     def test_same_inputs_same_plan(self):
         model = WireFaultModel(seed=11, bit_error_rate=2e-3)
@@ -157,6 +174,88 @@ class TestFaultPlanDeterminism:
         assert plan.clean
         assert plan.total_attempts == 0
         assert plan.node_states == {}
+
+
+#: Sender names the property test draws nodes from.
+_NODES = ("ecu-a", "victim", "ecu-0x316", "b", "flood", "a-much-longer-node-name")
+
+
+@st.composite
+def _plan_cases(draw):
+    """A release-sorted schedule, its wire lengths, a bitrate and a model."""
+    nodes = draw(st.permutations(_NODES))[: draw(st.integers(1, 6))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(0, 300))
+    horizon = draw(st.sampled_from((0.005, 0.03, 0.2)))
+    releases = np.sort(rng.uniform(0.0, horizon, size=n))
+    if draw(st.booleans()):
+        releases = np.floor(releases * 2**14) / 2**14  # ties within and across nodes
+    senders = [nodes[k] for k in rng.integers(0, len(nodes), size=n)]
+    ids = {node: draw(st.sampled_from((0x000, 0x100, 0x316, 0x43F))) for node in nodes}
+    can_ids = [ids[sender] for sender in senders]
+    # The sender table in emitter order, a sender without rows included.
+    table = tuple(draw(st.permutations(nodes)))
+    schedule = coded_schedule(releases, can_ids, senders, names=table)
+    wire_bits = rng.integers(44, 136, size=n).astype(np.int64)
+    bus_off = draw(st.sampled_from((16, 64, 256)))
+    targets = [
+        TargetedFault(
+            start,
+            start + draw(st.sampled_from((0.001, 0.01, horizon))),
+            attempts=draw(st.integers(1, 8)),
+            can_id=draw(st.sampled_from((None, 0x100, 0x316, 0x43F))),
+            source=draw(st.sampled_from((None,) + _NODES)),
+        )
+        for start in draw(st.lists(st.sampled_from((0.0, 0.001, 0.004, 0.02)), max_size=3))
+    ]
+    model = WireFaultModel(
+        seed=draw(st.integers(0, 1000)),
+        bit_error_rate=draw(st.sampled_from((0.0, 1e-4, 1e-3, 5e-3, 2e-2))),
+        tec_error_passive=min(draw(st.sampled_from((8, 64, 128))), bus_off),
+        tec_bus_off=bus_off,
+        recovery=draw(st.sampled_from(RECOVERY_MODES)),
+        targeted=tuple(targets),
+    )
+    # At 2**19 bit/s the recovery time is dyadic, so grid releases land on it.
+    bitrate = float(draw(st.one_of(st.just(2**19), st.integers(125_000, 10_000_000))))
+    return model, schedule, wire_bits, bitrate
+
+
+class TestArrayWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(_plan_cases())
+    def test_plan_matches_the_row_by_row_walk(self, case):
+        """The array walk vs the reference loop: every column, bus-off
+        rows in order, node states in insertion order."""
+        model, schedule, wire_bits, bitrate = case
+        got = model.plan(schedule, wire_bits, bitrate)
+        want = reference_plan(model, schedule, wire_bits, bitrate)
+        for name in ("attempts", "transmit", "queued", "tec_after", "bus_off_rows"):
+            left, right = getattr(got, name), getattr(want, name)
+            assert (left.dtype, left.shape) == (right.dtype, right.shape), name
+            assert left.tobytes() == right.tobytes(), name
+        assert got.error_s == want.error_s
+        assert list(got.node_states.items()) == list(want.node_states.items())
+
+    def test_repeated_bus_off_and_recovery(self):
+        """A victim jammed for longer than a recovery goes bus-off again."""
+        releases = np.arange(400) * 0.001
+        schedule = coded_schedule(
+            releases, [0x43F, 0x100] * 200, ["victim", "ecu-a"] * 200
+        )
+        model = WireFaultModel(
+            seed=0, recovery="auto", tec_error_passive=32, tec_bus_off=64
+        ).with_targets(
+            [TargetedFault(0.0, 0.2, attempts=8, source="victim")]
+        )
+        wire_bits = np.full(400, 111, dtype=np.int64)
+        plan = model.plan(schedule, wire_bits, 500_000.0)
+        want = reference_plan(model, schedule, wire_bits, 500_000.0)
+        assert plan.node_states["victim"].recoveries >= 2
+        assert list(plan.node_states) == ["victim"]
+        assert plan.bus_off_rows.tolist() == want.bus_off_rows.tolist()
+        assert plan.node_states == want.node_states
+        np.testing.assert_array_equal(plan.tec_after, want.tec_after)
 
 
 class TestEngineEquivalenceUnderFaults:
@@ -235,8 +334,7 @@ class TestFaultConfinement:
         releases = np.arange(n) * period
         can_ids = np.full(n, 0x43F, dtype=np.int64)
         wire_bits = np.full(n, 111, dtype=np.int64)
-        sources = np.full(n, "victim")
-        return releases, can_ids, wire_bits, sources
+        return coded_schedule(releases, can_ids, ["victim"] * n), wire_bits
 
     def test_tec_walks_into_bus_off(self):
         """Cho–Shin arithmetic: +8 per error frame, -1 per success, so a
@@ -265,13 +363,12 @@ class TestFaultConfinement:
         assert not plan.transmit[fatal:].any()
 
     def test_recovery_auto_requeues_after_128x11_bits(self):
-        releases, can_ids, wire_bits, sources = self._victim_schedule(
-            n=400, period=0.001
-        )
+        schedule, wire_bits = self._victim_schedule(n=400, period=0.001)
+        releases = schedule.release_times
         model = WireFaultModel(seed=0, recovery="auto").with_targets(
             [TargetedFault(0.0, 0.05, attempts=8, can_id=0x43F)]
         )
-        plan = model.plan(releases, can_ids, wire_bits, sources, 500_000.0)
+        plan = model.plan(schedule, wire_bits, 500_000.0)
         state = plan.node_states["victim"]
         assert state.recoveries >= 1
         fatal = int(plan.bus_off_rows[0])

@@ -71,6 +71,15 @@ class TestNewRng:
         b = np.random.default_rng(7).random(3)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "seed, named",
+        [(True, "got True"), (-1, "got -1"), (2**64, f"got {2**64}"), (1.5, "got 1.5"), ("7", "got '7'")],
+    )
+    def test_unnamed_seed_outside_the_entropy_range_is_refused(self, seed, named):
+        # numpy would take True as 1 and raise its own ValueError for -1.
+        with pytest.raises(ConfigError, match=named):
+            new_rng(seed)
+
 
 class TestSeedSequence:
     def test_scoped_streams_differ_from_root(self):
@@ -87,6 +96,23 @@ class TestSeedSequence:
         root = SeedSequence(1)
         deep = root.child("x").child("y")
         assert deep.seed("z") == SeedSequence(1).child("x").child("y").seed("z")
+
+    @pytest.mark.parametrize(
+        "seed, named", [(1.5, "got 1.5"), (True, "got True"), ("7", "got '7'")]
+    )
+    def test_rejects_a_master_seed_that_is_not_an_int(self, seed, named):
+        # int() would read these as seeds 1, 1 and 7.
+        with pytest.raises(ConfigError, match=named):
+            SeedSequence(seed)
+
+    def test_takes_numpy_ints(self):
+        assert SeedSequence(np.int64(9)).seed("a") == SeedSequence(9).seed("a")
+
+    def test_vehicle_bus_rejects_a_float_seed(self):
+        from repro.datasets.carhacking import build_vehicle_bus
+
+        with pytest.raises(ConfigError, match="got 1.9"):
+            build_vehicle_bus(vehicle_seed=1.9)
 
 
 class TestSeedWords:
