@@ -5,7 +5,7 @@ functional paths of the same verified IP — the node-by-node float64
 ``DataflowGraph`` reference and the fused engine behind
 ``MemoryMappedAccelerator.run_batch`` — asserts bit-exactness and the
 speedup floor the streaming pipeline budget relies on, then times the
-E11 campaign sweep end to end, serial vs thread-pooled.  Archives
+E11 campaign sweep end to end, in-process vs process pool.  Archives
 everything to ``benchmarks/output/BENCH_inference.json``.
 
 Metric classes (see ``scripts/check_bench_regression.py``): the
@@ -141,14 +141,6 @@ def test_bench_campaign_sweep_parallel(bench_context, bench_ip):
     )
     serial_s = time.perf_counter() - start
     start = time.perf_counter()
-    parallel = run_campaign_sweep(
-        bench_context,
-        scenarios=SWEEP_SCENARIOS,
-        duration=SWEEP_DURATION,
-        options=ExecOptions(backend="thread", max_workers=workers),
-    )
-    parallel_s = time.perf_counter() - start
-    start = time.perf_counter()
     processed = run_campaign_sweep(
         bench_context,
         scenarios=SWEEP_SCENARIOS,
@@ -157,22 +149,19 @@ def test_bench_campaign_sweep_parallel(bench_context, bench_ip):
     )
     process_s = time.perf_counter() - start
 
-    # Same seeds, same verdicts — the pools only change wall time.
-    for other in (parallel, processed):
-        assert [(r.scenario, r.mode) for r in serial.runs] == [
-            (r.scenario, r.mode) for r in other.runs
-        ]
-        for serial_run, other_run in zip(serial.runs, other.runs):
-            assert serial_run.report.total_frames == other_run.report.total_frames
-            assert serial_run.report.total_dropped == other_run.report.total_dropped
+    # Same seeds, same verdicts — the pool only changes wall time.
+    assert [(r.scenario, r.mode) for r in serial.runs] == [
+        (r.scenario, r.mode) for r in processed.runs
+    ]
+    for serial_run, process_run in zip(serial.runs, processed.runs):
+        assert serial_run.report.total_frames == process_run.report.total_frames
+        assert serial_run.report.total_dropped == process_run.report.total_dropped
 
     sweep = {
         "scenarios": len(SWEEP_SCENARIOS),
         "campaign_duration_s": SWEEP_DURATION,
         "workers": workers,
         "serial_wall_seconds": round(serial_s, 3),
-        "parallel_wall_seconds": round(parallel_s, 3),
-        "parallel_speedup": round(serial_s / parallel_s, 2),
         # backend="process": forked workers, not fresh interpreters —
         # they inherit the caller's IPs and engine cache, so warm_engines
         # hits that cache instead of recompiling.  The wall still pays
@@ -187,6 +176,5 @@ def test_bench_campaign_sweep_parallel(bench_context, bench_ip):
     write_bench("inference", payload)
     print(
         f"\ncampaign sweep x{len(SWEEP_SCENARIOS)}: serial {serial_s:.2f}s -> "
-        f"thread {parallel_s:.2f}s ({sweep['parallel_speedup']:.2f}x) / "
         f"process {process_s:.2f}s ({sweep['process_speedup']:.2f}x, {workers} workers)"
     )

@@ -7,7 +7,7 @@
 #                                             per-IP vs. shared-IP rates and drops
 #   benchmarks/output/BENCH_campaigns.json  — attack-campaign sweep rates/drops
 #   benchmarks/output/BENCH_inference.json  — float graph vs. compiled engine fps,
-#                                             serial vs. thread/process sweep walls
+#                                             in-process vs. process-pool sweep walls
 #   benchmarks/output/BENCH_bus.json        — event-driven vs. columnar bus
 #                                             simulation frame rates
 #   benchmarks/output/BENCH_faults.json     — wire-fault layer: clean-path

@@ -28,8 +28,9 @@ over the shared shard machinery (:mod:`repro.fleet.pool`) configured by
 an :class:`~repro.fleet.spec.ExecOptions` — the same run-spec the fleet
 runner takes.  ``backend="auto"`` (default) picks process fan-out on
 multi-core hosts (picklable IPs shipped once via the pool initializer)
-and threads elsewhere; every seed derives from the scenario's registry
-index, so results are order-stable and identical to the serial loop.
+and in-process execution elsewhere; every seed derives from the
+scenario's registry index, so results are order-stable and identical to
+the serial loop.
 The resolved options are recorded on the result.
 """
 
@@ -127,7 +128,7 @@ class CampaignSweepResult:
 
     @property
     def backend(self) -> str:
-        """The concrete pool backend the sweep ran on."""
+        """The concrete backend the sweep ran on."""
         return self.options.backend
 
     @property
@@ -210,9 +211,9 @@ def _sweep_one_scenario(
 ) -> list[ScenarioRun]:
     """Run one scenario through both gateway deployments.
 
-    Shared by the serial loop and both pool backends, so every backend
-    produces identical, order-stable results: seeds derive from the
-    sweep ``seed`` and the scenario's index, never from execution order.
+    Shared by the in-process loop and the process pool, so both produce
+    identical, order-stable results: seeds derive from the sweep
+    ``seed`` and the scenario's index, never from execution order.
     """
     campaign = task.campaign
     truth = campaign.truth_windows()

@@ -40,8 +40,8 @@ bit-exact against ``DataflowGraph.execute`` but built from flat kernels:
   graph); every later layer's input is finite.
 * **Preallocated chunk buffers.**  Batches stream through fixed
   per-layer scratch buffers (thread-local, so one engine can serve
-  several gateway channels or campaign-sweep workers concurrently)
-  instead of allocating a tensor per node per batch.
+  callers on several threads at once) instead of allocating a tensor
+  per node per batch.
 * **Integer argmax.**  The classification head runs on the integer
   accumulators directly whenever the final de-quantisation provably
   preserves order and ties (uniform power-of-two scale, zero bias);

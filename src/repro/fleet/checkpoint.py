@@ -52,8 +52,8 @@ def fleet_fingerprint(
     ``repr`` of a frozen spec dataclass is deterministic across
     processes and platforms (ints, floats, strings, tuples only).
     Backend and worker count are deliberately excluded: results are
-    bit-identical across them, so a thread-backend run may resume a
-    process-backend checkpoint and vice versa.
+    bit-identical across them, so an in-process run may resume a
+    process-pool checkpoint and vice versa.
     """
     material = "::".join(
         [

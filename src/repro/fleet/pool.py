@@ -9,22 +9,23 @@ layer under it, because a thousand-shard campaign meets worker crashes,
 hangs and transient failures that a bare ``pool.map`` turns into a
 lost run:
 
-* :func:`run_sharded` fans a task list over the chosen backend with a
-  submit/wait scheduler: per-shard attempt **timeouts**, capped
-  seed-derived exponential-backoff **retries**,
-  :class:`~concurrent.futures.process.BrokenProcessPool` detection with
-  **pool rebuild** and resubmission of outstanding shards, and graceful
+* :func:`run_sharded` runs a task list one of two ways: in the calling
+  thread, shard after shard (the ``"thread"`` backend), or on a process
+  pool driven by a submit/wait scheduler.  Both paths give capped
+  seed-derived exponential-backoff **retries** and graceful
   degradation — shards that exhaust their retry budget land in a
   :class:`~repro.fleet.health.RunHealth` record instead of raising
-  (unless ``strict=True``).  Results come back index-aligned with the
-  task list regardless of completion order.
-* :func:`worker_state` gives workers access to the installed state from
-  any backend.  State is scoped **per run**: in-process backends
-  register it under a run token and bind it to each task via a
-  :class:`~contextvars.ContextVar`, so two concurrent in-process runs
-  (e.g. thread-backend fleets inside one test session) never clobber
-  each other; process workers receive their single run's state through
-  the pool initializer, exactly as before.
+  (unless ``strict=True``).  The process pool adds per-shard attempt
+  **timeouts** and :class:`~concurrent.futures.process.BrokenProcessPool`
+  detection with **pool rebuild** and resubmission of outstanding
+  shards.  Results come back index-aligned with the task list
+  regardless of completion order.
+* :func:`worker_state` gives workers access to the installed state on
+  either path.  State is scoped **per run**: an in-process run
+  registers it under a run token and binds it to each task via a
+  :class:`~contextvars.ContextVar`, so two runs started from different
+  caller threads never clobber each other; process workers receive
+  their single run's state through the pool initializer.
 * :func:`warm_engines` is the standard warmup hook: compile every
   shipped detector IP once per process, before the first task runs.
 * Process workers cap their BLAS helper threads at their share of the
@@ -45,8 +46,7 @@ import ctypes
 import importlib
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, Executor, Future, wait
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -73,14 +73,15 @@ _LOG = get_logger("fleet.pool")
 _BACKOFF_BASE_S = 0.05
 _BACKOFF_CAP_S = 2.0
 
-#: Per-run worker state, keyed by run token.  In-process backends
-#: register the running token directly; each process-pool worker
-#: receives its single run's entry through the pool initializer.
+#: Per-run worker state, keyed by run token.  In-process runs register
+#: the running token directly; each process-pool worker receives its
+#: single run's entry through the pool initializer.
 _STATES: dict[str, dict[str, Any]] = {}
 
 #: The state bound to the task currently executing on this thread —
-#: set by :func:`_run_task` around each worker call, so concurrent
-#: in-process runs resolve their own state, never each other's.
+#: set by :func:`_run_task` around each worker call, so in-process runs
+#: started from different caller threads resolve their own state,
+#: never each other's.
 _ACTIVE_STATE: ContextVar[dict[str, Any] | None] = ContextVar(
     "repro_fleet_active_state", default=None
 )
@@ -119,7 +120,7 @@ def _install_worker_state(token: str, state: dict[str, Any]) -> None:
 
     The process-pool initializer (:func:`_install_process_worker`) and
     the in-process registration path share this function, so warmup
-    semantics are identical on every backend.
+    semantics are identical on both paths.
     """
     _STATES[token] = state
     warmup = state.get("warmup")
@@ -314,7 +315,7 @@ class _Bookkeeper:
 
 
 def _run_serial(token: str, ordered: list[Any], book: _Bookkeeper) -> ShardedRun:
-    """In-process fallback: retries with backoff; timeouts need a pool."""
+    """Run every shard in the calling thread, with retries; timeouts need a pool."""
     for index, task in enumerate(ordered):
         submission = _Submission(token=token, index=index, attempt=0, task=task)
         while True:
@@ -333,23 +334,22 @@ def _run_serial(token: str, ordered: list[Any], book: _Bookkeeper) -> ShardedRun
 
 
 def _run_pooled(
-    make_pool: Callable[[], Executor],
     token: str,
+    shipped: dict[str, Any],
     ordered: list[Any],
     book: _Bookkeeper,
     timeout_s: float | None,
     max_workers: int,
-    rebuildable: bool,
 ) -> ShardedRun:
-    """The submit/wait scheduler shared by the thread and process backends.
+    """The process backend's submit/wait scheduler.
 
     Completion order is decoupled from task order (results reassemble
     by shard index), per-attempt deadlines abandon hung futures and
-    resubmit their shards, backed-off retries launch when due, and — on
-    the process backend — a :class:`BrokenProcessPool` tears the pool
-    down, rebuilds it and resubmits every outstanding shard (each
-    outstanding attempt is charged one retry, so a deterministic
-    crasher cannot rebuild-loop forever).
+    resubmit their shards, backed-off retries launch when due, and a
+    :class:`BrokenProcessPool` tears the pool down, rebuilds it and
+    resubmits every outstanding shard (each outstanding attempt is
+    charged one retry, so a deterministic crasher cannot rebuild-loop
+    forever).
 
     Submissions are throttled to free worker slots so a shard's
     ``timeout_s`` clock starts when the attempt *runs*, not when it
@@ -363,6 +363,14 @@ def _run_pooled(
     any other exit, an exception included, cancels what is queued and
     returns without waiting on a hung or dead worker.
     """
+
+    def make_pool() -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=max_workers,
+            initializer=_install_process_worker,
+            initargs=(token, shipped, max_workers),
+        )
+
     pool = make_pool()
     ready: list[_Submission] = []  # runnable, waiting for a worker slot
     pending: dict[Future[Any], _Submission] = {}
@@ -374,8 +382,6 @@ def _run_pooled(
         try:
             future = pool.submit(_run_task, submission)
         except BrokenProcessPool as exc:
-            if not rebuildable:
-                raise
             rebuild([submission], exc)
             return
         pending[future] = submission
@@ -443,7 +449,7 @@ def _run_pooled(
                 exc = future.exception(timeout=0)
                 if exc is None:
                     book.succeed(submission.index, future.result(timeout=0))
-                elif rebuildable and isinstance(exc, BrokenProcessPool):
+                elif isinstance(exc, BrokenProcessPool):
                     crashed.append(submission)
                     crash_cause = exc
                 else:
@@ -498,15 +504,15 @@ def run_sharded(
 
     ``worker`` must be a module-top-level callable reading its shared
     inputs from :func:`worker_state`; ``state`` is installed before any
-    task runs (registered in-process for serial/thread backends, via
-    the pool initializer — pickled once per worker — for the process
-    backend).  A ``state["warmup"]`` entry, if present, is called with
-    the state after installation; :func:`warm_engines` is the standard
-    hook.  Process workers first cap their BLAS helper threads at
+    task runs (registered in-process for an in-process run, via the
+    pool initializer — pickled once per worker — on the process pool).
+    A ``state["warmup"]`` entry, if present, is called with the state
+    after installation; :func:`warm_engines` is the standard hook.
+    Process workers first cap their BLAS helper threads at
     ``cpu_count // max_workers``.
 
     Fault tolerance: each shard attempt may take at most ``timeout_s``
-    (pool backends only — a serial run cannot preempt itself) and is
+    (process pool only — an in-process run cannot preempt itself) and is
     retried up to ``max_retries`` times with capped exponential backoff
     derived from ``retry_seed`` and the shard index.  A shard that
     exhausts its budget lands in the returned
@@ -525,20 +531,21 @@ def run_sharded(
     Results are index-aligned with ``tasks`` whatever order shards
     finish in.  ``backend`` must already be resolved
     (``"thread"``/``"process"``, never ``"auto"`` — see
-    :meth:`~repro.fleet.spec.ExecOptions.resolve_backend`).  A single
-    task or a single worker always runs serially: no pool is spun up
-    for work that cannot use one.  ``chaos`` installs a deterministic
-    fault plan (:mod:`repro.fleet.chaos`) inside the worker wrapper.
+    :meth:`~repro.fleet.spec.ExecOptions.resolve_backend`).  Only
+    ``"process"`` with more than one worker and more than one task
+    starts a pool; every other run executes its shards one after
+    another in the calling thread, whatever ``max_workers`` says.
+    ``chaos`` installs a deterministic fault plan
+    (:mod:`repro.fleet.chaos`) inside the worker wrapper.
     """
     ordered = list(tasks)
     if not ordered:
         return ShardedRun(results=(), health=RunHealth.clean(0))
     token = f"run-{next(_RUN_TOKENS)}"
-    use_pool = max_workers > 1 and len(ordered) > 1
-    in_process = not (backend == "process" and use_pool)
+    pooled = backend == "process" and max_workers > 1 and len(ordered) > 1
     shipped = dict(state)
     shipped["__worker__"] = worker
-    shipped["__in_process__"] = in_process
+    shipped["__in_process__"] = not pooled
     if chaos is not None:
         shipped["__chaos__"] = chaos
     book = _Bookkeeper(
@@ -548,42 +555,10 @@ def run_sharded(
         retry_seed=retry_seed,
         on_result=on_result,
     )
-    if not in_process:
-
-        def make_process_pool() -> Executor:
-            return ProcessPoolExecutor(
-                max_workers=max_workers,
-                initializer=_install_process_worker,
-                initargs=(token, shipped, max_workers),
-            )
-
-        return _run_pooled(
-            make_process_pool,
-            token,
-            ordered,
-            book,
-            timeout_s,
-            max_workers,
-            rebuildable=True,
-        )
+    if pooled:
+        return _run_pooled(token, shipped, ordered, book, timeout_s, max_workers)
     _install_worker_state(token, shipped)
     try:
-        if use_pool:
-
-            def make_thread_pool() -> Executor:
-                return ThreadPoolExecutor(
-                    max_workers=max_workers, thread_name_prefix="repro-shard"
-                )
-
-            return _run_pooled(
-                make_thread_pool,
-                token,
-                ordered,
-                book,
-                timeout_s,
-                max_workers,
-                rebuildable=False,
-            )
         return _run_serial(token, ordered, book)
     finally:
         _STATES.pop(token, None)

@@ -39,7 +39,6 @@ from repro.can.campaign import (
     ScenarioRegistry,
     scenario_detector,
 )
-from repro.errors import ConfigError
 from repro.finn.compiled import engine_for
 from repro.fleet.aggregate import (
     FleetAggregate,
@@ -50,7 +49,7 @@ from repro.fleet.aggregate import (
 from repro.fleet.checkpoint import FleetCheckpoint, fleet_fingerprint
 from repro.fleet.health import RunHealth
 from repro.fleet.pool import run_sharded, warm_engines, worker_state
-from repro.fleet.spec import ExecOptions, FleetSpec, VehicleSpec
+from repro.fleet.spec import ExecOptions, FleetSpec, VehicleSpec, _check_count
 from repro.soc.arbiter import SharedAcceleratorArbiter
 from repro.soc.gateway import GatewayReport, build_campaign_gateway
 from repro.utils.rng import derive_seed
@@ -87,7 +86,7 @@ class FleetResult:
 
     @property
     def backend(self) -> str:
-        """The concrete pool backend the run used."""
+        """The concrete backend the run used."""
         return self.options.backend
 
     @property
@@ -283,8 +282,7 @@ def run_fleet(
     ``chaos`` injects deterministic faults into shard attempts — test
     machinery (:mod:`repro.fleet.chaos`), never used in production runs.
     """
-    if shard_size < 1:
-        raise ConfigError(f"shard_size must be >= 1, got {shard_size}")
+    _check_count("shard_size", shard_size, minimum=1)
     resolved = (options if options is not None else ExecOptions()).resolved()
     if len(spec) == 0:
         return FleetResult(
@@ -327,7 +325,7 @@ def run_fleet(
     detectors = fleet_detectors(spec, registry)
     ips = {name: context.ip(name) for name in sorted(set(detectors.values()))}
     for ip in ips.values():
-        engine_for(ip)  # warm the parent cache for thread/serial backends
+        engine_for(ip)  # warm the parent cache for in-process runs
 
     tasks = [shards[shard_id] for shard_id in pending_ids]
     workers = resolved.workers_for(len(tasks))

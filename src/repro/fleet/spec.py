@@ -2,8 +2,8 @@
 
 Two orthogonal concerns, two frozen dataclasses:
 
-* :class:`ExecOptions` — *how* to execute: pool backend, bus engine,
-  worker count, RX-FIFO depth and shard resilience.  Shared by every
+* :class:`ExecOptions` — *how* to execute: backend, bus engine,
+  process-pool size, RX-FIFO depth and shard resilience.  Shared by every
   fan-out entry point (:func:`repro.fleet.runner.run_fleet`,
   :func:`repro.experiments.campaigns.run_campaign_sweep`), replacing
   the kwarg grab-bags those functions had accreted.
@@ -41,9 +41,11 @@ __all__ = [
     "VehicleSpec",
 ]
 
-#: Supported pool backends.  ``"auto"`` resolves at run time: process
-#: fan-out where the host has the cores to profit from it, threads on
-#: single-core hosts where pickling would be pure overhead.
+#: Supported backends.  ``"thread"`` runs every shard in the calling
+#: thread, one after another; ``"process"`` fans shards out over a process
+#: pool.  ``"auto"`` resolves at run time: the process pool where the
+#: host has more than one core, in-process on single-core hosts where
+#: pickling would be pure overhead.
 EXEC_BACKENDS = ("auto", "thread", "process")
 
 #: Gateway deployments a vehicle may run: one detector IP per channel,
@@ -57,18 +59,21 @@ class ExecOptions:
 
     ``backend="auto"`` (default) resolves to ``"process"`` when the
     host reports more than one CPU and ``"thread"`` otherwise; results
-    record the backend that actually ran.  Process workers cap their
-    BLAS helper threads at ``cpu_count // workers``: each forked worker
+    record the backend that actually ran.  ``"thread"`` is in-process
+    execution: every shard runs in the calling thread, so such a run
+    has one worker whatever ``max_workers`` says.  ``max_workers``
+    sizes the process pool; ``None`` sizes it to
+    ``min(8, cpu_count, tasks)``.  Process workers cap their BLAS
+    helper threads at ``cpu_count // workers``: each forked worker
     would otherwise keep one OpenBLAS thread per core, and the pool
-    would oversubscribe the host.  ``max_workers=None`` sizes
-    the pool to ``min(8, cpu_count, tasks)``.  ``engine`` picks the bus
+    would oversubscribe the host.  ``engine`` picks the bus
     simulation path per channel window (``"columnar"`` kernel by
     default, ``"event"`` for the reference loop); ``fifo_capacity`` is
     the depth of each ECU's RX FIFO.
 
     **Resilience knobs** (see :mod:`repro.fleet.pool`): each shard
     attempt may take at most ``timeout_s`` seconds, finite and positive
-    (``None`` disables the deadline; enforced on pool backends only),
+    (``None`` disables the deadline; enforced on the process pool only),
     and is retried up to ``max_retries`` times with capped seed-derived
     exponential backoff.
     ``strict=False`` (default) degrades gracefully — shards that
@@ -120,7 +125,13 @@ class ExecOptions:
         return replace(self, backend=self.resolve_backend())
 
     def workers_for(self, num_tasks: int) -> int:
-        """The worker count for a run of ``num_tasks`` independent tasks."""
+        """The worker count for a run of ``num_tasks`` independent tasks.
+
+        An in-process run (``"thread"``) has one worker, the calling
+        thread.
+        """
+        if self.resolve_backend() == "thread":
+            return 1
         if self.max_workers is not None:
             return self.max_workers
         return max(1, min(8, os.cpu_count() or 1, num_tasks))
@@ -184,8 +195,7 @@ class VehicleSpec:
     def __post_init__(self) -> None:
         from repro.datasets.carhacking import VEHICLE_PROFILES
 
-        if self.index < 0:
-            raise ConfigError(f"vehicle index must be >= 0, got {self.index}")
+        _check_count("vehicle index", self.index, minimum=0)
         if not self.scenario:
             raise ConfigError("vehicle needs a scenario name")
         if self.profile not in VEHICLE_PROFILES:
@@ -247,6 +257,7 @@ class FleetSpec:
     vehicles: tuple[VehicleSpec, ...] | None = None
 
     def __post_init__(self) -> None:
+        _check_count("fleet size", self.size, minimum=0)
         if self.vehicles is not None:
             if self.size not in (0, len(self.vehicles)):
                 raise ConfigError(
@@ -255,8 +266,6 @@ class FleetSpec:
                 )
             object.__setattr__(self, "size", len(self.vehicles))
             return
-        if self.size < 0:
-            raise ConfigError(f"fleet size must be >= 0, got {self.size}")
         if not self.scenarios:
             raise ConfigError("sampled fleet needs at least one scenario")
         if not self.profiles:

@@ -637,30 +637,24 @@ def build_segment_gateway(
     gateway benchmark — one place to change the scenario.
     """
     from repro.datasets.carhacking import build_vehicle_bus
-    from repro.datasets.features import BitFeatureEncoder
 
-    if names is not None and len(names) != channels:
+    if names is None:
+        names = [f"segment{index}" for index in range(channels)]
+    if len(names) != channels:
         raise SoCError(f"expected {channels} channel names, got {len(names)}")
-    gateway = IDSGateway(name)
-    for index in range(channels):
-        channel_name = names[index] if names is not None else f"segment{index}"
+    if len(set(names)) != channels:
+        raise SoCError(f"channel names must be unique, got {list(names)}")
+    buses: dict[str, BusSimulator] = {}
+    for index, channel_name in enumerate(names):
         bus = build_vehicle_bus(vehicle_seed=vehicle_seed + index)
         if index == 0 and flood_window is not None:
             bus.attach(
                 DoSAttacker([flood_window], interval=flood_interval, seed=vehicle_seed)
             )
-        gateway.attach_channel(
-            channel_name,
-            bus,
-            IDSEnabledECU(
-                ip,
-                BitFeatureEncoder(),
-                name=f"{channel_name}-ids",
-                seed=ecu_seed + index,
-                fifo_capacity=fifo_capacity,
-            ),
-        )
-    return gateway
+        buses[channel_name] = bus
+    return gateway_from_buses(
+        ip, buses, ecu_seed=ecu_seed, fifo_capacity=fifo_capacity, name=name
+    )
 
 
 def gateway_from_buses(

@@ -391,7 +391,7 @@ class TestCampaignGateway:
         assert "multi-segment-storm" in rendered and "shared-ip" in rendered
 
     def test_parallel_sweep_matches_serial(self, experiment_context):
-        """Thread-pooled sweep: same seeds, same verdicts, same order."""
+        """Process-pooled sweep: same seeds, same verdicts, same order."""
         names = ["baseline-dos", "overlapping-mixed"]
         serial = run_campaign_sweep(
             experiment_context,
@@ -403,7 +403,7 @@ class TestCampaignGateway:
             experiment_context,
             scenarios=names,
             duration=1.0,
-            options=ExecOptions(backend="thread", max_workers=2),
+            options=ExecOptions(backend="process", max_workers=2),
         )
         assert [(r.scenario, r.mode) for r in serial.runs] == [
             (r.scenario, r.mode) for r in parallel.runs

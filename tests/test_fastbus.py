@@ -909,12 +909,14 @@ class TestProcessBackend:
             assert pickle.loads(pickle.dumps(right)).scenario == left.scenario
 
     def test_process_backend_matches_thread_backend(self, experiment_context):
+        """The process pool's sweep equals the in-process one: same seeds,
+        same verdicts, same order."""
         names = ["baseline-dos", "stealth-low-rate"]
         threaded = run_campaign_sweep(
             experiment_context,
             scenarios=names,
             duration=0.8,
-            options=ExecOptions(backend="thread", max_workers=2),
+            options=ExecOptions(backend="thread", max_workers=1),
         )
         processed = run_campaign_sweep(
             experiment_context,

@@ -4,8 +4,10 @@ The claims pinned here:
 
 * ``run_sharded`` results are index-aligned with the task list no
   matter what order shards finish in;
-* worker state is scoped per run — two concurrent in-process runs
-  never read each other's state;
+* the ``"thread"`` backend runs every shard on the calling thread,
+  whatever worker count it is given;
+* worker state is scoped per run — two in-process runs started from
+  different caller threads never read each other's state;
 * chaos-injected failures retry with backoff and converge to the
   fault-free results (bit-identical, since every seed derives from
   task identity, never from attempts or timing);
@@ -71,7 +73,12 @@ def _staggered(task):
 def _read_tag(task):
     from repro.fleet.pool import worker_state
 
+    time.sleep(0.01)  # keep both callers' runs in flight together
     return (task, worker_state()["tag"])
+
+
+def _thread_ident(task):
+    return threading.get_ident()
 
 
 def _report_blas_threads(task):
@@ -83,7 +90,7 @@ class TestOrderStability:
         # Shard 0 sleeps longest, so completion order is the reverse of
         # submission order — results must still line up with the tasks.
         tasks = [(index, 0.05 * (4 - index)) for index in range(5)]
-        out = run_sharded(tasks, _staggered, {}, "thread", 5)
+        out = run_sharded(tasks, _staggered, {}, "process", 5)
         assert out.results == (0, 1, 2, 3, 4)
         assert out.health.ok and out.health.completed == 5
 
@@ -91,16 +98,22 @@ class TestOrderStability:
         out = run_sharded([], _double, {}, "thread", 4)
         assert out.results == () and out.health == RunHealth.clean(0)
 
+    def test_thread_backend_runs_every_shard_on_the_calling_thread(self):
+        out = run_sharded(list(range(6)), _thread_ident, {}, "thread", 4)
+        assert out.results == (threading.get_ident(),) * 6
+        assert out.health.ok
+
     def test_concurrent_runs_keep_their_own_worker_state(self):
         # Regression: a module-global worker state let a second run
-        # clobber the first mid-flight.  State is now scoped per run.
+        # clobber the first mid-flight.  State is now scoped per run, so
+        # two callers' threads may each run a fleet in-process at once.
         barrier = threading.Barrier(2)
         outcomes = {}
 
         def launch(tag):
             barrier.wait(timeout=10)
             outcomes[tag] = run_sharded(
-                list(range(6)), _read_tag, {"tag": tag}, "thread", 2
+                list(range(6)), _read_tag, {"tag": tag}, "thread", 1
             )
 
         threads = [
@@ -147,16 +160,16 @@ class TestRetries:
     def test_plan_is_the_one_the_assertions_assume(self):
         assert self.PLAN.faulted_shards(5) == (1, 2, 4)
 
-    @pytest.mark.parametrize("workers", [1, 2])  # serial and pooled paths
+    @pytest.mark.parametrize("workers", [1, 2])  # in-process and pooled paths
     def test_retry_then_succeed_matches_fault_free(self, workers, caplog):
         caplog.set_level(logging.WARNING, logger="repro.fleet.pool")
-        clean = run_sharded(list(range(5)), _double, {}, "thread", workers)
+        clean = run_sharded(list(range(5)), _double, {}, "process", workers)
         assert not caplog.records  # a clean run logs nothing
         chaotic = run_sharded(
             list(range(5)),
             _double,
             {},
-            "thread",
+            "process",
             workers,
             max_retries=2,
             strict=False,
@@ -177,7 +190,7 @@ class TestRetries:
             list(range(5)),
             _double,
             {},
-            "thread",
+            "process",
             2,
             max_retries=1,
             strict=False,
@@ -198,7 +211,7 @@ class TestRetries:
                 list(range(5)),
                 _double,
                 {},
-                "thread",
+                "process",
                 2,
                 max_retries=0,
                 strict=True,
@@ -219,7 +232,7 @@ class TestTimeouts:
             list(range(5)),
             _double,
             {},
-            "thread",
+            "process",
             2,
             timeout_s=0.2,
             max_retries=2,
@@ -236,7 +249,7 @@ class TestTimeouts:
         # attempt starts running.
         tasks = [(index, 0.15) for index in range(5)]
         out = run_sharded(
-            tasks, _staggered, {}, "thread", 2, timeout_s=0.4, max_retries=0
+            tasks, _staggered, {}, "process", 2, timeout_s=0.4, max_retries=0
         )
         assert out.results == (0, 1, 2, 3, 4)
         assert out.health.ok and out.health.timeouts == 0
@@ -317,7 +330,9 @@ class TestResilienceOptions:
             ExecOptions(**{knob: value})
 
     def test_numpy_integer_counts_accepted(self):
-        options = ExecOptions(max_workers=np.int64(2), max_retries=np.int32(0))
+        options = ExecOptions(
+            backend="process", max_workers=np.int64(2), max_retries=np.int32(0)
+        )
         assert options.workers_for(8) == 2 and options.max_retries == 0
         with pytest.raises(ConfigError, match="max_workers must be >= 1, got 0"):
             ExecOptions(max_workers=np.int64(0))
@@ -551,8 +566,8 @@ class TestCheckpointResume:
         assert fleet_fingerprint(other_spec, 2, MINI_OPTIONS.resolved()) != base
         # Backend and worker count are explicitly NOT bound: results
         # are bit-identical across them, so resumes may switch.
-        rethreaded = ExecOptions(backend="thread", max_workers=4).resolved()
-        assert fleet_fingerprint(MINI_SPEC, 2, rethreaded) == base
+        repooled = ExecOptions(backend="process", max_workers=4).resolved()
+        assert fleet_fingerprint(MINI_SPEC, 2, repooled) == base
 
 
 class TestSweepHealth:

@@ -6,7 +6,8 @@ The load-bearing claims, each pinned here:
   tested), which is *why* the fleet result is independent of shard
   boundaries and execution order;
 * ``run_fleet`` produces bit-identical aggregates for any worker count,
-  shard size and backend;
+  shard size and backend; the ``"thread"`` backend runs in-process
+  with one worker whatever ``max_workers`` says;
 * everything the process pool ships (shard tasks, aggregates) survives
   pickling intact;
 * the unified :class:`ExecOptions` run-spec validates and resolves
@@ -18,6 +19,7 @@ The load-bearing claims, each pinned here:
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -158,6 +160,31 @@ class TestSpecs:
         with pytest.raises(ConfigError, match=match):
             build()
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, True, "2"])
+    def test_non_integer_fleet_size_rejected(self, size):
+        """A float size ended in a ``TypeError`` from ``len``; ``True`` built
+        a one-vehicle fleet."""
+        with pytest.raises(
+            ConfigError, match=f"fleet size must be an integer, got {size!r}"
+        ):
+            FleetSpec(size=size)
+
+    @pytest.mark.parametrize("index", [2.5, 2.0, True, "2"])
+    def test_non_integer_vehicle_index_rejected(self, index):
+        """``index=True`` named the vehicle ``vehicleTrue-...``, and that name
+        seeds its wire-fault stream."""
+        with pytest.raises(
+            ConfigError, match=f"vehicle index must be an integer, got {index!r}"
+        ):
+            VehicleSpec(index=index, scenario="baseline-dos", vehicle_seed=1)
+
+    def test_numpy_integer_counts_accepted(self):
+        vehicle = VehicleSpec(index=np.int64(3), scenario="baseline-dos", vehicle_seed=1)
+        assert vehicle.name == "vehicle3-baseline-dos"
+        assert len(FleetSpec(size=np.int32(2))) == 2
+        with pytest.raises(ConfigError, match="fleet size must be >= 0, got -1"):
+            FleetSpec(size=np.int64(-1))
+
     def test_sampled_fleet_is_index_deterministic(self):
         spec = FleetSpec(
             name="pop",
@@ -245,8 +272,7 @@ class TestRunFleet:
     @pytest.mark.parametrize(
         "backend,workers,shard_size",
         [
-            ("thread", 2, 2),
-            ("thread", 4, 1),
+            ("thread", 1, 1),
             ("thread", 1, 6),
             ("process", 2, 2),
             ("process", 4, 3),
@@ -261,6 +287,15 @@ class TestRunFleet:
             ExecOptions(backend=backend, max_workers=workers),
             shard_size=shard_size,
         )
+        assert run.aggregate == reference.aggregate
+
+    def test_thread_backend_runs_in_process_with_one_worker(
+        self, experiment_context, fleet_spec, reference
+    ):
+        options = ExecOptions(backend="thread", max_workers=4)
+        assert options.workers_for(3) == 1
+        run = run_fleet(experiment_context, fleet_spec, options, shard_size=2)
+        assert run.workers == 1 and run.backend == "thread"
         assert run.aggregate == reference.aggregate
 
     def test_shard_task_pickles_round_trip(self, fleet_spec):
@@ -284,6 +319,16 @@ class TestRunFleet:
     def test_bad_shard_size_rejected(self, experiment_context, fleet_spec):
         with pytest.raises(ConfigError, match="shard_size"):
             run_fleet(experiment_context, fleet_spec, shard_size=0)
+
+    @pytest.mark.parametrize("shard_size", [2.5, 2.0, True, "2"])
+    def test_non_integer_shard_size_rejected(
+        self, experiment_context, fleet_spec, shard_size
+    ):
+        """A float shard size dies in ``range``; ``True`` ran one-vehicle shards."""
+        with pytest.raises(
+            ConfigError, match=f"shard_size must be an integer, got {shard_size!r}"
+        ):
+            run_fleet(experiment_context, fleet_spec, shard_size=shard_size)
 
 
 class TestSweepUnifiedOptions:

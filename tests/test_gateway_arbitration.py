@@ -140,6 +140,11 @@ class TestInterleavedSchedule:
         assert report.arbitration_policy is None
         assert "[per-channel IPs]" in report.summary()
 
+    def test_duplicate_segment_names_rejected(self, dos_ip):
+        """A dict of buses would merge duplicate names; the builder refuses them."""
+        with pytest.raises(SoCError, match="unique"):
+            build_segment_gateway(dos_ip, channels=3, names=("body", "body", "chassis"))
+
 
 class TestQuietChannel:
     def test_quiet_channel_yields_idle_result(self, dos_ip):

@@ -122,6 +122,25 @@ class TestRngDiscipline:
         assert run_lint([target], root=tmp_path).clean
 
 
+class TestPoolHygiene:
+    def test_thread_pools_are_flagged_under_any_name(self):
+        result = lint_fixture("poolhygiene_violation.py")
+        flagged = [v.line for v in result.violations if "ThreadPoolExecutor" in v.message]
+        assert flagged == [14, 22, 23]  # direct, aliased, module-qualified
+        assert len(result.violations) == 5  # plus the .map() and the bare .result()
+
+    def test_thread_pools_outside_pool_modules_are_clean(self, tmp_path):
+        target = tmp_path / "src" / "repro" / "soc" / "module.py"
+        target.parent.mkdir(parents=True)
+        target.write_text(
+            "from __future__ import annotations\n"
+            "from concurrent.futures import ThreadPoolExecutor\n"
+            "pool = ThreadPoolExecutor(max_workers=2)\n",
+            encoding="utf-8",
+        )
+        assert run_lint([target], root=tmp_path).clean
+
+
 class TestHotPathWhitelist:
     def test_stale_whitelist_entry_is_reported(self, tmp_path):
         target = tmp_path / "kernel.py"

@@ -7,8 +7,7 @@ locally-defined functions fail at runtime — but only on the process backend, w
 quick test lane does not always exercise.  This rule checks statically
 that anything passed to a process pool's ``submit``/``map`` (or its
 ``initializer=``) is a plain module-top-level def/class.  Thread pools
-are exempt: nothing is pickled there, and the thread backend
-legitimately uses closures.
+are exempt: nothing is pickled there.
 """
 
 from __future__ import annotations

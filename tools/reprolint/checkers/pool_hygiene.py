@@ -15,6 +15,10 @@ modules:
   submit/wait scheduler replaced.  ``map`` re-raises the first worker
   exception, discards every other shard's result and offers no
   per-task timeout, retry or rebuild hook.
+* a ``ThreadPoolExecutor`` built at all (by any name it is imported
+  under) — shards run in the calling thread or on the process pool.
+  Thread fan-out ran slower than one in-process worker on every fleet
+  and sweep workload measured.
 
 Modules opt in via the ``pool`` role (``src/repro/fleet/`` in the
 shipped config, or a ``# reprolint: module-role=pool`` pragma).
@@ -45,6 +49,13 @@ def _is_executor_call(node: ast.expr) -> bool:
     )
 
 
+def _is_thread_pool_call(node: ast.Call, aliases: set[str]) -> bool:
+    chain = attr_chain(node.func)
+    if chain is None:
+        return False
+    return chain[-1] == "ThreadPoolExecutor" or (len(chain) == 1 and chain[0] in aliases)
+
+
 def _has_timeout(node: ast.Call) -> bool:
     if node.args:
         return True  # positional form: result(0) / exception(5.0)
@@ -56,7 +67,13 @@ class _HygieneVisitor(ast.NodeVisitor):
         self.checker = checker
         self.ctx = ctx
         self.executor_vars: set[str] = set()
+        self.thread_pool_aliases: set[str] = set()
         self.violations: list[Violation] = []
+
+    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
+        for alias in node.names:
+            if alias.name == "ThreadPoolExecutor" and alias.asname:
+                self.thread_pool_aliases.add(alias.asname)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         if _is_executor_call(node.value):
@@ -74,6 +91,12 @@ class _HygieneVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
+        if _is_thread_pool_call(node, self.thread_pool_aliases):
+            self._flag(
+                node,
+                "ThreadPoolExecutor in a pool module; run shards in-process "
+                "or on the process pool (run_sharded)",
+            )
         func = node.func
         if isinstance(func, ast.Attribute):
             if func.attr in _BLOCKING_METHODS and not _has_timeout(node):
@@ -111,7 +134,8 @@ class PoolHygiene(Checker):
     name = "pool-hygiene"
     description = (
         "pool-role modules must bound every future.result()/.exception() "
-        "with a timeout and never fan out through executor .map()"
+        "with a timeout, never fan out through executor .map() and never "
+        "build a ThreadPoolExecutor"
     )
 
     def check_file(self, ctx: FileContext) -> Iterator[Violation]:
