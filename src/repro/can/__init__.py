@@ -45,7 +45,7 @@ from repro.can.campaign import (
 from repro.can.faults import TargetedFault, WireFaultModel, resolve_bus_faults
 from repro.can.frame import CANFrame, crc15
 from repro.can.log import CANLogRecord, CaptureArray, read_car_hacking_csv, write_car_hacking_csv
-from repro.can.node import PeriodicSender, ScheduledFrame, TrafficSource
+from repro.can.node import PeriodicSender, TrafficSource
 
 __all__ = [
     "ATTACK_KINDS",
@@ -67,7 +67,6 @@ __all__ = [
     "SCENARIOS",
     "ScenarioRegistry",
     "ScheduleArray",
-    "ScheduledFrame",
     "SpoofingAttacker",
     "SuspensionAttacker",
     "TargetedFault",

@@ -22,26 +22,28 @@ for the first two:
 
 All injectors are :class:`~repro.can.node.TrafficSource` implementations
 restricted to configurable active windows, mirroring how the dataset
-alternates attack-free and attack intervals.  Injected/tampered frames
-carry the ``"T"`` label, so ground truth is attached at the source.
+alternates attack-free and attack intervals.  Each emits its releases
+one way, as the columns ``frames_array`` returns.  Injected/tampered
+frames carry the ``"T"`` label, so ground truth is attached at the
+source.
 
 Two families exist: *windowed injectors* (subclasses of
 :class:`_WindowedInjector`) synthesise frames of their own, while
 *wrappers* (:class:`SuspensionAttacker`, :class:`MasqueradeAttacker`)
-transform the stream of a victim source they are constructed around —
-the campaign compiler (:mod:`repro.can.campaign`) swaps the victim out
-of the bus for the wrapper.
+mask, shift and relabel the columns of a victim source they are
+constructed around — the campaign compiler (:mod:`repro.can.campaign`)
+swaps the victim out of the bus for the wrapper.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.can.frame import CANFrame, MAX_STANDARD_ID
-from repro.can.node import ScheduledFrame, TrafficSource
+from repro.can.node import TrafficSource
 from repro.errors import CANError
 from repro.utils.rng import new_rng
 
@@ -103,9 +105,7 @@ class _WindowedSource:
     releases as columnar arrays; the base class validates/sorts the
     windows and clips every window at the simulation horizon, so all
     attackers share identical window/clipping semantics and a campaign
-    can schedule any of them uniformly.  The scalar :meth:`frames`
-    iterator materialises the same arrays — both bus engines consume
-    one draw path.
+    can schedule any of them uniformly.
     """
 
     def __init__(self, windows: Sequence[Window], name: str, seed: int):
@@ -127,9 +127,6 @@ class _WindowedSource:
             if start < until
         ]
         return ScheduleArray.concatenate([part for part in parts if len(part)])
-
-    def frames(self, until: float) -> Iterator[ScheduledFrame]:
-        yield from self.frames_array(until).scheduled_frames()
 
 
 class _WindowedInjector(_WindowedSource):
@@ -481,9 +478,6 @@ class BusOffAttacker:
 
         return ScheduleArray.empty()
 
-    def frames(self, until: float) -> Iterator[ScheduledFrame]:
-        return iter(())
-
 
 class SuspensionAttacker:
     """Suppress or delay a legitimate sender's frames inside windows.
@@ -491,7 +485,7 @@ class SuspensionAttacker:
     A suspension attack silences a victim ECU — by bus-off-ing it, by
     holding its transmit mailbox, or by a compromised gateway queueing
     its frames.  This wrapper transforms the ``victim`` source's
-    stream: inside each active window, matching frames are either
+    schedule: inside each active window, matching frames are either
     dropped (``mode="drop"``; nothing appears on the wire) or delayed
     by ``delay`` seconds (``mode="delay"``; the late frames are
     tampered traffic and carry the ``"T"`` label).  Frames of other
@@ -526,15 +520,13 @@ class SuspensionAttacker:
         self.can_id = target_id if target_id is not None else getattr(victim, "can_id", None)
         self.name = name or f"suspension-{mode}"
 
-    def _active(self, release_time: float) -> bool:
-        return any(start <= release_time < end for start, end in self.windows)
-
     def frames_array(self, until: float) -> "ScheduleArray":
         """Columnar transform of the victim's schedule (drop or delay).
 
-        The victim's columns come from its own ``frames_array``, masks
-        select the targeted in-window frames, and the stable release
-        re-sort reproduces the scalar path's ordering exactly.
+        The victim's columns come from its own ``frames_array`` and masks
+        select the targeted in-window frames.  A delayed frame can land
+        between two pass-through releases, so the rows are re-sorted by
+        release, stably: ties keep the victim's order.
         """
         from repro.can import fastbus
 
@@ -567,25 +559,6 @@ class SuspensionAttacker:
         )
         keep = ~(hit & (shifted >= until))
         return tampered.take(np.flatnonzero(keep)).sorted_by_release()
-
-    def frames(self, until: float) -> Iterator[ScheduledFrame]:
-        out: list[ScheduledFrame] = []
-        for scheduled in self.victim.frames(until):
-            targeted = self.can_id is None or scheduled.frame.can_id == self.can_id
-            if not (targeted and self._active(scheduled.release_time)):
-                out.append(scheduled)
-                continue
-            if self.mode == "drop":
-                continue
-            release = scheduled.release_time + self.delay
-            if release >= until:
-                continue
-            out.append(ScheduledFrame(release, scheduled.frame, "T", self.name))
-        # A constant delay preserves the victim's own ordering, but a
-        # delayed frame can land between two pass-through releases, so
-        # restore global release order for the TrafficSource contract.
-        out.sort(key=lambda s: s.release_time)
-        yield from out
 
 
 class MasqueradeAttacker:
@@ -647,8 +620,3 @@ class MasqueradeAttacker:
             ]
         )
         return merged.sorted_by_release()
-
-    def frames(self, until: float) -> Iterator[ScheduledFrame]:
-        merged = list(self._suppressor.frames(until)) + list(self._injector.frames(until))
-        merged.sort(key=lambda s: s.release_time)
-        yield from merged

@@ -14,25 +14,27 @@ up behind them with growing queueing latency.
 
 :meth:`BusSimulator.capture` runs a window on the columnar kernel
 (:mod:`repro.can.fastbus`); :meth:`BusSimulator.run` is the event-driven
-reference the kernel is held to.  Both return one
-:class:`~repro.can.fastbus.ArbitrationResult`: the captured frames plus
-each frame's release and arbitration-win instants, source and wire
-length, so downstream code can study attack-induced delay as well as
-message content.
+reference the kernel is held to.  Both read every source's
+``frames_array`` columns; the reference merges them source by source,
+without the sender bank, and runs one event loop, faulted or not.  Both
+return one :class:`~repro.can.fastbus.ArbitrationResult`: the captured
+frames plus each frame's release and arbitration-win instants, source
+and wire length, so downstream code can study attack-induced delay as
+well as message content.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Sequence
 
 import numpy as np
 
 from repro.can.fastbus import ArbitrationResult, ScheduleArray
 from repro.can.faults import FaultPlan, WireFaultModel, resolve_bus_faults
-from repro.can.log import MAX_PAYLOAD_BYTES, CaptureArray
-from repro.can.node import ScheduledFrame, TrafficSource
+from repro.can.frame import CANFrame
+from repro.can.log import CaptureArray
+from repro.can.node import TrafficSource
 from repro.errors import CANError
 
 __all__ = ["BusSimulator"]
@@ -68,14 +70,16 @@ class BusSimulator:
     ) -> ArbitrationResult:
         """Simulate ``duration`` seconds on the event-driven reference loop.
 
-        Merges every source's scalar ``frames()`` stream by release time
-        and arbitrates through a heap of pending frames, with one
-        CRC-15/stuffing pass (``CANFrame.bit_length``) per frame.  The
-        result has the same columns as :meth:`capture`; ``started_at``
-        is what this loop records and ``wire_bits`` what ``bit_length``
-        returns, so A/B tests hold the kernel to every column.  Extended
-        and RTR frames raise :class:`CANError`: the capture columns
-        record standard data frames only.
+        Concatenates every source's own ``frames_array`` in attach order
+        and stable-sorts the rows by release.  This skips the sender bank
+        :meth:`capture` goes through, so an A/B against :meth:`capture`
+        checks the bank end to end.  Each row's wire length is
+        ``CANFrame(can_id, data).bit_length()``, one CRC-15/stuffing pass
+        per frame, and one event loop arbitrates through a heap of
+        pending frames.  The result has the same columns as
+        :meth:`capture`; ``started_at`` is what this loop records and
+        ``wire_bits`` what ``bit_length`` returns, so A/B tests hold the
+        kernel to every column.
 
         Frames still queued or in flight at the horizon are dropped (the
         capture simply ends), matching a real logging session: every
@@ -92,64 +96,19 @@ class BusSimulator:
         """
         if not math.isfinite(duration) or duration <= 0:
             raise CANError(f"duration must be positive and finite, got {duration}")
-        effective = resolve_bus_faults(self.sources, faults)
-        releases: list[ScheduledFrame] = []
-        for source in self.sources:
-            releases.extend(source.frames(duration))
-        releases.sort(key=lambda s: s.release_time)
-        schedule = _release_columns(releases)
-        if effective is not None:
-            wire = [scheduled.frame.bit_length() for scheduled in releases]
-            plan = effective.plan(schedule, np.array(wire, dtype=np.int64), self.bitrate)
-            if not plan.clean:
-                return _run_faulted(releases, schedule, wire, duration, self.bitrate, plan)
-            # A clean plan (zero-rate model, no targets drawn) changes
-            # nothing: fall through to the clean loop.
-
-        rows: list[int] = []
-        starts: list[float] = []
-        ends: list[float] = []
-        bits: list[int] = []
-        # Arbitration pool: (can_id, release_time, sequence, row).
-        pending: list[tuple[int, float, int, int]] = []
-        index = 0
-        sequence = 0
-        bus_free_at = 0.0
-
-        while index < len(releases) or pending:
-            if not pending:
-                # Bus idle and nothing queued: jump to the next release.
-                next_release = releases[index].release_time
-                start_candidate = max(bus_free_at, next_release)
-            else:
-                start_candidate = max(bus_free_at, pending[0][1])
-            # Everyone released by the idle point participates in arbitration.
-            while index < len(releases) and releases[index].release_time <= start_candidate:
-                scheduled = releases[index]
-                heapq.heappush(
-                    pending,
-                    (scheduled.frame.can_id, scheduled.release_time, sequence, index),
-                )
-                sequence += 1
-                index += 1
-            if not pending:
-                continue
-            _, release, _, row = heapq.heappop(pending)
-            frame_bits = releases[row].frame.bit_length()
-            start = max(bus_free_at, release)
-            end = start + frame_bits / self.bitrate
-            if end > duration:
-                # The capture horizon falls while this frame is (or
-                # would be) on the wire: it never completes within the
-                # window, and the serialised bus stays busy past the
-                # horizon, so nothing behind it can complete either.
-                break
-            rows.append(row)
-            starts.append(start)
-            ends.append(end)
-            bits.append(frame_bits)
-            bus_free_at = end
-        return _window(schedule, rows, starts, ends, bits, self.bitrate, duration)
+        parts = [source.frames_array(duration) for source in self.sources]
+        schedule = ScheduleArray.concatenate([p for p in parts if len(p)]).sorted_by_release()
+        wire = [
+            CANFrame(can_id, payload[:dlc].tobytes()).bit_length()
+            for can_id, dlc, payload in zip(
+                schedule.can_ids.tolist(), schedule.dlcs.tolist(), schedule.payloads
+            )
+        ]
+        # A bus with nothing to model runs on a zero-rate model's plan,
+        # which corrupts and withholds nothing.
+        model = resolve_bus_faults(self.sources, faults) or WireFaultModel()
+        plan = model.plan(schedule, np.array(wire, dtype=np.int64), self.bitrate)
+        return _event_loop(schedule, wire, plan, self.bitrate, duration)
 
     def capture(
         self, duration: float, faults: WireFaultModel | None = None
@@ -160,9 +119,9 @@ class BusSimulator:
         same horizon drops — see :mod:`repro.can.fastbus`), but the
         schedule is emitted and recorded as numpy columns, wire lengths
         come from one vectorised call, and arbitration is one sweep over
-        plain floats and ints: no per-frame generator yields, CRC passes
-        or frame objects, and no heap for a frame that is alone when it
-        starts.  :meth:`run` remains the event-driven reference for A/B
+        plain floats and ints: no per-frame CRC passes or frame objects,
+        and no heap for a frame that is alone when it starts.
+        :meth:`run` remains the event-driven reference for A/B
         verification.  ``faults`` mirrors :meth:`run` exactly,
         corruption draws and bus-off times included.
         """
@@ -178,101 +137,28 @@ class BusSimulator:
         )
 
 
-def _release_columns(releases: Sequence[ScheduledFrame]) -> ScheduleArray:
-    """The merged releases as schedule columns, row for row.
-
-    The rows the event engine's results gather from, and the schedule
-    its side of the shared fault plan is defined over (the same values
-    the columnar engine's merged schedule holds; senders are coded in
-    release order here, so only their names match).  A frame the
-    capture columns cannot record (extended or RTR) raises
-    :class:`CANError`.
-    """
-    ids: list[int] = []
-    chunks: list[bytes] = []
-    for scheduled in releases:
-        frame = scheduled.frame
-        if frame.extended or frame.rtr:
-            kind = "an extended" if frame.extended else "an RTR"
-            raise CANError(
-                f"{scheduled.source} released {kind} frame ({frame!r}); "
-                "captures record standard data frames only"
-            )
-        ids.append(frame.can_id)
-        chunks.append(frame.data.ljust(MAX_PAYLOAD_BYTES, b"\0"))
-    n = len(releases)
-    code_of: dict[str, int] = {}
-    return ScheduleArray(
-        release_times=np.array([s.release_time for s in releases], dtype=np.float64),
-        can_ids=np.array(ids, dtype=np.int64),
-        dlcs=np.array([s.frame.dlc for s in releases], dtype=np.int64),
-        payloads=np.frombuffer(b"".join(chunks), dtype=np.uint8)
-        .reshape(n, MAX_PAYLOAD_BYTES)
-        .copy(),
-        labels=np.array([1 if s.label == "T" else 0 for s in releases], dtype=np.int64),
-        sources=np.array(
-            [code_of.setdefault(s.source, len(code_of)) for s in releases], dtype=np.int64
-        ),
-        source_names=tuple(code_of),
-    )
-
-
-def _window(
-    schedule: ScheduleArray,
-    rows: list[int],
-    starts: list[float],
-    ends: list[float],
-    bits: list[int],
-    bitrate: float,
-    duration: float,
-    **faults: np.ndarray,
-) -> ArbitrationResult:
-    """The records an event loop served, in service order, as columns.
-
-    ``faults`` carries the faulted loop's ``corrupted``/``retries``/
-    ``bus_off`` columns.
-    """
-    served = np.array(rows, dtype=np.int64)
-    return ArbitrationResult(
-        capture=CaptureArray(
-            timestamps=np.array(ends, dtype=np.float64),
-            can_ids=schedule.can_ids[served],
-            dlcs=schedule.dlcs[served],
-            payloads=schedule.payloads[served],
-            labels=schedule.labels[served],
-        ),
-        sources=schedule.sources[served],
-        source_names=schedule.source_names,
-        queued_at=schedule.release_times[served],
-        started_at=np.array(starts, dtype=np.float64),
-        wire_bits=np.array(bits, dtype=np.int64),
-        schedule_indices=served,
-        bitrate=float(bitrate),
-        duration=float(duration),
-        **faults,
-    )
-
-
-def _run_faulted(
-    releases: list[ScheduledFrame],
+def _event_loop(
     schedule: ScheduleArray,
     wire: list[int],
-    duration: float,
-    bitrate: float,
     plan: FaultPlan,
+    bitrate: float,
+    duration: float,
 ) -> ArbitrationResult:
-    """The faulted event loop: error frames, retransmission, bus-off.
+    """The reference event loop: arbitration, error frames, retransmission.
 
-    Same arbitration semantics as the clean loop, with three additions
-    driven by the precomputed :class:`~repro.can.faults.FaultPlan`:
-    rows of a bus-off node never enter arbitration; a corrupted attempt
-    occupies the wire for the frame plus an error frame, then re-queues
-    at its completion time for re-arbitration; the heap key gains the
-    entry release and a push sequence so retransmissions order exactly
-    like fresh releases.
+    Whenever the bus goes idle, every frame released by then joins a
+    heap keyed ``(can_id, entry release, push sequence, row)`` and the
+    lowest key wins the wire.  The :class:`~repro.can.faults.FaultPlan`
+    adds three things: rows of a bus-off node never enter arbitration; a
+    corrupted attempt occupies the wire for the frame plus an error
+    frame, then re-enters the heap at its completion time, ordering
+    exactly like a fresh release; and the attempt that exhausts its
+    node's TEC is its last.  A clean plan changes none of this, and the
+    result then leaves the fault columns unset, as the clean sweep does.
     """
-    n = len(releases)
-    release_f = [s.release_time for s in releases]
+    n = len(schedule)
+    ids = schedule.can_ids.tolist()
+    release_f = schedule.release_times.tolist()
     durations = [bits / bitrate for bits in wire]
     error_s = plan.error_s
     left = plan.attempts.tolist()
@@ -297,17 +183,14 @@ def _run_faulted(
                 index += 1  # bus-off node: the frame is never offered
             if index >= n:
                 break
-            next_release = release_f[index]
-            start_candidate = max(bus_free_at, next_release)
+            # Bus idle and nothing queued: jump to the next release.
+            start_candidate = max(bus_free_at, release_f[index])
         else:
             start_candidate = max(bus_free_at, pending[0][1])
+        # Everyone released by the idle point participates in arbitration.
         while index < n and release_f[index] <= start_candidate:
             if queued[index]:
-                scheduled = releases[index]
-                heapq.heappush(
-                    pending,
-                    (scheduled.frame.can_id, release_f[index], sequence, index),
-                )
+                heapq.heappush(pending, (ids[index], release_f[index], sequence, index))
                 sequence += 1
             index += 1
         if not pending:
@@ -319,7 +202,11 @@ def _run_faulted(
         else:
             end = start + durations[winner]
         if end > duration:
-            break  # horizon falls while this (attempt) is on the wire
+            # The capture horizon falls while this attempt is (or would
+            # be) on the wire: it never completes within the window, and
+            # the serialised bus stays busy past the horizon, so nothing
+            # behind it can complete either.
+            break
         rows.append(winner)
         starts.append(start)
         ends.append(end)
@@ -337,15 +224,26 @@ def _run_faulted(
             retries.append(attempts_total[winner])
             bus_off.append(False)
         bus_free_at = end
-    return _window(
-        schedule,
-        rows,
-        starts,
-        ends,
-        [wire[row] for row in rows],
-        bitrate,
-        duration,
-        corrupted=np.array(corrupted, dtype=bool),
-        retries=np.array(retries, dtype=np.int64),
-        bus_off=np.array(bus_off, dtype=bool),
+
+    served = np.array(rows, dtype=np.int64)
+    faulted = not plan.clean
+    return ArbitrationResult(
+        capture=CaptureArray(
+            timestamps=np.array(ends, dtype=np.float64),
+            can_ids=schedule.can_ids[served],
+            dlcs=schedule.dlcs[served],
+            payloads=schedule.payloads[served],
+            labels=schedule.labels[served],
+        ),
+        sources=schedule.sources[served],
+        source_names=schedule.source_names,
+        queued_at=schedule.release_times[served],
+        started_at=np.array(starts, dtype=np.float64),
+        wire_bits=np.array([wire[row] for row in rows], dtype=np.int64),
+        schedule_indices=served,
+        bitrate=float(bitrate),
+        duration=float(duration),
+        corrupted=np.array(corrupted, dtype=bool) if faulted else None,
+        retries=np.array(retries, dtype=np.int64) if faulted else None,
+        bus_off=np.array(bus_off, dtype=bool) if faulted else None,
     )

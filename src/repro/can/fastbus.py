@@ -1,8 +1,8 @@
 """Columnar bus engine: vectorised schedules and arbitration replay.
 
 The event-driven :meth:`~repro.can.bus.BusSimulator.run` is the
-*reference* engine: per-frame generator yields, a heapq pop per frame
-and a CRC-15 / bit-stuffing pass per frame.  That is faithful but slow:
+*reference* engine: a heapq pop per frame and a CRC-15 / bit-stuffing
+pass per frame.  That is faithful but slow:
 once inference is compiled, campaign and gateway runs are dominated by
 the bus.  Both engines return the same :class:`ArbitrationResult`
 columns, so callers never branch on the engine.
@@ -53,7 +53,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -63,7 +63,7 @@ from repro.errors import CANError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (bus -> node -> fastbus)
     from repro.can.faults import FaultPlan, WireFaultModel
     from repro.can.log import CaptureArray
-    from repro.can.node import ScheduledFrame, TrafficSource
+    from repro.can.node import TrafficSource
 
 __all__ = [
     "ArbitrationResult",
@@ -190,32 +190,6 @@ class ScheduleArray:
     def sorted_by_release(self) -> "ScheduleArray":
         """Stable sort by release time (= the event engine's merge order)."""
         return self.take(np.argsort(self.release_times, kind="stable"))
-
-    def scheduled_frames(self) -> "Iterable[ScheduledFrame]":
-        """Materialise the scalar :class:`ScheduledFrame` stream.
-
-        This is how the scalar ``frames()`` iterators the event engine
-        merges are implemented on top of the columnar emitters, so both
-        engines consume one draw path by construction.
-        """
-        from repro.can.frame import CANFrame
-        from repro.can.node import ScheduledFrame
-
-        releases = self.release_times.tolist()
-        ids = self.can_ids.tolist()
-        dlcs = self.dlcs.tolist()
-        labels = self.labels.tolist()
-        sources = self.sources.tolist()
-        names = self.source_names
-        payload_bytes = self.payloads.tobytes()
-        for k in range(len(releases)):
-            data = payload_bytes[k * _PAYLOAD_SLOTS : k * _PAYLOAD_SLOTS + dlcs[k]]
-            yield ScheduledFrame(
-                releases[k],
-                CANFrame(ids[k], data),
-                "T" if labels[k] else "R",
-                names[sources[k]],
-            )
 
 
 def _check_dlcs(dlcs: np.ndarray) -> None:
@@ -531,9 +505,9 @@ class ArbitrationResult:
     per surviving frame (an int64 code into ``source_names``, the
     schedule's sender table), ``wire_bits`` the exact occupancy used for
     bus-load accounting, and ``schedule_indices`` each survivor's row
-    in the merged, release-sorted schedule.  Each engine numbers
-    senders in the order it merged them, so results compare sender
-    *names* (``source_names[sources]``), not codes.
+    in the merged, release-sorted schedule.  Both engines merge the
+    sources' schedules in attach order, so their sender codes and
+    tables match too.
 
     Faulted runs (``faults=`` on either engine) add the
     wire-fault attribution columns: ``corrupted`` flags records that

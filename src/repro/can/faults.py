@@ -58,6 +58,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 __all__ = [
     "ERROR_FRAME_BITS",
+    "MAX_ATTEMPTS",
     "RECOVERY_MODES",
     "BUS_OFF_RECOVERY_BITS",
     "FaultPlan",
@@ -70,6 +71,9 @@ __all__ = [
 #: Error flag (6 dominant bits) + error delimiter (8 recessive) + the
 #: 3-bit intermission before the retransmission can arbitrate.
 ERROR_FRAME_BITS = 17
+
+#: Corrupted attempts charged to one frame at most.
+MAX_ATTEMPTS = 32
 
 #: Bus-off recovery: 128 occurrences of 11 consecutive recessive bits.
 BUS_OFF_RECOVERY_BITS = 128 * 11
@@ -173,26 +177,22 @@ class WireFaultModel:
     ``1 - (1 - ber)**b``, and the number of corrupted attempts before
     the first clean one is drawn geometrically from
     ``new_rng(seed, "wirefault/draws")``.  ``targeted`` faults add
-    forced corruption on top (see :class:`TargetedFault`).
+    forced corruption on top (see :class:`TargetedFault`).  A frame
+    carries at most :data:`MAX_ATTEMPTS` corrupted attempts, each
+    charging an error frame of :data:`ERROR_FRAME_BITS`.
     """
 
     seed: int = 0
     bit_error_rate: float = 0.0
-    error_frame_bits: int = ERROR_FRAME_BITS
     tec_error_passive: int = 128
     tec_bus_off: int = 256
     recovery: str = "auto"
-    max_attempts: int = 32
     targeted: tuple[TargetedFault, ...] = ()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.bit_error_rate < 1.0:
             raise ConfigError(
                 f"bit_error_rate must be in [0, 1), got {self.bit_error_rate}"
-            )
-        if self.error_frame_bits < 0:
-            raise ConfigError(
-                f"error_frame_bits must be >= 0, got {self.error_frame_bits}"
             )
         if self.tec_error_passive <= 0:
             raise ConfigError(
@@ -207,8 +207,6 @@ class WireFaultModel:
             raise ConfigError(
                 f"recovery must be one of {RECOVERY_MODES}, got {self.recovery!r}"
             )
-        if self.max_attempts < 1:
-            raise ConfigError(f"max_attempts must be >= 1, got {self.max_attempts}")
         object.__setattr__(self, "targeted", tuple(self.targeted))
 
     def scoped(self, label: str) -> "WireFaultModel":
@@ -253,7 +251,7 @@ class WireFaultModel:
                 f"the fault plan needs release-sorted rows: row {k + 1} is released "
                 f"at {releases[k + 1]}, after row {k} at {releases[k]}"
             )
-        error_s = float(self.error_frame_bits) / float(bitrate)
+        error_s = float(ERROR_FRAME_BITS) / float(bitrate)
         attempts = np.zeros(n, dtype=np.int64)
         if n and self.bit_error_rate > 0.0:
             rng = new_rng(self.seed, "wirefault/draws")
@@ -273,7 +271,7 @@ class WireFaultModel:
                     code = names.index(fault.source) if fault.source in names else -1
                     mask &= schedule.sources == code
                 attempts[mask] += int(fault.attempts)
-            attempts = np.minimum(attempts, np.int64(self.max_attempts))
+            attempts = np.minimum(attempts, np.int64(MAX_ATTEMPTS))
 
         transmit = np.ones(n, dtype=bool)
         queued = np.ones(n, dtype=bool)

@@ -1,38 +1,32 @@
 """Traffic sources: the ECUs that populate a CAN bus.
 
-A :class:`TrafficSource` emits its frame releases two ways: as one
-columnar :class:`~repro.can.fastbus.ScheduleArray` (``frames_array``,
-what the columnar engine merges) and as :class:`ScheduledFrame` release
-events (``frames``, what the event-driven reference engine merges); the
-bus simulator merges all sources and resolves arbitration.  The
+A :class:`TrafficSource` has one emission method, ``frames_array``: its
+frame releases as one columnar :class:`~repro.can.fastbus.ScheduleArray`.
+Both bus engines merge those columns and resolve arbitration.  The
 periodic sender models the dominant pattern of real in-vehicle traffic:
 fixed-period broadcast of sensor/actuator state with small clock jitter
 and slowly evolving payloads (counters, ramping sensor readings,
 constant config bytes) — the structure the Car-Hacking dataset exhibits
 and the structure fuzzing attacks violate.
 
-Sources are *columnar-first*.  One sender bank,
-:func:`bank_schedule`, emits every :class:`PeriodicSender` row: it
-builds the release grids of a run of senders in one vectorised pass,
-and writes their payloads into one ``(N, 8)`` block through the payload
-models' vectorised ``batch`` hooks.  Each sender still draws its jitter
-and then its payloads from its own RNG, in attach order.
+One sender bank, :func:`bank_schedule`, emits every
+:class:`PeriodicSender` row: it builds the release grids of a run of
+senders in one vectorised pass, and writes their payloads into one
+``(N, 8)`` block through the payload models' vectorised ``batch``
+hooks.  Each sender still draws its jitter and then its payloads from
+its own RNG, in attach order.
 :func:`~repro.can.fastbus.build_schedule` hands each run of a bus's
 plain senders to one bank call; :meth:`PeriodicSender.frames_array` is
-a bank of one (what a suspension or masquerade wrapper reads of its
-victim), and the scalar :meth:`PeriodicSender.frames` iterator is
-materialised from it.  Every other source's ``frames`` is materialised
-from its own ``frames_array`` the same way, so the event-driven
-reference bus and the columnar arbitration kernel consume the *same*
-draws — equivalence between the engines is by construction, not by
-coincidence of draw ordering.
+a bank of one.  The event-driven reference
+(:meth:`~repro.can.bus.BusSimulator.run`) merges every source's own
+``frames_array``, so the engine A/B tests hold the bank to per-sender
+emission as well as the kernel to the event loop.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -42,12 +36,11 @@ from repro.can.fastbus import (
     _check_dlcs,
     _grid_count,
 )
-from repro.can.frame import CANFrame, MAX_STANDARD_ID
+from repro.can.frame import MAX_STANDARD_ID
 from repro.errors import CANError
 from repro.utils.rng import new_rng
 
 __all__ = [
-    "ScheduledFrame",
     "TrafficSource",
     "PeriodicSender",
     "bank_schedule",
@@ -60,30 +53,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScheduledFrame:
-    """A frame released for transmission at ``release_time`` seconds."""
-
-    release_time: float
-    frame: CANFrame
-    label: str  # "R" (regular) or "T" (attack/injected)
-    source: str  # node name, for diagnostics
-
-
 class TrafficSource(Protocol):
-    """Anything that can enumerate its frame releases up to a horizon.
-
-    Both methods describe the same releases of standard data frames:
-    ``frames_array`` as columns in the source's emission order,
-    ``frames`` as scheduled frames in release order.
-    """
+    """Anything that can enumerate its frame releases up to a horizon."""
 
     def frames_array(self, until: float) -> ScheduleArray:
-        """Every release with ``release_time < until``, as columns."""
-        ...
+        """Every release with ``release_time < until``, as columns.
 
-    def frames(self, until: float) -> Iterator[ScheduledFrame]:
-        """Yield scheduled frames with ``release_time < until``, in order."""
+        Rows are standard data frames in the source's emission order.
+        """
         ...
 
 
@@ -356,13 +333,8 @@ class PeriodicSender:
         """This sender's whole-horizon schedule: a sender bank of one.
 
         :func:`bank_schedule` emits every sender row, so a victim that a
-        suspension or masquerade wrapper reads through this method
-        emits exactly as a sender banked by
-        :func:`~repro.can.fastbus.build_schedule`; :meth:`frames`
-        materialises the same arrays, so both engines see identical
-        releases and payloads.
+        suspension or masquerade wrapper reads through this method, and
+        a sender the event-driven reference merges, emits exactly as a
+        sender banked by :func:`~repro.can.fastbus.build_schedule`.
         """
         return bank_schedule((self,), until)
-
-    def frames(self, until: float) -> Iterator[ScheduledFrame]:
-        yield from self.frames_array(until).scheduled_frames()

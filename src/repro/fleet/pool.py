@@ -531,10 +531,10 @@ def run_sharded(
     Results are index-aligned with ``tasks`` whatever order shards
     finish in.  ``backend`` must already be resolved
     (``"thread"``/``"process"``, never ``"auto"`` — see
-    :meth:`~repro.fleet.spec.ExecOptions.resolve_backend`).  Only
-    ``"process"`` with more than one worker and more than one task
-    starts a pool; every other run executes its shards one after
-    another in the calling thread, whatever ``max_workers`` says.
+    :meth:`~repro.fleet.spec.ExecOptions.resolve_backend`).  The pool
+    has at most one worker per task, and only ``"process"`` with more
+    than one worker starts one; every other run executes its shards one
+    after another in the calling thread, whatever ``max_workers`` says.
     ``chaos`` installs a deterministic fault plan
     (:mod:`repro.fleet.chaos`) inside the worker wrapper.
     """
@@ -542,7 +542,8 @@ def run_sharded(
     if not ordered:
         return ShardedRun(results=(), health=RunHealth.clean(0))
     token = f"run-{next(_RUN_TOKENS)}"
-    pooled = backend == "process" and max_workers > 1 and len(ordered) > 1
+    max_workers = min(max_workers, len(ordered))
+    pooled = backend == "process" and max_workers > 1
     shipped = dict(state)
     shipped["__worker__"] = worker
     shipped["__in_process__"] = not pooled

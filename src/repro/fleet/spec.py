@@ -62,11 +62,11 @@ class ExecOptions:
     record the backend that actually ran.  ``"thread"`` is in-process
     execution: every shard runs in the calling thread, so such a run
     has one worker whatever ``max_workers`` says.  ``max_workers``
-    sizes the process pool; ``None`` sizes it to
-    ``min(8, cpu_count, tasks)``.  Process workers cap their BLAS
-    helper threads at ``cpu_count // workers``: each forked worker
-    would otherwise keep one OpenBLAS thread per core, and the pool
-    would oversubscribe the host.  ``engine`` picks the bus
+    sizes the process pool, capped at the run's task count; ``None``
+    sizes it to ``min(8, cpu_count, tasks)``.  Process workers cap
+    their BLAS helper threads at ``cpu_count // workers``: each forked
+    worker would otherwise keep one OpenBLAS thread per core, and the
+    pool would oversubscribe the host.  ``engine`` picks the bus
     simulation path per channel window (``"columnar"`` kernel by
     default, ``"event"`` for the reference loop); ``fifo_capacity`` is
     the depth of each ECU's RX FIFO.
@@ -128,13 +128,12 @@ class ExecOptions:
         """The worker count for a run of ``num_tasks`` independent tasks.
 
         An in-process run (``"thread"``) has one worker, the calling
-        thread.
+        thread.  A pool never has more workers than tasks.
         """
         if self.resolve_backend() == "thread":
             return 1
-        if self.max_workers is not None:
-            return self.max_workers
-        return max(1, min(8, os.cpu_count() or 1, num_tasks))
+        cap = self.max_workers if self.max_workers is not None else min(8, os.cpu_count() or 1)
+        return max(1, min(cap, num_tasks))
 
     def as_record(self) -> dict[str, Any]:
         """Flat scalars for JSON artifacts: how the run actually executed.

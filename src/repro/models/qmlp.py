@@ -11,20 +11,25 @@ the design-space exploration.
 
 All weights and activations share one uniform bit width knob each
 ("4-bit uniform quantisation achieved best performance ... chosen for
-deployment"); the input quantiser is 8-bit by default but is exact on
-the binary frame encoding regardless.
+deployment"); the input quantiser is 8-bit, which is exact on the
+binary frame encoding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.autograd.layers import Dropout, Sequential
+from repro.autograd.layers import Sequential
 from repro.errors import ConfigError
 from repro.quant.layers import QuantIdentity, QuantLinear, QuantReLU
 from repro.utils.rng import derive_seed
 
 __all__ = ["QMLPConfig", "build_qmlp"]
+
+#: The input quantiser's bit width.
+_INPUT_BITS = 8
+#: Output classes: every detector is a binary (attack / regular) classifier.
+_NUM_CLASSES = 2
 
 
 @dataclass(frozen=True)
@@ -33,29 +38,23 @@ class QMLPConfig:
 
     input_features: int = 79
     hidden: tuple[int, ...] = (64, 64, 32)
-    num_classes: int = 2
     weight_bits: int = 4
     act_bits: int = 4
-    input_bits: int = 8
-    dropout: float = 0.0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.input_features < 1 or self.num_classes < 2:
-            raise ConfigError(
-                f"invalid dimensions: {self.input_features} inputs, "
-                f"{self.num_classes} classes"
-            )
+        if self.input_features < 1:
+            raise ConfigError(f"QMLP needs at least one input, got {self.input_features}")
         if not self.hidden:
             raise ConfigError("QMLP needs at least one hidden layer")
-        for bits in (self.weight_bits, self.act_bits, self.input_bits):
+        for bits in (self.weight_bits, self.act_bits):
             if not 1 <= bits <= 16:
                 raise ConfigError(f"bit widths must be in [1, 16], got {bits}")
 
     @property
     def topology(self) -> list[int]:
         """Layer widths including input and output."""
-        return [self.input_features, *self.hidden, self.num_classes]
+        return [self.input_features, *self.hidden, _NUM_CLASSES]
 
     @property
     def num_weights(self) -> int:
@@ -79,7 +78,7 @@ def build_qmlp(config: QMLPConfig | None = None) -> Sequential:
     FINN compiler directly after training.
     """
     config = config or QMLPConfig()
-    layers = [QuantIdentity(bit_width=config.input_bits)]
+    layers = [QuantIdentity(bit_width=_INPUT_BITS)]
     widths = config.topology
     for index, (fan_in, fan_out) in enumerate(zip(widths[:-1], widths[1:])):
         layer_seed = derive_seed(config.seed, f"qmlp-layer-{index}")
@@ -91,9 +90,6 @@ def build_qmlp(config: QMLPConfig | None = None) -> Sequential:
                 seed=layer_seed,
             )
         )
-        is_last = index == len(widths) - 2
-        if not is_last:
+        if index < len(widths) - 2:  # every layer but the head
             layers.append(QuantReLU(bit_width=config.act_bits))
-            if config.dropout > 0.0:
-                layers.append(Dropout(config.dropout, seed=derive_seed(config.seed, f"dropout-{index}")))
     return Sequential(*layers)

@@ -12,6 +12,8 @@ import numpy as np
 from repro.can.fastbus import ScheduleArray
 from repro.can.faults import (
     BUS_OFF_RECOVERY_BITS,
+    ERROR_FRAME_BITS,
+    MAX_ATTEMPTS,
     FaultPlan,
     NodeFaultState,
     WireFaultModel,
@@ -47,7 +49,7 @@ def reference_plan(
     release_times = schedule.release_times
     sources = np.array(schedule.source_names, dtype=str)[schedule.sources]
     n = int(release_times.shape[0])
-    error_s = float(model.error_frame_bits) / float(bitrate)
+    error_s = float(ERROR_FRAME_BITS) / float(bitrate)
     attempts = np.zeros(n, dtype=np.int64)
     if n and model.bit_error_rate > 0.0:
         rng = new_rng(model.seed, "wirefault/draws")
@@ -64,7 +66,7 @@ def reference_plan(
             if fault.source is not None:
                 mask &= sources == fault.source
             attempts[mask] += int(fault.attempts)
-        attempts = np.minimum(attempts, np.int64(model.max_attempts))
+        attempts = np.minimum(attempts, np.int64(MAX_ATTEMPTS))
 
     transmit = np.ones(n, dtype=bool)
     queued = np.ones(n, dtype=bool)

@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from _engine_ab import OneShot
 
 from repro.can.attacks import DoSAttacker, FuzzyAttacker
 from repro.can.bus import BusSimulator
@@ -15,7 +16,6 @@ from repro.can.fastbus import ScheduleArray, simulate_arbitration
 from repro.can.frame import CANFrame
 from repro.can.node import (
     PeriodicSender,
-    ScheduledFrame,
     constant_payload,
     counter_payload,
     sender_stream,
@@ -28,29 +28,19 @@ from repro.utils.rng import new_rng
 NAN, INF = float("nan"), float("inf")
 
 
-class _OneShot:
-    """Emit fixed frames at fixed release times (test helper)."""
-
-    def __init__(self, entries):
-        self.entries = entries
-
-    def frames(self, until):
-        for release, frame in self.entries:
-            if release < until:
-                yield ScheduledFrame(release, frame, "R", "oneshot")
-
-
 class TestArbitration:
     def test_lower_id_wins_simultaneous_release(self):
         bus = BusSimulator(bitrate=500_000)
-        bus.attach(_OneShot([(0.0, CANFrame(0x300, bytes(2)))]))
-        bus.attach(_OneShot([(0.0, CANFrame(0x100, bytes(2)))]))
+        bus.attach(OneShot([(0.0, CANFrame(0x300, bytes(2)))]))
+        bus.attach(OneShot([(0.0, CANFrame(0x100, bytes(2)))]))
         window = bus.run(0.1)
         assert window.capture.can_ids.tolist() == [0x100, 0x300]
 
     def test_loser_queues_behind_winner(self):
         bus = BusSimulator(bitrate=500_000)
-        bus.attach(_OneShot([(0.0, CANFrame(0x100, bytes(8))), (0.0, CANFrame(0x200, bytes(8)))]))
+        bus.attach(
+            OneShot([(0.0, CANFrame(0x100, bytes(8))), (0.0, CANFrame(0x200, bytes(8)))])
+        )
         window = bus.run(0.1)
         assert len(window) == 2
         assert window.started_at[1] == pytest.approx(window.capture.timestamps[0])
@@ -58,7 +48,7 @@ class TestArbitration:
 
     def test_bus_idle_jumps_to_next_release(self):
         bus = BusSimulator(bitrate=500_000)
-        bus.attach(_OneShot([(0.05, CANFrame(0x100, bytes(1)))]))
+        bus.attach(OneShot([(0.05, CANFrame(0x100, bytes(1)))]))
         window = bus.run(0.1)
         assert len(window) == 1
         assert window.started_at[0] == pytest.approx(0.05)
@@ -66,26 +56,12 @@ class TestArbitration:
     def test_late_high_priority_does_not_preempt(self):
         """CAN is non-preemptive: a frame in flight finishes."""
         bus = BusSimulator(bitrate=100_000)  # slow bus: long frames
-        bus.attach(_OneShot([(0.0, CANFrame(0x400, bytes(8)))]))
-        bus.attach(_OneShot([(0.0002, CANFrame(0x001, bytes(1)))]))
+        bus.attach(OneShot([(0.0, CANFrame(0x400, bytes(8)))]))
+        bus.attach(OneShot([(0.0002, CANFrame(0x001, bytes(1)))]))
         window = bus.run(0.2)
         assert len(window) == 2
         assert window.capture.can_ids[0] == 0x400
         assert window.started_at[1] >= window.capture.timestamps[0]
-
-    @pytest.mark.parametrize(
-        "frame, kind",
-        [
-            (CANFrame(0x1ABCDE0, b"\x07", extended=True), "an extended"),
-            (CANFrame(0x100, rtr=True), "an RTR"),
-        ],
-    )
-    def test_frames_a_capture_cannot_hold_rejected(self, frame, kind):
-        """Capture columns have no extended or RTR flag: the loop refuses them."""
-        bus = BusSimulator(bitrate=500_000)
-        bus.attach(_OneShot([(0.0, frame)]))
-        with pytest.raises(CANError, match=f"oneshot released {kind} frame"):
-            bus.run(0.1)
 
     def test_records_sorted_by_time(self, dos_capture):
         times = [r.timestamp for r in dos_capture.records]
@@ -102,8 +78,7 @@ class TestPeriodicTraffic:
 
     def test_jitter_varies_release(self):
         sender = PeriodicSender(0x123, period=0.01, jitter=0.05, phase=0.0, seed=1)
-        releases = [s.release_time for s in sender.frames(0.1)]
-        deltas = [b - a for a, b in zip(releases, releases[1:])]
+        deltas = np.diff(sender.frames_array(0.1).release_times)
         assert len(set(f"{d:.9f}" for d in deltas)) > 1
 
     def test_invalid_period(self):
@@ -112,8 +87,9 @@ class TestPeriodicTraffic:
 
     def test_constant_payload_model(self):
         sender = PeriodicSender(0x1, 0.01, payload_model=constant_payload(b"\xAA" * 8), phase=0.0, seed=1)
-        frames = list(sender.frames(0.05))
-        assert all(s.frame.data == b"\xAA" * 8 for s in frames)
+        schedule = sender.frames_array(0.05)
+        assert len(schedule) and np.all(schedule.payloads == 0xAA)
+        assert np.all(schedule.dlcs == 8)
 
     @pytest.mark.parametrize(
         "build, named",
@@ -168,8 +144,11 @@ class TestPeriodicTraffic:
             seed=new_rng(*sender_stream(4, 0x316, 0.01)),
         )
         assert by_int.phase == by_generator.phase
-        frames = list(by_int.frames(0.3))
-        assert frames and frames == list(by_generator.frames(0.3))
+        ours, theirs = by_int.frames_array(0.3), by_generator.frames_array(0.3)
+        assert len(ours)
+        for column in ("release_times", "can_ids", "dlcs", "payloads", "labels", "sources"):
+            np.testing.assert_array_equal(getattr(ours, column), getattr(theirs, column))
+        assert ours.source_names == theirs.source_names
 
 
 class TestAttackEffects:
@@ -205,8 +184,8 @@ class TestAttackEffects:
 
     def test_fuzzy_ids_span_range(self):
         attacker = FuzzyAttacker(windows=[(0.0, 1.0)], interval=0.001, seed=3)
-        ids = [s.frame.can_id for s in attacker.frames(1.0)]
-        assert min(ids) < 0x100 and max(ids) > 0x700
+        ids = attacker.frames_array(1.0).can_ids
+        assert ids.min() < 0x100 and ids.max() > 0x700
 
     def test_empty_window_rejected(self):
         with pytest.raises(CANError):
@@ -226,7 +205,7 @@ class TestCaptureHorizon:
         bus = BusSimulator(bitrate=100_000)
         frame = CANFrame(0x100, bytes(8))
         assert frame.duration(100_000) > 0.001
-        bus.attach(_OneShot([(0.0, frame), (0.0995, frame)]))
+        bus.attach(OneShot([(0.0, frame), (0.0995, frame)]))
         window = bus.run(0.1)
         assert len(window) == 1  # the late frame started before 0.1 but ended after
         assert window.capture.timestamps[0] <= 0.1
@@ -244,7 +223,7 @@ class TestCaptureHorizon:
         bus = BusSimulator(bitrate=100_000)
         # Ten simultaneous releases of >1 ms frames into a 2.5 ms window:
         # only the first two can complete inside it.
-        bus.attach(_OneShot([(0.0, CANFrame(0x100 + i, bytes(8))) for i in range(10)]))
+        bus.attach(OneShot([(0.0, CANFrame(0x100 + i, bytes(8))) for i in range(10)]))
         window = bus.run(0.0025)
         assert 0 < len(window) < 10
         assert np.all(window.capture.timestamps <= 0.0025)

@@ -99,20 +99,19 @@ class TestCSVIO:
 class TestSpoofReplay:
     def test_spoofing_targets_one_id(self):
         attacker = SpoofingAttacker(windows=[(0.0, 0.1)], target_id=0x316, seed=1)
-        frames = list(attacker.frames(0.1))
-        assert frames and all(s.frame.can_id == 0x316 for s in frames)
-        assert all(s.label == "T" for s in frames)
+        schedule = attacker.frames_array(0.1)
+        assert len(schedule) and np.all(schedule.can_ids == 0x316)
+        assert np.all(schedule.labels == 1)
 
     def test_replay_preserves_pacing(self):
         capture = [CANFrame(0x100, bytes(2)), CANFrame(0x200, bytes(2))]
         attacker = ReplayAttacker(capture, offsets=[0.0, 0.005], windows=[(1.0, 2.0)])
-        frames = list(attacker.frames(10.0))
-        assert [s.release_time for s in frames] == [1.0, 1.005]
+        assert attacker.frames_array(10.0).release_times.tolist() == [1.0, 1.005]
 
     def test_replay_respects_window_end(self):
         capture = [CANFrame(0x100)] * 3
         attacker = ReplayAttacker(capture, offsets=[0.0, 0.5, 5.0], windows=[(0.0, 1.0)])
-        assert len(list(attacker.frames(10.0))) == 2
+        assert len(attacker.frames_array(10.0)) == 2
 
     def test_replay_length_mismatch(self):
         with pytest.raises(CANError):

@@ -19,7 +19,8 @@ import re
 
 import numpy as np
 import pytest
-from _engine_ab import assert_same_window
+from _engine_ab import OneShot, assert_same_window
+from _wrapper_reference import masquerade_rows, schedule_rows, suspension_rows
 from hypothesis import example, given, settings, strategies as st
 
 from repro.can.attacks import (
@@ -65,36 +66,6 @@ from repro.experiments.campaigns import (
 from repro.fleet import ExecOptions
 from repro.soc.gateway import build_campaign_gateway
 from repro.utils.rng import new_rng
-
-
-class _OneShot:
-    """A hand-built source: fixed frames at fixed release times.
-
-    Like the library's sources, ``frames`` is materialised from
-    ``frames_array``, so both engines read one set of releases.
-    """
-
-    def __init__(self, entries, label="R", source="oneshot"):
-        self.entries = entries
-        self.label = label
-        self.source = source
-
-    def frames_array(self, until):
-        kept = [(release, frame) for release, frame in self.entries if release < until]
-        payloads = np.zeros((len(kept), 8), dtype=np.uint8)
-        for row, (_, frame) in enumerate(kept):
-            payloads[row, : frame.dlc] = np.frombuffer(frame.data, dtype=np.uint8)
-        return schedule_columns(
-            np.array([release for release, _ in kept], dtype=np.float64),
-            np.array([frame.can_id for _, frame in kept], dtype=np.int64),
-            payloads,
-            label=1 if self.label == "T" else 0,
-            source=self.source,
-            dlcs=np.array([frame.dlc for _, frame in kept], dtype=np.int64),
-        )
-
-    def frames(self, until):
-        yield from self.frames_array(until).scheduled_frames()
 
 
 class TestWireBits:
@@ -332,9 +303,9 @@ class TestEngineEquivalence:
     def test_simultaneous_release_ties_keep_attach_order_priority(self):
         def build():
             bus = BusSimulator(bitrate=500_000)
-            bus.attach(_OneShot([(0.0, CANFrame(0x300, bytes(2)))], source="a"))
-            bus.attach(_OneShot([(0.0, CANFrame(0x100, bytes(2)))], source="b"))
-            bus.attach(_OneShot([(0.0, CANFrame(0x100, bytes(4)))], source="c"))
+            bus.attach(OneShot([(0.0, CANFrame(0x300, bytes(2)))], source="a"))
+            bus.attach(OneShot([(0.0, CANFrame(0x100, bytes(2)))], source="b"))
+            bus.attach(OneShot([(0.0, CANFrame(0x100, bytes(4)))], source="c"))
             return bus
 
         event = build().run(0.1)
@@ -402,17 +373,17 @@ def _small_buses(draw):
             )
             for tick in ticks
         ]
-        bus.attach(_OneShot(entries, source=f"ecu{index}"))
+        bus.attach(OneShot(entries, source=f"ecu{index}"))
     if draw(st.booleans()):
         # A zero-jitter grid: every release lands on an exact multiple.
         step = draw(st.integers(1, 10))
         frame = CANFrame(draw(st.sampled_from(_ID_POOL)), b"\x01\x02")
-        bus.attach(_OneShot([(k * step * _TICK, frame) for k in range(60 // step)], source="grid"))
+        bus.attach(OneShot([(k * step * _TICK, frame) for k in range(60 // step)], source="grid"))
     if draw(st.booleans()):
         # A dominant 0x000 flood that can outrun the bus and build a backlog.
         first, gap = draw(st.integers(0, 30)), draw(st.integers(1, 3))
         flood = [((first + k * gap) * _TICK, CANFrame(0x000, bytes(8))) for k in range(30)]
-        bus.attach(_OneShot(flood, label="T", source="flood"))
+        bus.attach(OneShot(flood, label="T", source="flood"))
     # Horizons from mid-backlog to past the last completion.
     duration = draw(st.integers(1, 400)) * _TICK / 2
     kind = draw(st.sampled_from((None, "ber", "targeted")))
@@ -451,12 +422,12 @@ class TestSweepProperties:
         first = CANFrame(0x200, bytes(2))
         freed = first.bit_length() / 2**19  # exact: a dyadic wire time
         bus = BusSimulator(bitrate=2**19)
-        bus.attach(_OneShot([(0.0, first)], source="a"))
-        bus.attach(_OneShot([(0.0, CANFrame(0x300, bytes(2)))], source="b"))
-        bus.attach(_OneShot([(freed, CANFrame(0x250, bytes(2)))], source="c"))
-        bus.attach(_OneShot([(freed, CANFrame(0x100, bytes(2)))], source="d"))
+        bus.attach(OneShot([(0.0, first)], source="a"))
+        bus.attach(OneShot([(0.0, CANFrame(0x300, bytes(2)))], source="b"))
+        bus.attach(OneShot([(freed, CANFrame(0x250, bytes(2)))], source="c"))
+        bus.attach(OneShot([(freed, CANFrame(0x100, bytes(2)))], source="d"))
         # A late corrupted frame moves the whole run onto the faulted sweep.
-        bus.attach(_OneShot([(0.01, CANFrame(0x400, bytes(2)))], source="e"))
+        bus.attach(OneShot([(0.01, CANFrame(0x400, bytes(2)))], source="e"))
         faults = (
             WireFaultModel(seed=0, targeted=(TargetedFault(0.01, 0.011, can_id=0x400),))
             if faulted
@@ -471,7 +442,7 @@ class TestSweepProperties:
         same-id frame released earlier goes first."""
         frame = CANFrame(0x100, b"\x01\x02")  # 67 wire bits
         bus = BusSimulator(bitrate=500_000)
-        bus.attach(_OneShot([(0.0, frame), (0.0001, frame)]))
+        bus.attach(OneShot([(0.0, frame), (0.0001, frame)]))
         faults = WireFaultModel(
             seed=0, targeted=(TargetedFault(0.0, 0.00005, attempts=1, can_id=0x100),)
         )
@@ -489,8 +460,8 @@ class TestSweepProperties:
         lower row."""
         frame = CANFrame(0x100, b"\x01\x02")  # 67 wire bits: 134 us, error frame 34 us
         bus = BusSimulator(bitrate=500_000)
-        bus.attach(_OneShot([(0.0, frame)], source="x"))
-        bus.attach(_OneShot([(0.0001, frame)], source="y"))
+        bus.attach(OneShot([(0.0, frame)], source="x"))
+        bus.attach(OneShot([(0.0001, frame)], source="y"))
         faults = WireFaultModel(
             seed=0,
             targeted=(
@@ -514,8 +485,8 @@ class TestSweepProperties:
         frame = CANFrame(0x100, b"\x01\x02")
         entry = (frame.bit_length() + ERROR_FRAME_BITS) / 2**19  # exact: dyadic
         bus = BusSimulator(bitrate=2**19)
-        bus.attach(_OneShot([(0.0, frame)], source="x"))
-        bus.attach(_OneShot([(entry, frame)], source="y"))
+        bus.attach(OneShot([(0.0, frame)], source="x"))
+        bus.attach(OneShot([(entry, frame)], source="y"))
         faults = WireFaultModel(seed=0, targeted=(TargetedFault(0.0, 0.00001, source="x"),))
         result = _capture_equals_run(bus, 0.01, faults)
         assert result.capture.timestamps[0] == entry
@@ -694,7 +665,7 @@ def _sources_from(slots, until):
             )
         elif kind == "one-shot":
             frames = [(0.0, CANFrame(0x0A0, b"\x01")), (0.5 * until, CANFrame(0x0A0))]
-            sources.append(_OneShot(frames))
+            sources.append(OneShot(frames))
     return sources
 
 
@@ -800,7 +771,7 @@ class TestScheduleLayer:
                     assert model(0, np.random.default_rng(0)) == expected, (seed, dlc)
 
     def test_wrapper_columnar_schedule_matches_scalar_iteration(self):
-        """Suspension/masquerade arrays == their scalar streams, frame for frame."""
+        """Suspension/masquerade arrays == the row-by-row reference, frame for frame."""
         until = 0.6
 
         def victim():
@@ -808,13 +779,16 @@ class TestScheduleLayer:
                 0x316, 0.01, payload_model=sensor_payload(seed=4), jitter=0.02, seed=4
             )
 
-        for wrapper_of in (
-            lambda: SuspensionAttacker(victim(), [(0.2, 0.4)], mode="delay", delay=0.005),
-            lambda: SuspensionAttacker(victim(), [(0.2, 0.4)], mode="drop"),
-            lambda: MasqueradeAttacker(victim(), [(0.1, 0.5)], seed=8),
+        for wrapper_of, reference in (
+            (
+                lambda: SuspensionAttacker(victim(), [(0.2, 0.4)], mode="delay", delay=0.005),
+                suspension_rows,
+            ),
+            (lambda: SuspensionAttacker(victim(), [(0.2, 0.4)], mode="drop"), suspension_rows),
+            (lambda: MasqueradeAttacker(victim(), [(0.1, 0.5)], seed=8), masquerade_rows),
         ):
-            scalar = list(wrapper_of().frames(until))
-            columnar = list(wrapper_of().frames_array(until).scheduled_frames())
+            scalar = reference(wrapper_of(), until)
+            columnar = schedule_rows(wrapper_of().frames_array(until))
             assert scalar and scalar == columnar
 
     def test_build_schedule_sorts_stably_like_the_event_merge(self):

@@ -18,7 +18,8 @@ The claims pinned here:
   and the timeout clock starts when an attempt *runs*, not when it
   queues behind other shards;
 * a dead process-pool worker rebuilds the pool and the run completes;
-* a clean process-pool run returns only after its workers exit;
+* a clean process-pool run returns only after its workers exit, and
+  a pool never forks more workers than the run has tasks;
 * process-pool workers cap their BLAS helper threads at their share
   of the cores, and the calling process's setting is left alone;
 * ``run_fleet(..., checkpoint=path)`` persists completed shards and a
@@ -312,6 +313,19 @@ class TestPoolShutdown:
         out = run_sharded(list(range(4)), _double, {}, "process", 2)
         assert out.results == (0, 2, 4, 6) and out.health.ok
         assert set(multiprocessing.active_children()) <= before
+
+
+class TestPoolSize:
+    def test_pool_forks_no_more_workers_than_tasks(self):
+        before = set(multiprocessing.active_children())
+        live = []
+
+        def count_workers(index, result):
+            live.append(len(set(multiprocessing.active_children()) - before))
+
+        out = run_sharded([0, 1], _double, {}, "process", 4, on_result=count_workers)
+        assert out.results == (0, 2) and out.health.ok
+        assert len(live) == 2 and max(live) <= 2
 
 
 class TestResilienceOptions:

@@ -298,6 +298,14 @@ class TestRunFleet:
         assert run.workers == 1 and run.backend == "thread"
         assert run.aggregate == reference.aggregate
 
+    def test_one_shard_run_has_one_worker(self, experiment_context, fleet_spec, reference):
+        """A pool never has more workers than tasks: one shard runs in the caller."""
+        options = ExecOptions(backend="process", max_workers=4)
+        assert options.workers_for(1) == 1 and options.workers_for(3) == 3
+        run = run_fleet(experiment_context, fleet_spec, options, shard_size=len(fleet_spec))
+        assert run.shards == 1 and run.workers == 1 and run.backend == "process"
+        assert run.aggregate == reference.aggregate
+
     def test_shard_task_pickles_round_trip(self, fleet_spec):
         shard = _FleetShard(spec=fleet_spec, start=2, stop=5)
         thawed = pickle.loads(pickle.dumps(shard))

@@ -14,11 +14,11 @@ from repro.training.trainer import TrainConfig, Trainer
 
 class TestQMLPConfig:
     def test_topology(self):
-        config = QMLPConfig(input_features=79, hidden=(64, 64, 32), num_classes=2)
+        config = QMLPConfig(input_features=79, hidden=(64, 64, 32))
         assert config.topology == [79, 64, 64, 32, 2]
 
     def test_num_weights(self):
-        config = QMLPConfig(input_features=4, hidden=(3,), num_classes=2)
+        config = QMLPConfig(input_features=4, hidden=(3,))
         assert config.num_weights == 4 * 3 + 3 * 2
 
     def test_describe(self):
@@ -29,8 +29,6 @@ class TestQMLPConfig:
             QMLPConfig(hidden=())
         with pytest.raises(ConfigError):
             QMLPConfig(weight_bits=0)
-        with pytest.raises(ConfigError):
-            QMLPConfig(num_classes=1)
 
     def test_build_structure(self):
         model = build_qmlp(QMLPConfig(hidden=(16, 8)))
@@ -42,12 +40,6 @@ class TestQMLPConfig:
         a = build_qmlp(QMLPConfig(seed=5))(Tensor(x)).data
         b = build_qmlp(QMLPConfig(seed=5))(Tensor(x)).data
         np.testing.assert_array_equal(a, b)
-
-    def test_dropout_inserted(self):
-        model = build_qmlp(QMLPConfig(hidden=(8,), dropout=0.2))
-        from repro.autograd.layers import Dropout
-
-        assert any(isinstance(m, Dropout) for m in model)
 
 
 class TestMetrics:

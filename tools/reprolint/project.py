@@ -69,16 +69,10 @@ class LintConfig:
     columnar_modules: Mapping[str, frozenset[str]] = field(
         default_factory=lambda: _freeze(
             {
-                # Sanctioned scalar paths: the scalar frames() shim the
-                # event engine merges, and the wire-length table builders
+                # Sanctioned scalar paths: the wire-length table builders
                 # (run once at import).
                 "src/repro/can/fastbus.py": frozenset(
-                    {
-                        "scheduled_frames",
-                        "_crc15_byte_table",
-                        "_stuff_step",
-                        "_stuff_tables",
-                    }
+                    {"_crc15_byte_table", "_stuff_step", "_stuff_tables"}
                 ),
                 # Row-interchange boundary: record round-trips and CSV I/O
                 # are the module's purpose, not a hot-path regression.
