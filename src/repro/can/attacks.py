@@ -518,6 +518,8 @@ class SuspensionAttacker:
         #: identifier the attack applies to (None = every victim frame);
         #: exposed as ``can_id`` so wrappers stack like plain senders.
         self.can_id = target_id if target_id is not None else getattr(victim, "can_id", None)
+        #: the victim's nominal period, for a masquerade stacked on top
+        self.period = getattr(victim, "period", None)
         self.name = name or f"suspension-{mode}"
 
     def frames_array(self, until: float) -> "ScheduleArray":
@@ -605,6 +607,7 @@ class MasqueradeAttacker:
         )
         self.windows = self._suppressor.windows
         self.interval = cadence
+        self.period = self._suppressor.period
 
     def frames_array(self, until: float) -> "ScheduleArray":
         from repro.can.fastbus import ScheduleArray

@@ -30,7 +30,7 @@ lost run:
   shipped detector IP once per process, before the first task runs.
 * Process workers cap their BLAS helper threads at their share of the
   cores (:func:`_install_process_worker`) instead of each keeping one
-  per core.
+  per core, and join the idle helpers that the cap restarts.
 
 Worker callables and warmup hooks MUST be module-top-level functions
 (the ``pickle-safety`` lint rule's contract): the process backend
@@ -129,19 +129,20 @@ def _install_worker_state(token: str, state: dict[str, Any]) -> None:
 
 
 def _openblas_entry(name: str) -> Any:
-    """numpy's linked OpenBLAS ``*openblas_<name>*`` entry point, or None.
+    """numpy's linked OpenBLAS ``*<name>*`` entry point, or None.
 
     numpy's compiled core links the BLAS it was built against, so the
     symbol resolves through that extension: renamed
     ``scipy_openblas_*64_`` in the wheels, plain ``openblas_*`` in
-    builds against a system OpenBLAS.
+    builds against a system OpenBLAS, and unprefixed for the internal
+    routines the wheels leave unrenamed.
     """
     try:
         core = importlib.import_module("numpy._core._multiarray_umath")
         library = ctypes.CDLL(core.__file__)
     except (ImportError, OSError):
         return None
-    for prefix in ("scipy_openblas_", "openblas_"):
+    for prefix in ("scipy_openblas_", "openblas_", ""):
         for suffix in ("64_", ""):
             entry = getattr(library, f"{prefix}{name}{suffix}", None)
             if entry is not None:
@@ -168,6 +169,19 @@ def _cap_blas_threads(threads: int) -> None:
         setter(threads)
 
 
+def _join_blas_helpers() -> None:
+    """Join OpenBLAS's helper threads; a no-op without the symbol.
+
+    This is OpenBLAS's own pre-fork routine, which numpy's wheel
+    exports unprefixed.  It leaves the thread count as it was.
+    """
+    shutdown = _openblas_entry("blas_thread_shutdown_")
+    if shutdown is not None:
+        shutdown.argtypes = ()
+        shutdown.restype = ctypes.c_int
+        shutdown()
+
+
 def _install_process_worker(token: str, state: dict[str, Any], workers: int) -> None:
     """Process-pool initializer: take a share of the cores, then install.
 
@@ -178,8 +192,17 @@ def _install_process_worker(token: str, state: dict[str, Any], workers: int) -> 
     exact integers, so any thread count or reduction order gives the
     same accumulators.  Only pool workers run this; the calling
     process's BLAS setting is never touched.
+
+    Fork shuts OpenBLAS's helper pool down, and the cap restarts it at
+    the default size before it sets the count.  Each idle helper
+    busy-waits about 0.1 s before it sleeps, on a core the other
+    workers need, so the worker joins them again right after the cap.
+    The count stays at the share; a GEMM large enough to use several
+    threads restarts the pool on its own, and a one-thread worker's
+    never does.
     """
     _cap_blas_threads(max(1, (os.cpu_count() or 1) // workers))
+    _join_blas_helpers()
     _install_worker_state(token, state)
 
 

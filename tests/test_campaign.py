@@ -6,7 +6,8 @@ Pins the contracts of the scenario-generator PR:
   sender's frames, suspension delays without reordering other IDs,
   burst/ramp DoS profiles stay inside their windows;
 * campaign compilation produces per-channel buses whose ground-truth
-  labels agree with the phase windows frame-by-frame;
+  labels agree with the phase windows frame-by-frame, and a masquerade
+  stacks on an earlier suspension or masquerade of the same victim;
 * the scenario registry exposes the canonical catalogue (>= 10
   scenarios) and every entry compiles and runs;
 * the gateway's campaign-aware labelling attributes per-channel
@@ -16,6 +17,7 @@ Pins the contracts of the scenario-generator PR:
 
 import numpy as np
 import pytest
+from _engine_ab import assert_same_window
 
 from repro.can.attacks import (
     BurstDoSAttacker,
@@ -271,6 +273,29 @@ class TestCampaignModel:
         released = window.queued_at
         in_window = (window.capture.can_ids == 0x316) & (start <= released) & (released < end)
         assert in_window.any() and np.all(window.capture.labels[in_window] == 1)
+
+    @pytest.mark.parametrize("first", ["suspension", "masquerade"])
+    def test_masquerade_stacks_on_an_earlier_wrapper_of_its_victim(self, first):
+        # The masquerade finds the earlier phase's wrapper in the victim's
+        # place and takes its default cadence from the wrapper's period.
+        campaign = Campaign(
+            "stacked",
+            0.3,
+            ("segment0",),
+            (
+                AttackPhase(first, 0.05, 0.1, params={"target_id": 0x316}),
+                AttackPhase("masquerade", 0.15, 0.25, params={"target_id": 0x316}),
+            ),
+        )
+        event = compile_campaign(campaign, vehicle_seed=11)["segment0"]
+        columnar = compile_campaign(campaign, vehicle_seed=11)["segment0"]
+        window = event.run(campaign.duration)
+        assert_same_window(window, columnar.capture(campaign.duration))
+        released = window.queued_at
+        spoofed = (window.capture.labels == 1) & (released >= 0.15)
+        assert np.all(window.capture.can_ids[spoofed] == 0x316)
+        assert spoofed.sum() == 10  # 0.15, 0.16, ..., 0.24
+        assert np.allclose(np.diff(released[spoofed]), 0.010)
 
 
 class TestScenarioRegistry:

@@ -21,7 +21,8 @@ The claims pinned here:
 * a clean process-pool run returns only after its workers exit, and
   a pool never forks more workers than the run has tasks;
 * process-pool workers cap their BLAS helper threads at their share
-  of the cores, and the calling process's setting is left alone;
+  of the cores, and the calling process's setting is left alone; a
+  worker whose share is one thread keeps no helper thread at all;
 * ``run_fleet(..., checkpoint=path)`` persists completed shards and a
   resumed run (after any interrupt pattern — property-tested) merges
   to a bit-identical :class:`FleetAggregate`.
@@ -33,6 +34,7 @@ import multiprocessing
 import os
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from itertools import count
 
 import numpy as np
@@ -55,7 +57,7 @@ from repro.fleet import (
     run_fleet,
     run_sharded,
 )
-from repro.fleet.pool import _blas_threads
+from repro.fleet.pool import _blas_threads, _install_process_worker
 
 # ---------------------------------------------------------------------------
 # module-top-level workers (the process backend pickles by reference)
@@ -84,6 +86,14 @@ def _thread_ident(task):
 
 def _report_blas_threads(task):
     return _blas_threads()
+
+
+def _report_native_threads(task):
+    a = np.full((256, 256), 1.0 / 256, dtype=np.float32)
+    for _ in range(4):
+        a = a @ a
+    blas = _blas_threads()
+    return len(os.listdir("/proc/self/task")), blas
 
 
 class TestOrderStability:
@@ -305,6 +315,23 @@ class TestProcessPoolRebuild:
         share = max(1, (os.cpu_count() or 1) // 2)
         assert out.results == (share, share)
         assert _blas_threads() == before  # the calling process is untouched
+
+    def test_one_thread_workers_keep_no_blas_helper_thread(self):
+        # The cap restarts the helper pool that fork shut down, at one
+        # helper per extra core, and the worker joins it again.  A worker
+        # whose share is one thread never gives the pool work, so after a
+        # few GEMMs it still runs on its own thread alone.
+        if _blas_threads() is None or not os.path.isdir("/proc/self/task"):
+            pytest.skip("needs /proc and numpy's OpenBLAS thread control")
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("needs the fork start method")
+        with ProcessPoolExecutor(
+            max_workers=1,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_install_process_worker,
+            initargs=("blas-helpers", {}, os.cpu_count() or 1),
+        ) as pool:
+            assert pool.submit(_report_native_threads, 0).result(timeout=60) == (1, 1)
 
 
 class TestPoolShutdown:
